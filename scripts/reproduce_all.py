@@ -13,14 +13,13 @@ from fsqubit.harness.presets import FIGURE_PRESETS, reproduce
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", type=Path, default=Path("runs"))
-    parser.add_argument("--workers", type=int, default=None)
     parser.add_argument("figures", nargs="*", default=list(FIGURE_PRESETS))
     args = parser.parse_args()
 
     failures = 0
     for fig in args.figures:
         t0 = time.time()
-        ok = reproduce(fig, args.out / fig, workers=args.workers)
+        ok = reproduce(fig, args.out / fig)
         summary = json.loads((args.out / fig / "summary.json").read_text())
         checks = ", ".join(
             f"{c['name']}={c['value']:.4g}" for c in summary["checks"]

@@ -303,13 +303,6 @@ def decay_rates(scheme: LevelScheme, table: DecayTable) -> list[tuple[int, int, 
     return rates
 
 
-def lost_fraction(scheme: LevelScheme, table: DecayTable, src: tuple[str, int]) -> float:
-    """Branching fraction from `src` that leaves the scheme's subspace."""
-    kept = sum(f for s, dst, f in table.channels if s == src and scheme.has(*dst))
-    total = sum(f for s, _, f in table.channels if s == src)
-    return total - kept
-
-
 def load_scheme_config(text: str, source: str = "<config>") -> tuple[LevelScheme, DecayTable]:
     """Build a scheme and decay table from sectioned config text.
 

@@ -140,11 +140,3 @@ def convert(value: RawValue, kind: str, source: str = "<config>") -> float:
             f"{source}:{value.line}: expected a {kind} unit, got {value.unit!r} ({unit_kind})"
         )
     return value.number * scale
-
-
-def require_string(section: dict[str, RawValue], key: str, source: str = "<config>") -> str:
-    """Fetch a bare-word value (e.g. scenario name) stored as raw text."""
-    rv = section.get(key)
-    if rv is None:
-        raise ConfigError(f"{source}: missing key {key!r}")
-    return rv.text

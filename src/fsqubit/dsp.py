@@ -44,6 +44,12 @@ class Measured(NamedTuple):
     sigma: float
 
 
+def _require_finite(values: np.ndarray, what: str) -> None:
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ValueError(f"non-finite trace {what} at index {bad[0]}")
+
+
 @dataclass(frozen=True)
 class Trace:
     """Uniformly sampled real signal.
@@ -63,6 +69,9 @@ class Trace:
         object.__setattr__(self, "samples", y)
         if self.dt <= 0:
             raise ValueError("sample interval must be positive")
+        _require_finite(y, "samples")
+        if self.sigma is not None:
+            _require_finite(np.asarray(self.sigma, dtype=float), "sigma")
 
     @property
     def n(self) -> int:
@@ -93,12 +102,20 @@ class Trace:
     @classmethod
     def from_csv(cls, text: str) -> "Trace":
         rows = []
-        for ln in text.strip().splitlines():
+        for lineno, ln in enumerate(text.splitlines(), start=1):
             ln = ln.strip()
-            if not ln or ln[0].isalpha() or ln.startswith("#"):
+            if not ln or ln.startswith("#"):
                 continue
             parts = ln.split(",")
-            rows.append((float(parts[0]), float(parts[1])))
+            try:
+                t, y = float(parts[0]), float(parts[1])
+            except ValueError:
+                if ln[0].isalpha():  # a header; "nan" and "inf" rows are data
+                    continue
+                raise
+            if not (math.isfinite(t) and math.isfinite(y)):
+                raise ValueError(f"non-finite value on CSV line {lineno}: {ln!r}")
+            rows.append((t, y))
         arr = np.array(rows)
         return cls.from_xy(arr[:, 0], arr[:, 1])
 
@@ -541,14 +558,16 @@ def fit_loss(trace: Trace, carrier_hz: float) -> FitResult:
     The band-pass leaves transients at the record edges, so the first and
     last EDGE_FRACTION of samples are left out, as in `hilbert_envelope`,
     and so are samples outside `trace.valid` when it is set; `trace.sigma`
-    is masked alike.  Over the remaining window [t0, t1] the fit is parameterized by the drop across the window, the rate 1/tau_loss
+    is masked alike.  Over the remaining window [t0, t1] the fit is
+    parameterized by the drop across the window, the rate 1/tau_loss
     (as rate (t1 - t0)) and the level at t0, seeded from medians of the
     early and late tenths of the window.  A loss time far beyond the record
     then only makes the fitted curve straight, instead of sending loss_amp
     and tau_loss off together along amp/tau = constant.
 
-    meta["loss_unresolved"] is set when the rate is not positive, its sign
-    is not resolved (sigma >= |rate|), rate (t1 - t0) < 1e-2 (no curvature
+    meta["loss_unresolved"] is set when the fitted drop is not positive (a
+    rise is not a loss), the rate is not positive, its sign is not
+    resolved (sigma >= |rate|), rate (t1 - t0) < 1e-2 (no curvature
     over the window), or rate t0 >= 1 (a loss faster than the masked leading
     edge, not separable from the band-pass transient).  The curve then says
     nothing trustworthy about an amplitude, so loss_amp is the drop across
@@ -576,8 +595,8 @@ def fit_loss(trace: Trace, carrier_hz: float) -> FitResult:
         rate, rate_sigma = float(k / span), float(fit.uncertainties[1] / span)
     except DegenerateParameterError:
         # no loss curvature at all (a constant trace): the rate is unidentified
-        fit, rate, rate_sigma = None, 0.0, math.inf
-    unresolved = bool(fit is None or rate <= 0 or rate_sigma >= abs(rate)
+        fit, drop, rate, rate_sigma = None, 0.0, 0.0, math.inf
+    unresolved = bool(fit is None or drop <= 0 or rate <= 0 or rate_sigma >= abs(rate)
                       or rate * span < 1e-2 or rate * t0 >= 1.0)
     tau = 1.0 / rate if rate > 0 else math.inf
     tau_sigma = rate_sigma / rate**2 if rate > 0 else math.inf

@@ -42,7 +42,6 @@ _SCAN_KINDS = {"autler-townes": "at", "cpt": "cpt", "detuning": "detuning"}
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scenario", type=Path, default=None, help="scenario file")
     p.add_argument("--out", type=Path, default=Path("runs"), help="output directory root")
-    p.add_argument("--workers", type=int, default=None, help="parallel workers")
     p.add_argument("--dry-run", action="store_true",
                    help="validate the configuration and print the resolved parameters")
 
@@ -96,7 +95,7 @@ def _run_kind(args, kind: str) -> int:
             print(line)
         return 0
     outdir = args.out / sc.name
-    ok = run_scenario(sc, outdir, workers=args.workers)
+    ok = run_scenario(sc, outdir)
     print(f"outputs in {outdir}")
     summary = json.loads((outdir / "summary.json").read_text())
     for check in summary["checks"]:
@@ -199,7 +198,7 @@ def main(argv=None) -> int:
                 for line in sc.resolved_lines():
                     print(line)
                 return 0
-            ok = reproduce(args.figure, args.out / args.figure, workers=args.workers)
+            ok = reproduce(args.figure, args.out / args.figure)
             summary = json.loads((args.out / args.figure / "summary.json").read_text())
             for check in summary["checks"]:
                 mark = "pass" if check["pass"] else "FAIL"

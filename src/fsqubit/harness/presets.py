@@ -77,7 +77,7 @@ def _ensemble(sc: Scenario, sampling: str = "gaussian") -> sequences.EnsembleSpe
 
 # --------------------------------------------------------------- runners
 
-def run_rabi(sc: Scenario, w: RunWriter, workers: int | None = None) -> None:
+def run_rabi(sc: Scenario, w: RunWriter) -> None:
     scheme = atom.lambda_scheme()
     table = atom.default_decay_table()
     cfg = _drive_config(sc, scheme)
@@ -86,7 +86,6 @@ def run_rabi(sc: Scenario, w: RunWriter, workers: int | None = None) -> None:
         duration=sc.get("simulation", "duration"),
         n_samples=sc.get_int("simulation", "samples"),
         ensemble=_ensemble(sc),
-        workers=workers,
     )
     w.write_csv("trace.csv", {"t_s": traj.times, **traj.populations})
     data = w.read_csv("trace.csv")
@@ -103,7 +102,7 @@ def run_rabi(sc: Scenario, w: RunWriter, workers: int | None = None) -> None:
               "time (ms)", "population")
 
 
-def run_lz(sc: Scenario, w: RunWriter, workers: int | None = None) -> None:
+def run_lz(sc: Scenario, w: RunWriter) -> None:
     rabi = sc.get("sweep", "rabi")
     span_hz = ordinary(sc.get("sweep", "range"))
     ramps = np.geomspace(sc.get("sweep", "ramp_min"), sc.get("sweep", "ramp_max"),
@@ -135,7 +134,7 @@ def run_lz(sc: Scenario, w: RunWriter, workers: int | None = None) -> None:
     ], "ramp speed (Hz/ms)", "transfer fidelity")
 
 
-def run_at(sc: Scenario, w: RunWriter, workers: int | None = None) -> None:
+def run_at(sc: Scenario, w: RunWriter) -> None:
     scheme = atom.lambda_scheme()
     table = atom.default_decay_table()
     powers = np.linspace(sc.get("scan", "power_min"), sc.get("scan", "power_max"),
@@ -145,7 +144,6 @@ def run_at(sc: Scenario, w: RunWriter, workers: int | None = None) -> None:
         powers, calibration, scheme, table,
         probe_rabi=sc.get("scan", "probe_rabi"),
         strong=sc.string("scan", "strong", "down"),
-        workers=workers,
     )
     spec_cols = {"detuning_hz": result.detunings / TWO_PI}
     for p, row in zip(result.powers_mw, result.spectra):
@@ -178,14 +176,14 @@ def run_at(sc: Scenario, w: RunWriter, workers: int | None = None) -> None:
     ], "sqrt(power) (sqrt(mW))", "splitting (MHz)")
 
 
-def run_cpt(sc: Scenario, w: RunWriter, workers: int | None = None) -> None:
+def run_cpt(sc: Scenario, w: RunWriter) -> None:
     scheme = atom.lambda_scheme()
     table = atom.default_decay_table()
     delta_max = sc.get("scan", "delta_max")
     grid = np.linspace(-delta_max, delta_max, sc.get_int("scan", "points"))
     excitation = sequences.cpt_scan(
         sc.get("drive", "rabi_up"), sc.get("drive", "rabi_down"),
-        grid, scheme, table, workers=workers,
+        grid, scheme, table,
     )
     w.write_csv("spectrum.csv", {"delta_hz": grid / TWO_PI, "excitation": excitation})
     data = w.read_csv("spectrum.csv")
@@ -200,7 +198,7 @@ def run_cpt(sc: Scenario, w: RunWriter, workers: int | None = None) -> None:
     ], "two-photon detuning (kHz)", "excited population")
 
 
-def run_detuning(sc: Scenario, w: RunWriter, workers: int | None = None) -> None:
+def run_detuning(sc: Scenario, w: RunWriter) -> None:
     scheme = atom.lambda_scheme()
     table = atom.default_decay_table()
     mags = np.geomspace(abs(sc.get("scan", "detuning_min")),
@@ -218,7 +216,7 @@ def run_detuning(sc: Scenario, w: RunWriter, workers: int | None = None) -> None
         duration = cycles_target / f_eff
         n = int(cycles_target * 22)
         spec = sequences.EnsembleSpec(rabi_spread=spread, samples=samples, seed=sc.seed)
-        traj = sequences.run_rabi_ensemble(cfg, table, duration, n, spec, workers=workers)
+        traj = sequences.run_rabi_ensemble(cfg, table, duration, n, spec)
         result = dsp.extract_rabi(dsp.Trace(dt=traj.dt, samples=traj.populations["up"]))
         omegas.append(result.omega)
         taus.append(result.tau)
@@ -248,15 +246,15 @@ def run_detuning(sc: Scenario, w: RunWriter, workers: int | None = None) -> None
               "|detuning| (GHz)", "cycles")
 
 
-def _contrast_scan(scan_fn, dark_times, phases, cfg, table, ensemble, ou, workers):
+def _contrast_scan(scan_fn, dark_times, phases, cfg, table, ensemble, ou):
     out = []
     for t_dark in dark_times:
-        pops = scan_fn(t_dark, phases, cfg, table, ensemble=ensemble, ou=ou, workers=workers)
+        pops = scan_fn(t_dark, phases, cfg, table, ensemble=ensemble, ou=ou)
         out.append(sequences.ramsey_contrast(pops, phases))
     return np.array(out)
 
 
-def run_coherence(sc: Scenario, w: RunWriter, workers: int | None = None) -> None:
+def run_coherence(sc: Scenario, w: RunWriter) -> None:
     scheme = atom.lambda_scheme()
     table = atom.DecayTable(gamma_s=0.0, channels=())  # dephasing-only presets
     cfg = _drive_config(sc, scheme)
@@ -269,7 +267,7 @@ def run_coherence(sc: Scenario, w: RunWriter, workers: int | None = None) -> Non
         samples=sc.get_int("ramsey", "samples"), sampling="hermite",
     )
     c_ramsey = _contrast_scan(sequences.ramsey_phase_scan, t_ramsey, phases,
-                              cfg, table, spec_r, None, workers)
+                              cfg, table, spec_r, None)
     w.write_csv("ramsey_contrast.csv", {"dark_s": t_ramsey, "contrast": c_ramsey})
 
     t_echo = np.linspace(sc.get("echo", "dark_min"), sc.get("echo", "dark_max"),
@@ -280,7 +278,7 @@ def run_coherence(sc: Scenario, w: RunWriter, workers: int | None = None) -> Non
     )
     ou = sequences.OUNoise(sigma=sc.get("echo", "ou_sigma"), tau_c=sc.get("echo", "ou_tau"))
     c_echo = _contrast_scan(sequences.spin_echo_scan, t_echo, phases,
-                            cfg, table, spec_e, ou, workers)
+                            cfg, table, spec_e, ou)
     w.write_csv("echo_contrast.csv", {"dark_s": t_echo, "contrast": c_echo})
 
     dr = w.read_csv("ramsey_contrast.csv")
@@ -307,7 +305,7 @@ def run_coherence(sc: Scenario, w: RunWriter, workers: int | None = None) -> Non
     ], "dark time (ms)", "contrast", log_x=True)
 
 
-def run_lightshift(sc: Scenario, w: RunWriter, workers: int | None = None) -> None:
+def run_lightshift(sc: Scenario, w: RunWriter) -> None:
     scheme = atom.lambda_scheme()
     table = atom.DecayTable(gamma_s=0.0, channels=())
     depths = np.linspace(sc.get("lattice", "depth_min"), sc.get("lattice", "depth_max"),
@@ -324,7 +322,7 @@ def run_lightshift(sc: Scenario, w: RunWriter, workers: int | None = None) -> No
         cfg = driven.raman_config(scheme, sc.get("drive", "rabi_up"),
                                   sc.get("drive", "rabi_down"),
                                   sc.get("drive", "detuning"), delta_total)
-        pops = sequences.ramsey_time_scan(dark, cfg, table, workers=workers)
+        pops = sequences.ramsey_time_scan(dark, cfg, table)
         fringe_cols[f"p_up_{depth:.3g}uK"] = pops
         fit = dsp.fit_sinusoid(dark, pops, mode="time")
         f_meas = abs(fit.value("frequency")) + noise * rng.standard_normal()
@@ -348,7 +346,7 @@ def run_lightshift(sc: Scenario, w: RunWriter, workers: int | None = None) -> No
     ], "lattice depth (uK)", "fringe frequency (kHz)")
 
 
-def run_fidelity(sc: Scenario, w: RunWriter, workers: int | None = None) -> None:
+def run_fidelity(sc: Scenario, w: RunWriter) -> None:
     scheme = atom.lambda_scheme()
     table = atom.default_decay_table()
     cfg = _drive_config(sc, scheme)
@@ -393,7 +391,7 @@ def run_fidelity(sc: Scenario, w: RunWriter, workers: int | None = None) -> None
     ], "time (us)", "population")
 
 
-def run_pipeline(sc: Scenario, w: RunWriter, workers: int | None = None) -> None:
+def run_pipeline(sc: Scenario, w: RunWriter) -> None:
     omega = sc.get("signal", "rabi")
     tau = sc.get("signal", "tau")
     n = sc.get_int("signal", "samples")
@@ -438,7 +436,7 @@ def run_pipeline(sc: Scenario, w: RunWriter, workers: int | None = None) -> None
     ], "time (ms)", "signal")
 
 
-def run_scatter(sc: Scenario, w: RunWriter, workers: int | None = None) -> None:
+def run_scatter(sc: Scenario, w: RunWriter) -> None:
     scheme = atom.sr88_scheme()
     table = atom.default_decay_table()
     env = atom.MagneticEnvironment()
@@ -489,15 +487,15 @@ def run_scatter(sc: Scenario, w: RunWriter, workers: int | None = None) -> None:
               "hold time (ms)", "survival")
 
 
-def run_ramsey(sc: Scenario, w: RunWriter, workers: int | None = None) -> None:
-    _run_two_pulse(sc, w, workers, echo=False)
+def run_ramsey(sc: Scenario, w: RunWriter) -> None:
+    _run_two_pulse(sc, w, echo=False)
 
 
-def run_echo(sc: Scenario, w: RunWriter, workers: int | None = None) -> None:
-    _run_two_pulse(sc, w, workers, echo=True)
+def run_echo(sc: Scenario, w: RunWriter) -> None:
+    _run_two_pulse(sc, w, echo=True)
 
 
-def _run_two_pulse(sc: Scenario, w: RunWriter, workers, echo: bool) -> None:
+def _run_two_pulse(sc: Scenario, w: RunWriter, echo: bool) -> None:
     scheme = atom.lambda_scheme()
     table = atom.DecayTable(gamma_s=0.0, channels=())
     cfg = _drive_config(sc, scheme)
@@ -510,7 +508,7 @@ def _run_two_pulse(sc: Scenario, w: RunWriter, workers, echo: bool) -> None:
         ou = sequences.OUNoise(sigma=sc.get("noise", "ou_sigma"),
                                tau_c=sc.get("noise", "ou_tau"))
     scan_fn = sequences.spin_echo_scan if echo else sequences.ramsey_phase_scan
-    contrast = _contrast_scan(scan_fn, dark, phases, cfg, table, spec, ou, workers)
+    contrast = _contrast_scan(scan_fn, dark, phases, cfg, table, spec, ou)
     w.write_csv("contrast.csv", {"dark_s": dark, "contrast": contrast})
     data = w.read_csv("contrast.csv")
     fit = dsp.fit_gaussian_decay(data["dark_s"], np.clip(data["contrast"], 0, 1.05))
@@ -536,17 +534,17 @@ RUNNERS = {
 }
 
 
-def run_scenario(sc: Scenario, outdir: Path, workers: int | None = None) -> bool:
+def run_scenario(sc: Scenario, outdir: Path) -> bool:
     writer = RunWriter(outdir=Path(outdir), scenario=sc)
-    RUNNERS[sc.kind](sc, writer, workers)
+    RUNNERS[sc.kind](sc, writer)
     return writer.finish()
 
 
-def reproduce(figure: str, outdir: Path, workers: int | None = None) -> bool:
+def reproduce(figure: str, outdir: Path) -> bool:
     """Run one figure preset; returns True when all summary checks pass."""
     if figure not in FIGURE_PRESETS:
         raise ConfigError(
             f"unknown figure {figure!r}; presets: {', '.join(FIGURE_PRESETS)}"
         )
     sc = load_scenario(packaged_scenario_path(figure))
-    return run_scenario(sc, Path(outdir), workers=workers)
+    return run_scenario(sc, Path(outdir))

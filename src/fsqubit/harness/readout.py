@@ -1,4 +1,4 @@
-"""Reference-normalized readout and detection-fidelity arithmetic.
+"""Reference-normalized readout.
 
 Measurements are interleaved with reference shots of the initial-state atom
 number; a linear interpolation of the references divides out slow drifts.
@@ -12,8 +12,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-
-from ..dsp import Measured, detection_fidelity
 
 DEFAULT_LZ_EFFICIENCY = 0.975
 
@@ -66,9 +64,3 @@ def normalize_readout(
                 raise ValueError("transfer efficiency must be in (0, 1]")
             down = down / lz_efficiency
     return NormalizedReadout(times=times, up=up, down=down)
-
-
-def fidelity_chain(down_population: Measured, excitation_fraction: Measured) -> Measured:
-    """Detection fidelity of the down state from the normalized down
-    population at the pi time and the measured excitation fraction."""
-    return detection_fidelity(down_population, excitation_fraction)

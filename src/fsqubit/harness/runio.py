@@ -95,6 +95,10 @@ class RunWriter:
         data = np.array([[float(x) for x in ln.split(",")] for ln in lines[1:]])
         if data.size == 0:
             data = data.reshape(0, len(header))
+        bad = np.argwhere(~np.isfinite(data))
+        if len(bad):
+            row, col = bad[0]
+            raise ValueError(f"{name}: non-finite {header[col]!r} on line {row + 2}")
         return {h: data[:, i] for i, h in enumerate(header)}
 
     def finish(self, input_files: dict[str, Path] | None = None) -> bool:

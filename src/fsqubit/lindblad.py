@@ -1,12 +1,13 @@
 """Master-equation evolution, steady states, and parameter scans.
 
-The master equation is integrated on the vectorized density matrix.  For a
-constant generator the propagator over one grid step is computed once with a
-matrix exponential and applied repeatedly, which is exact up to roundoff and
-untroubled by GHz-scale rotating-frame diagonals.  Time-dependent detuning
-schedules (frequency ramps) fall back to an adaptive embedded Runge-Kutta
-integrator on the same vectorized equation.  Trace is never renormalized;
-its drift is a diagnostic.
+The master equation is integrated on the vectorized density matrix.  A
+constant generator is stepped by `propagate`, the one place the program
+steps a state through time with a matrix exponential: the propagator over
+one grid step is computed once and applied repeatedly, which is exact up to
+roundoff and untroubled by GHz-scale rotating-frame diagonals.
+Time-dependent detuning schedules (frequency ramps) fall back to an
+adaptive embedded Runge-Kutta integrator on the same vectorized equation.
+Trace is never renormalized; its drift is a diagnostic.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from .driven import RotatingFrameModel
-from .parallel import parallel_map
 
 
 class IntegrationError(Exception):
@@ -185,38 +185,40 @@ def evolve(
         raise IntegrationError("the expm engine cannot integrate a detuning ramp")
     times = np.linspace(0.0, duration, n_samples)
     if engine == "expm":
-        states = _propagate_expm(model, rho0.matrix, times)
+        vecs = propagate(liouvillian(model), rho0.matrix.reshape(-1), times)
     elif engine == "rk":
-        states = _integrate_rk(model, rho0.matrix, times, rtol, atol, ramp)
+        vecs = _integrate_rk(model, rho0.matrix, times, rtol, atol, ramp)
     else:
         raise ValueError(f"unknown engine {engine!r}")
-    pops = {
-        label: np.array([st[i, i].real for st in states])
-        for i, label in enumerate(model.labels)
-    }
+    states = vecs.reshape(len(times), model.dim, model.dim)
+    pops = {label: states[:, i, i].real.copy() for i, label in enumerate(model.labels)}
     stored = tuple(DensityMatrix(st) for st in states) if store_states else None
     return Trajectory(times=times, populations=pops, states=stored)
 
 
-def _propagate_expm(model, rho0: np.ndarray, times: np.ndarray) -> list[np.ndarray]:
-    n = model.dim
-    lv = liouvillian(model)
-    vec = rho0.reshape(-1).astype(complex)
-    out = [rho0.copy()]
-    diffs = np.diff(times)
-    if len(diffs) and np.allclose(diffs, diffs[0], rtol=1e-12, atol=0.0):
-        step = expm(lv * diffs[0])
-        for _ in diffs:
-            vec = step @ vec
-            out.append(vec.reshape(n, n).copy())
-    else:
-        for dt in diffs:
-            vec = expm(lv * dt) @ vec
-            out.append(vec.reshape(n, n).copy())
+def propagate(generator: np.ndarray, vec0: np.ndarray, times) -> np.ndarray:
+    """States of dv/dt = generator @ v at every time, shape (len(times), len(vec0)).
+
+    `vec0` is the state at `times[0]`.  Each gap between consecutive times
+    is stepped with expm(generator * gap); the propagator is reused while
+    the next gap matches the one it was built for within a relative 1e-9,
+    so a uniform grid costs one matrix exponential.  A real generator and
+    a real state (a rate matrix and populations) give real states.
+    """
+    times = np.asarray(times, dtype=float)
+    vec = np.asarray(vec0)
+    out = np.empty((len(times), len(vec)), dtype=np.result_type(generator, vec))
+    out[0] = vec
+    step, built_for = None, 0.0
+    for k, gap in enumerate(np.diff(times), start=1):
+        if step is None or abs(gap - built_for) > 1e-9 * built_for:
+            step, built_for = expm(generator * gap), gap
+        vec = step @ vec
+        out[k] = vec
     return out
 
 
-def _integrate_rk(model, rho0, times, rtol, atol, ramp) -> list[np.ndarray]:
+def _integrate_rk(model, rho0, times, rtol, atol, ramp) -> np.ndarray:
     n = model.dim
     lv = liouvillian(model)
     duration = times[-1]
@@ -252,7 +254,7 @@ def _integrate_rk(model, rho0, times, rtol, atol, ramp) -> list[np.ndarray]:
         raise IntegrationError(
             f"integrator failed ({sol.message}); stiffest rate ratio in the model is {ratio:.3g}"
         )
-    return [sol.y[:, k].reshape(n, n) for k in range(sol.y.shape[1])]
+    return sol.y.T
 
 
 def steady_state(model: RotatingFrameModel) -> DensityMatrix:
@@ -285,7 +287,6 @@ def scan(
     protocol: str = "steady",
     evolve_time: float | None = None,
     rho0: DensityMatrix | None = None,
-    workers: int | None = None,
 ) -> np.ndarray:
     """Evaluate one named population over a parameter grid.
 
@@ -312,4 +313,4 @@ def scan(
         except Exception as exc:
             raise IntegrationError(f"scan point {value!r} failed: {exc}") from exc
 
-    return np.array(parallel_map(one, grid, workers=workers))
+    return np.array([one(value) for value in grid])

@@ -11,11 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import dsp, formulas
 from .atom import DecayTable, LevelScheme, MagneticEnvironment, decay_rates, zeeman_shift
 from .driven import DriveField, _pi_coupling_ratio
+from .lindblad import propagate
 
 
 @dataclass(frozen=True)
@@ -107,15 +107,14 @@ def evolve_rates(model: RateModel, times) -> np.ndarray:
     times = np.asarray(times, dtype=float)
     if np.any(np.diff(times) <= 0) or times[0] < 0:
         raise ValueError("times must be increasing and nonnegative")
-    out = np.empty((len(times), len(model.initial)))
-    p = model.initial.copy()
-    t_prev = 0.0
-    for k, t in enumerate(times):
-        if t > t_prev:
-            p = expm(model.matrix * (t - t_prev)) @ p
-            t_prev = t
-        out[k] = p
-    return out
+    return _populations(model.matrix, model.initial, times)
+
+
+def _populations(matrix: np.ndarray, p0: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Populations at increasing times >= 0, starting from `p0` at t = 0."""
+    if times[0] > 0:
+        return propagate(matrix, p0, np.concatenate(([0.0], times)))[1:]
+    return propagate(matrix, p0, times)
 
 
 def survival(model: RateModel, times, label: str = "up") -> np.ndarray:
@@ -150,16 +149,7 @@ def fit_scattering_rate(
     i_up = base.index("up")
 
     def model_fn(t, gamma_sc):
-        m = decay_only + gamma_sc * pump_unit
-        p = base.initial.copy()
-        out = np.empty(len(t))
-        t_prev = 0.0
-        for k, tk in enumerate(t):
-            if tk > t_prev:
-                p = expm(m * (tk - t_prev)) @ p
-                t_prev = tk
-            out[k] = p[i_up]
-        return out
+        return _populations(decay_only + gamma_sc * pump_unit, base.initial, t)[:, i_up]
 
     slope0 = _initial_rate_guess(times, data)
     fit = dsp.nlls(model_fn, (times, data), [max(slope0, 1.0)], names=("gamma_sc",), sigma=sigma)

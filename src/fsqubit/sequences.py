@@ -28,8 +28,15 @@ from .driven import (
     elimination_applies,
     raman_config,
 )
-from .lindblad import DensityMatrix, DetuningRamp, Trajectory, evolve, liouvillian, steady_state
-from .parallel import parallel_map
+from .lindblad import (
+    DensityMatrix,
+    DetuningRamp,
+    Trajectory,
+    evolve,
+    liouvillian,
+    propagate,
+    steady_state,
+)
 from .units import TWO_PI
 
 
@@ -361,31 +368,25 @@ def _first_drive(seq: PulseSequence):
 
 
 def _advance(model, state, t_start, duration, times, next_idx, sampled):
-    """Propagate one segment, filling grid samples that fall inside it."""
-    lv = liouvillian(model)
-    vec = state.reshape(-1).copy()
+    """Propagate one segment, filling grid samples that fall inside it.
+
+    Grid samples up to 1e-9 grid steps past the segment end still belong to
+    it; the segment end itself is stepped to only when it lies more than
+    that beyond the last of them."""
     dim = state.shape[0]
     t_end = t_start + duration
     dt_grid = times[1] - times[0] if len(times) > 1 else duration
     eps = 1e-9 * dt_grid
-    step = None
     idx = next_idx
-    local = t_start
     while idx < len(times) and times[idx] <= t_end + eps:
-        gap = times[idx] - local
-        if gap > eps:
-            if abs(gap - dt_grid) < eps:
-                if step is None:
-                    step = expm(lv * dt_grid)
-                vec = step @ vec
-            else:
-                vec = expm(lv * gap) @ vec
-        sampled[idx] = np.diag(vec.reshape(dim, dim)).real
-        local = times[idx]
         idx += 1
+    local = times[idx - 1] if idx > next_idx else t_start
+    grid = [t_start, *times[next_idx:idx]]
     if t_end - local > eps:
-        vec = expm(lv * (t_end - local)) @ vec
-    return vec.reshape(dim, dim), idx
+        grid.append(t_end)
+    vecs = propagate(liouvillian(model), state.reshape(-1), grid)
+    sampled[next_idx:idx] = vecs[1:1 + idx - next_idx, ::dim + 1].real
+    return vecs[-1].reshape(dim, dim), idx
 
 
 def _run_ramp(seq, scheme, table, env, n_samples, rho0):
@@ -535,11 +536,10 @@ def ramsey_phase_scan(
     ensemble: EnsembleSpec | None = None,
     ou: OUNoise | None = None,
     pulse_override: float | None = None,
-    workers: int | None = None,
 ) -> np.ndarray:
     """Population in `up` after pi/2 - dark(T) - pi/2(phase), per phase."""
     return _two_pulse_scan(dark_time, phases, config, table, ensemble, ou,
-                           pulse_override, workers, echo=False)
+                           pulse_override, echo=False)
 
 
 def spin_echo_scan(
@@ -550,15 +550,14 @@ def spin_echo_scan(
     ensemble: EnsembleSpec | None = None,
     ou: OUNoise | None = None,
     pulse_override: float | None = None,
-    workers: int | None = None,
 ) -> np.ndarray:
     """Ramsey scan with a rephasing pi pulse inserted at T/2."""
     return _two_pulse_scan(dark_time, phases, config, table, ensemble, ou,
-                           pulse_override, workers, echo=True)
+                           pulse_override, echo=True)
 
 
 def _two_pulse_scan(dark_time, phases, config, table, ensemble, ou,
-                    pulse_override, workers, echo: bool) -> np.ndarray:
+                    pulse_override, echo: bool) -> np.ndarray:
     if not elimination_applies(config, table):
         warnings.warn("coherence scans assume the far-detuned regime",
                       formulas.RegimeWarning, stacklevel=3)
@@ -592,7 +591,7 @@ def _two_pulse_scan(dark_time, phases, config, table, ensemble, ou,
             out[j] = final.reshape(engine.dim, engine.dim)[engine.up_index, engine.up_index].real
         return out
 
-    members = parallel_map(one_member, range(len(draws)), workers=workers)
+    members = [one_member(i) for i in range(len(draws))]
     return np.average(members, axis=0, weights=weights)
 
 
@@ -602,17 +601,13 @@ def ramsey_time_scan(
     table: DecayTable,
     ensemble: EnsembleSpec | None = None,
     pulse_override: float | None = None,
-    workers: int | None = None,
 ) -> np.ndarray:
     """Fixed-phase Ramsey fringe vs dark time; oscillates at the two-photon
     detuning (plus any light-shift offsets)."""
     dark_times = np.asarray(dark_times, dtype=float)
-    spec = ensemble or EnsembleSpec()
     t_half = pulse_duration(config, "pi/2", pulse_override)
-    draws, weights = _draws_and_weights(spec)
 
-    def one_member(i: int) -> np.ndarray:
-        scale, offset = draws[i]
+    def one_member(scale: float, offset: float) -> np.ndarray:
         engine = _member_engine(config, table, scale, offset, t_half)
         rho0 = DensityMatrix.pure(engine.dim, engine.up_index).matrix.reshape(-1)
         after_first = engine.pulse(rho0, 0.0)
@@ -623,8 +618,7 @@ def ramsey_time_scan(
             out[j] = final.reshape(engine.dim, engine.dim)[engine.up_index, engine.up_index].real
         return out
 
-    members = parallel_map(one_member, range(len(draws)), workers=workers)
-    return np.average(members, axis=0, weights=weights)
+    return ensemble_average(one_member, ensemble or EnsembleSpec())
 
 
 def ramsey_contrast(populations: np.ndarray, phases) -> float:
@@ -654,7 +648,6 @@ def autler_townes_scan(
     detunings: np.ndarray | None = None,
     probe_time: float | None = None,
     n_detunings: int = 161,
-    workers: int | None = None,
 ) -> ATScanResult:
     """Probe spectra against a strong resonant dressing field.
 
@@ -691,7 +684,7 @@ def autler_townes_scan(
             traj = evolve(model, rho0, t_probe, n_samples=2)
             return float(traj.populations["lost"][-1])
 
-        signal = np.array(parallel_map(one, dets, workers=workers))
+        signal = np.array([one(det) for det in dets])
         results.append((dets, signal))
 
     splittings = []
@@ -743,7 +736,6 @@ def cpt_scan(
     scheme: LevelScheme,
     table: DecayTable,
     delta_one: float = 0.0,
-    workers: int | None = None,
 ) -> np.ndarray:
     """Steady-state excited population vs two-photon detuning.
 
@@ -757,7 +749,7 @@ def cpt_scan(
         model = build_lambda_model(cfg, scheme, table, mode="closed")
         return steady_state(model).population(model.index("s"))
 
-    return np.array(parallel_map(one, list(delta_grid), workers=workers))
+    return np.array([one(delta) for delta in delta_grid])
 
 
 # -------------------------------------------------------- one-photon decay
@@ -778,15 +770,9 @@ def scattering_decay(
         raise ValueError("times must start at 0 and increase")
     env = env or MagneticEnvironment()
     model = build_single_drive_model(field, scheme, table, env)
-    lv = liouvillian(model)
     i_up = model.index("up")
-    vec = DensityMatrix.pure(model.dim, i_up).matrix.reshape(-1).copy()
-    out = np.empty(len(times))
-    out[0] = 1.0
-    for k in range(1, len(times)):
-        vec = expm(lv * (times[k] - times[k - 1])) @ vec
-        out[k] = vec.reshape(model.dim, model.dim)[i_up, i_up].real
-    return out
+    vec0 = DensityMatrix.pure(model.dim, i_up).matrix.reshape(-1)
+    return propagate(liouvillian(model), vec0, times)[:, i_up * (model.dim + 1)].real
 
 
 # ------------------------------------------------------- ensemble wrapper
@@ -797,36 +783,23 @@ def run_rabi_ensemble(
     duration: float,
     n_samples: int,
     ensemble: EnsembleSpec,
-    workers: int | None = None,
 ) -> Trajectory:
     """Ensemble-averaged Rabi trace on the eliminated qubit model."""
-    draws, weights = _draws_and_weights(ensemble)
     times = np.linspace(0.0, duration, n_samples)
-    dt = times[1] - times[0]
 
-    def one_member(i: int) -> np.ndarray:
-        scale, offset = draws[i]
+    def one_member(scale: float, offset: float) -> np.ndarray:
         model = build_effective_qubit_model(scaled_config(config, scale, offset), table)
-        lv = liouvillian(model)
-        step = expm(lv * dt)
-        vec = DensityMatrix.pure(model.dim, model.index("up")).matrix.reshape(-1).copy()
-        pops = np.empty((n_samples, model.dim))
-        for k in range(n_samples):
-            pops[k] = np.diag(vec.reshape(model.dim, model.dim)).real
-            vec = step @ vec
-        return pops
+        vec0 = DensityMatrix.pure(model.dim, model.index("up")).matrix.reshape(-1)
+        # a copy, so the member's full states are freed before the next member
+        return propagate(liouvillian(model), vec0, times)[:, ::model.dim + 1].real.copy()
 
-    stacks = parallel_map(one_member, range(len(draws)), workers=workers)
-    mean = np.average(stacks, axis=0, weights=weights)
+    mean = ensemble_average(one_member, ensemble)
     labels = ("up", "down", "lost")
     return Trajectory(times=times, populations={lab: mean[:, i] for i, lab in enumerate(labels)})
 
 
-def ensemble_average(member_fn, spec: EnsembleSpec, workers: int | None = None):
+def ensemble_average(member_fn, spec: EnsembleSpec):
     """Average `member_fn(scale, offset)` over the ensemble draws."""
     draws, weights = _draws_and_weights(spec)
-
-    def one(i: int):
-        return np.asarray(member_fn(draws[i, 0], draws[i, 1]))
-
-    return np.average(parallel_map(one, range(len(draws)), workers=workers), axis=0, weights=weights)
+    members = [np.asarray(member_fn(scale, offset)) for scale, offset in draws]
+    return np.average(members, axis=0, weights=weights)

@@ -265,12 +265,12 @@ def importlib_files_table():
 
 
 def test_criterion_11_reproducibility(tmp_path):
-    presets.reproduce("fig3d", tmp_path / "a", workers=1)
-    presets.reproduce("fig3d", tmp_path / "b", workers=3)
+    presets.reproduce("fig3d", tmp_path / "a")
+    presets.reproduce("fig3d", tmp_path / "b")
     d_a = hashlib.sha256((tmp_path / "a" / "trace.csv").read_bytes()).hexdigest()
     d_b = hashlib.sha256((tmp_path / "b" / "trace.csv").read_bytes()).hexdigest()
     m_a = json.loads((tmp_path / "a" / "manifest.json").read_text())
     m_b = json.loads((tmp_path / "b" / "manifest.json").read_text())
     ok = d_a == d_b and m_a["outputs"] == m_b["outputs"]
     report(11, "byte reproducibility", ok,
-           f"trace digest {d_a[:12]}... identical across reruns and worker counts: {ok}")
+           f"trace digest {d_a[:12]}... identical across reruns: {ok}")

@@ -369,6 +369,18 @@ def test_fit_loss_flags_unresolved_loss(noise):
     assert fit.value("offset") == pytest.approx(0.5, abs=0.02)
 
 
+def test_fit_loss_never_resolves_a_negative_loss():
+    # a fitted rise is not a loss; on these noisy flat traces the rate's
+    # sign test alone let two come back resolved with loss_amp < 0
+    omega, tau = TWO_PI * 100.94e3, 684e-6
+    for seed in range(200, 240):
+        trace, _ = make_trace(
+            lambda t: formulas.damped_model(t, omega, 0.0, tau, 0.0, 1.0),
+            duration=2.048e-3, n=5120, noise=0.05, seed=seed)
+        fit = dsp.fit_loss(trace, 100.94e3)
+        assert fit.meta["loss_unresolved"] or fit.value("loss_amp") >= 0.0, seed
+
+
 def test_fit_loss_masks_sigma_with_samples():
     omega, tau = TWO_PI * 100.94e3, 684e-6
     n = 5120
@@ -492,6 +504,21 @@ def test_trace_csv_roundtrip():
     back = dsp.Trace.from_csv(trace.to_csv())
     assert back.dt == pytest.approx(trace.dt)
     np.testing.assert_allclose(back.samples, trace.samples)
+
+
+def test_trace_csv_rejects_non_finite_row():
+    text = "t_s,value\n0,0.1\n2e-06,nan\n4e-06,0.3\n6e-06,0.2\n"
+    with pytest.raises(ValueError, match=r"non-finite value on CSV line 3"):
+        dsp.Trace.from_csv(text)
+    with pytest.raises(ValueError, match=r"non-finite value on CSV line 4"):
+        dsp.Trace.from_csv(text.replace("2e-06,nan", "2e-06,0.2").replace("4e-06", "nan"))
+
+
+def test_trace_rejects_non_finite_samples_and_sigma():
+    with pytest.raises(ValueError, match=r"non-finite trace samples at index 2"):
+        dsp.Trace(dt=1e-6, samples=np.array([0.1, 0.2, np.inf, np.nan]))
+    with pytest.raises(ValueError, match=r"non-finite trace sigma at index 1"):
+        dsp.Trace(dt=1e-6, samples=np.zeros(3), sigma=np.array([0.1, np.nan, 0.1]))
 
 
 def test_trace_rejects_nonuniform():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fsqubit.config import ConfigError
-from fsqubit.dsp import Measured
+from fsqubit.dsp import Measured, detection_fidelity
 from fsqubit.harness import presets, readout
 from fsqubit.harness.cli import main as cli_main
 from fsqubit.harness.runio import RunWriter
@@ -131,7 +131,7 @@ def test_down_correction_and_fidelity_chain():
     out = readout.normalize_readout(times, np.array([100.0, 2.0]), refs_t, refs_v,
                                     raw_down=raw_down, lz_efficiency=0.975)
     assert out.down[-1] == pytest.approx(0.94, rel=1e-12)
-    chain = readout.fidelity_chain(Measured(out.down[-1], 0.03), Measured(0.98, 0.01))
+    chain = detection_fidelity(Measured(out.down[-1], 0.03), Measured(0.98, 0.01))
     assert chain.value == pytest.approx(0.96, abs=5e-3)
     assert chain.sigma == pytest.approx(0.03, abs=5e-3)
 
@@ -204,6 +204,13 @@ def test_read_csv_roundtrip(tmp_path):
     back = w.read_csv("x.csv")
     for k in cols:
         np.testing.assert_array_equal(back[k], cols[k])
+
+
+def test_read_csv_rejects_non_finite(tmp_path):
+    w = RunWriter(outdir=tmp_path / "run", scenario=parse_scenario(GOOD_SCENARIO))
+    w.write_csv("x.csv", {"t_s": [0.0, 1.0, 2.0], "v": [0.5, 0.4, np.nan]})
+    with pytest.raises(ValueError, match=r"x.csv: non-finite 'v' on line 4"):
+        w.read_csv("x.csv")
 
 
 # --------------------------------------------------------------------- CLI
@@ -297,8 +304,8 @@ def test_reproduce_unknown_figure():
 
 
 def test_reproduce_fig3d_byte_identical_and_worker_independent(tmp_path):
-    ok1 = presets.reproduce("fig3d", tmp_path / "a", workers=1)
-    ok2 = presets.reproduce("fig3d", tmp_path / "b", workers=3)
+    ok1 = presets.reproduce("fig3d", tmp_path / "a")
+    ok2 = presets.reproduce("fig3d", tmp_path / "b")
     assert ok1 and ok2
     csv_a = (tmp_path / "a" / "trace.csv").read_bytes()
     csv_b = (tmp_path / "b" / "trace.csv").read_bytes()

