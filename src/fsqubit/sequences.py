@@ -36,6 +36,7 @@ from .lindblad import (
     liouvillian,
     propagate,
     steady_state,
+    steps,
 )
 from .units import TWO_PI
 
@@ -160,6 +161,13 @@ def member_draws(spec: EnsembleSpec) -> np.ndarray:
 def member_weights(spec: EnsembleSpec) -> np.ndarray:
     """Averaging weights matching member_draws (uniform for random draws)."""
     return _draws_and_weights(spec)[1]
+
+
+def member_average(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Weighted mean over the leading (member) axis, as np.average computes it."""
+    values = np.asarray(values)
+    w = weights.reshape(-1, *(1,) * (values.ndim - 1))
+    return (values * w).sum(axis=0) / weights.sum()
 
 
 def _draws_and_weights(spec: EnsembleSpec, collapse: bool = True) -> tuple[np.ndarray, np.ndarray]:
@@ -476,56 +484,47 @@ def _lz_sweep(rabi: float, sweep_range_hz: float, duration: float, n: int) -> fl
 
 # ------------------------------------------------- coherence (Ramsey/echo)
 
-def _phase_rotation_vec(dim: int, index: int, phi: float) -> np.ndarray:
-    """Diagonal of the vectorized conjugation by diag phase e^{i phi} on one level."""
-    d = np.ones(dim, dtype=complex)
-    d[index] = np.exp(1j * phi)
-    return np.kron(d, d.conj())
+# basis of the eliminated qubit model, and the vec index of the up population
+_UP, _DOWN, _DIM = 0, 1, 3
+_UP_UP = _UP * (_DIM + 1)
+_RHO_UP = DensityMatrix.pure(_DIM, _UP).matrix.reshape(-1)
 
 
-@dataclass(frozen=True)
-class _CoherenceEngine:
-    """Cached propagators for pi/2 and pi pulses of one ensemble member."""
-
-    u_half: np.ndarray
-    dim: int
-    up_index: int
-    down_index: int
-    delta_total: float
-
-    def pulse(self, vec: np.ndarray, phase: float, pi: bool = False) -> np.ndarray:
-        u = self.u_half
-        if phase != 0.0:
-            rot = _phase_rotation_vec(self.dim, self.up_index, phase)
-            vec = rot.conj() * vec
-            vec = u @ vec
-            if pi:
-                vec = u @ vec
-            return rot * vec
-        vec = u @ vec
-        if pi:
-            vec = u @ vec
-        return vec
-
-    def dark(self, vec: np.ndarray, duration: float, extra_phase: float = 0.0) -> np.ndarray:
-        phi = self.delta_total * duration - extra_phase
-        rot = _phase_rotation_vec(self.dim, self.down_index, phi)
-        return rot * vec
+def _phase_rotation_vec(dim: int, index: int, phi) -> np.ndarray:
+    """Diagonal of the vectorized conjugation by diag phase e^{i phi} on one
+    level; an array of phases gives one diagonal each, (*phi.shape, dim**2)."""
+    phi = np.asarray(phi, dtype=float)
+    d = np.ones((*phi.shape, dim), dtype=complex)
+    d[..., index] = np.exp(1j * phi)
+    return (d[..., :, None] * d.conj()[..., None, :]).reshape(*phi.shape, dim * dim)
 
 
-def _member_engine(config: RamanConfig, table: DecayTable, scale: float,
-                   offset: float, t_half: float) -> _CoherenceEngine:
-    cfg = scaled_config(config, scale, offset)
-    model = build_effective_qubit_model(cfg, table)
-    lv = liouvillian(model)
-    u_half = expm(lv * t_half)
-    return _CoherenceEngine(
-        u_half=u_half,
-        dim=model.dim,
-        up_index=model.index("up"),
-        down_index=model.index("down"),
-        delta_total=cfg.delta_two,
-    )
+def _member_generators(config: RamanConfig, table: DecayTable,
+                       draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked Liouvillians (M, 9, 9) of the eliminated qubit model, one per
+    (scale, offset) draw, and each member's two-photon detuning (M,)."""
+    cfgs = [scaled_config(config, scale, offset) for scale, offset in draws]
+    lv = np.stack([liouvillian(build_effective_qubit_model(c, table)) for c in cfgs])
+    return lv, np.array([c.delta_two for c in cfgs])
+
+
+def _apply(ops: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Stacked matrix-vector products, (..., n, n) @ (..., n)."""
+    return (ops @ vecs[..., None])[..., 0]
+
+
+def _dark(vecs: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Free evolution of each member: the down level gains phase `phi` (M,)."""
+    return _phase_rotation_vec(_DIM, _DOWN, phi) * vecs
+
+
+def _readout_up(u_half: np.ndarray, vecs: np.ndarray, phases) -> np.ndarray:
+    """Up population after a final pi/2 pulse, (M, K), for states `vecs`
+    (M, K, 9) and pulse phases (K,) or (1,)."""
+    rot = _phase_rotation_vec(_DIM, _UP, phases)
+    # only the up-population row of each member's pulse is needed
+    pulsed = ((rot.conj() * vecs) @ u_half[:, _UP_UP, :, None])[..., 0]
+    return (rot[:, _UP_UP] * pulsed).real
 
 
 def ramsey_phase_scan(
@@ -565,34 +564,26 @@ def _two_pulse_scan(dark_time, phases, config, table, ensemble, ou,
     spec = ensemble or EnsembleSpec()
     t_half = pulse_duration(config, "pi/2", pulse_override)
     draws, weights = _draws_and_weights(spec, collapse=(ou is None))
-
-    def one_member(i: int) -> np.ndarray:
-        scale, offset = draws[i]
-        engine = _member_engine(config, table, scale, offset, t_half)
-        rng = member_rng(spec, i + (1 << 20))  # distinct stream for dark noise
-        phi1 = phi2 = 0.0
-        if ou is not None:
+    lv, delta = _member_generators(config, table, draws)
+    u_half = expm(lv * t_half)
+    # OU phase of each member over the dark time, or over each echo half
+    noise = np.zeros((len(draws), 2))
+    if ou is not None:
+        for i in range(len(draws)):
+            rng = member_rng(spec, i + (1 << 20))  # distinct stream for dark noise
             if echo:
-                phi1, delta_mid = _ou_phase(rng, ou, dark_time / 2)
-                phi2, _ = _ou_phase(rng, ou, dark_time / 2, delta0=delta_mid)
+                noise[i, 0], delta_mid = _ou_phase(rng, ou, dark_time / 2)
+                noise[i, 1], _ = _ou_phase(rng, ou, dark_time / 2, delta0=delta_mid)
             else:
-                phi1, _ = _ou_phase(rng, ou, dark_time)
-        rho0 = DensityMatrix.pure(engine.dim, engine.up_index).matrix.reshape(-1)
-        vec = engine.pulse(rho0, 0.0)
-        if echo:
-            vec = engine.dark(vec, dark_time / 2, extra_phase=-phi1)
-            vec = engine.pulse(vec, 0.0, pi=True)
-            vec = engine.dark(vec, dark_time / 2, extra_phase=-phi2)
-        else:
-            vec = engine.dark(vec, dark_time, extra_phase=-phi1)
-        out = np.empty(len(phases))
-        for j, phi in enumerate(phases):
-            final = engine.pulse(vec, phi)
-            out[j] = final.reshape(engine.dim, engine.dim)[engine.up_index, engine.up_index].real
-        return out
-
-    members = [one_member(i) for i in range(len(draws))]
-    return np.average(members, axis=0, weights=weights)
+                noise[i, 0], _ = _ou_phase(rng, ou, dark_time)
+    vec = _apply(u_half, _RHO_UP)
+    if echo:
+        vec = _dark(vec, delta * (dark_time / 2) + noise[:, 0])
+        vec = _apply(u_half, _apply(u_half, vec))
+        vec = _dark(vec, delta * (dark_time / 2) + noise[:, 1])
+    else:
+        vec = _dark(vec, delta * dark_time + noise[:, 0])
+    return member_average(_readout_up(u_half, vec[:, None, :], phases), weights)
 
 
 def ramsey_time_scan(
@@ -606,19 +597,12 @@ def ramsey_time_scan(
     detuning (plus any light-shift offsets)."""
     dark_times = np.asarray(dark_times, dtype=float)
     t_half = pulse_duration(config, "pi/2", pulse_override)
-
-    def one_member(scale: float, offset: float) -> np.ndarray:
-        engine = _member_engine(config, table, scale, offset, t_half)
-        rho0 = DensityMatrix.pure(engine.dim, engine.up_index).matrix.reshape(-1)
-        after_first = engine.pulse(rho0, 0.0)
-        out = np.empty(len(dark_times))
-        for j, t_dark in enumerate(dark_times):
-            vec = engine.dark(after_first, t_dark)
-            final = engine.pulse(vec, 0.0)
-            out[j] = final.reshape(engine.dim, engine.dim)[engine.up_index, engine.up_index].real
-        return out
-
-    return ensemble_average(one_member, ensemble or EnsembleSpec())
+    draws, weights = _draws_and_weights(ensemble or EnsembleSpec())
+    lv, delta = _member_generators(config, table, draws)
+    u_half = expm(lv * t_half)
+    after_first = _apply(u_half, _RHO_UP)
+    vecs = _dark(after_first[:, None, :], delta[:, None] * dark_times)
+    return member_average(_readout_up(u_half, vecs, [0.0]), weights)
 
 
 def ramsey_contrast(populations: np.ndarray, phases) -> float:
@@ -784,22 +768,16 @@ def run_rabi_ensemble(
     n_samples: int,
     ensemble: EnsembleSpec,
 ) -> Trajectory:
-    """Ensemble-averaged Rabi trace on the eliminated qubit model."""
+    """Ensemble-averaged Rabi trace on the eliminated qubit model.
+
+    Every member steps together through one stacked `lindblad.steps`, and
+    only the weighted mean populations are kept per sample."""
     times = np.linspace(0.0, duration, n_samples)
-
-    def one_member(scale: float, offset: float) -> np.ndarray:
-        model = build_effective_qubit_model(scaled_config(config, scale, offset), table)
-        vec0 = DensityMatrix.pure(model.dim, model.index("up")).matrix.reshape(-1)
-        # a copy, so the member's full states are freed before the next member
-        return propagate(liouvillian(model), vec0, times)[:, ::model.dim + 1].real.copy()
-
-    mean = ensemble_average(one_member, ensemble)
+    draws, weights = _draws_and_weights(ensemble)
+    lv, _ = _member_generators(config, table, draws)
+    vec0 = np.broadcast_to(_RHO_UP, (len(draws), _RHO_UP.size))
+    mean = np.empty((n_samples, _DIM))
+    for k, vec in enumerate(steps(lv, vec0, times)):
+        mean[k] = member_average(vec[:, ::_DIM + 1].real, weights)
     labels = ("up", "down", "lost")
     return Trajectory(times=times, populations={lab: mean[:, i] for i, lab in enumerate(labels)})
-
-
-def ensemble_average(member_fn, spec: EnsembleSpec):
-    """Average `member_fn(scale, offset)` over the ensemble draws."""
-    draws, weights = _draws_and_weights(spec)
-    members = [np.asarray(member_fn(scale, offset)) for scale, offset in draws]
-    return np.average(members, axis=0, weights=weights)

@@ -169,6 +169,62 @@ def test_propagate_rate_matrix_conserves_population(rates):
     assert pops.min() > -1e-12
 
 
+MEMBERS = st.lists(st.tuples(LAMBDA_MODELS, AMPLITUDES), min_size=1, max_size=4)
+GRIDS = {
+    "uniform": np.linspace(0.0, 2e-6, 41),
+    "geomspace": np.concatenate([[0.0], np.geomspace(1e-9, 2e-6, 20)]),
+}
+
+
+def stacked_members(lam, table, members):
+    lv = np.stack([lindblad.liouvillian(lossy_lambda(lam, table, *params)) for params, _ in members])
+    vec0 = np.stack([random_state(amps).matrix.reshape(-1) for _, amps in members])
+    return lv, vec0
+
+
+@pytest.mark.parametrize("grid", sorted(GRIDS))
+@settings(max_examples=10, deadline=None)
+@given(MEMBERS)
+def test_stacked_propagate_equals_per_member(lam, table, grid, members):
+    lv, vec0 = stacked_members(lam, table, members)
+    got = lindblad.propagate(lv, vec0, GRIDS[grid])
+    assert got.shape == (len(GRIDS[grid]), len(members), 16)
+    for m in range(len(members)):
+        want = lindblad.propagate(lv[m], vec0[m], GRIDS[grid])
+        assert np.abs(got[:, m] - want).max() < 1e-12
+
+
+@settings(max_examples=10, deadline=None)
+@given(MEMBERS)
+def test_stacked_states_are_physical(lam, table, members):
+    lv, vec0 = stacked_members(lam, table, members)
+    for vecs in lindblad.steps(lv, vec0, GRIDS["uniform"]):
+        for vec in vecs:
+            DensityMatrix(vec.reshape(4, 4)).validate(tol=1e-9)
+
+
+def kron_liouvillian(model):
+    """The Liouvillian as built with np.kron, the reference for the broadcast build."""
+    h, eye = model.hamiltonian, np.eye(model.dim)
+    lv = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    for c in model.collapse_ops:
+        cdc = c.conj().T @ c
+        lv += np.kron(c, c.conj()) - 0.5 * (np.kron(cdc, eye) + np.kron(eye, cdc.T))
+    return lv
+
+
+def test_liouvillian_bit_equal_to_kron_build(lam, full_scheme, table, env, fig3_config):
+    field = driven.DriveField((full_scheme.up, full_scheme.s), TWO_PI * 36e6, -TWO_PI * 6e9)
+    models = [
+        driven.build_effective_qubit_model(fig3_config, table),
+        lossy_lambda(lam, table, 5.0, 7.0, -3.0, 0.4),
+        driven.build_single_drive_model(field, full_scheme, table, env),
+    ]
+    assert [m.dim for m in models] == [3, 4, 13]
+    for model in models:
+        assert np.array_equal(lindblad.liouvillian(model), kron_liouvillian(model))
+
+
 def test_steady_state_two_level_formula():
     rabi, det, gamma = TWO_PI * 2e6, TWO_PI * 1e6, TWO_PI * 1.5e6
     model = two_level_model(rabi, detuning=det, gamma=gamma)

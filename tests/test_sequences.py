@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from fsqubit import atom, driven, dsp, formulas, sequences
+from fsqubit import atom, driven, dsp, formulas, lindblad, sequences
 from fsqubit.lindblad import DensityMatrix
 from fsqubit.units import TWO_PI
 
@@ -368,7 +370,108 @@ def test_member_draws_hermite_weights_normalized():
     assert weights.sum() == pytest.approx(1.0, rel=1e-12)
 
 
-def test_ensemble_average_generic():
+def test_member_average_hermite_weights():
     spec = sequences.EnsembleSpec(delta_sigma=2.0, samples=41, sampling="hermite")
-    mean = sequences.ensemble_average(lambda scale, off: off**2, spec)
+    offsets = sequences.member_draws(spec)[:, 1]
+    mean = sequences.member_average(offsets**2, sequences.member_weights(spec))
     assert mean == pytest.approx(4.0, rel=1e-9)
+
+
+def test_member_average_is_np_average_over_members():
+    rng = np.random.default_rng(3)
+    values, weights = rng.standard_normal((7, 5, 3)), rng.uniform(0.1, 1.0, 7)
+    got = sequences.member_average(values, weights)
+    assert np.array_equal(got, np.average(values, axis=0, weights=weights))
+
+
+# ------------------------------------- stacked members against a member loop
+
+def reference_rabi_ensemble(config, table, duration, n_samples, spec):
+    """Mean populations with every member propagated on its own."""
+    times = np.linspace(0.0, duration, n_samples)
+    members = []
+    for scale, offset in sequences.member_draws(spec):
+        model = driven.build_effective_qubit_model(sequences.scaled_config(config, scale, offset),
+                                                   table)
+        vec0 = DensityMatrix.pure(3, 0).matrix.reshape(-1)
+        members.append(lindblad.propagate(lindblad.liouvillian(model), vec0, times)[:, ::4].real)
+    return np.average(members, axis=0, weights=sequences.member_weights(spec))
+
+
+def kron_rotation(index, phi):
+    d = np.ones(3, dtype=complex)
+    d[index] = np.exp(1j * phi)
+    return np.kron(d, d.conj())
+
+
+def reference_two_pulse(dark_time, phases, config, table, spec, ou, echo):
+    """pi/2 - dark - pi/2(phase) (with a pi pulse at T/2 for echo), member by member."""
+    draws, weights = sequences._draws_and_weights(spec, collapse=(ou is None))
+    t_half = sequences.pulse_duration(config, "pi/2")
+    members = []
+    for i, (scale, offset) in enumerate(draws):
+        cfg = sequences.scaled_config(config, scale, offset)
+        u = expm(lindblad.liouvillian(driven.build_effective_qubit_model(cfg, table)) * t_half)
+        phi1 = phi2 = 0.0
+        if ou is not None:
+            rng = sequences.member_rng(spec, i + (1 << 20))
+            if echo:
+                phi1, mid = sequences._ou_phase(rng, ou, dark_time / 2)
+                phi2, _ = sequences._ou_phase(rng, ou, dark_time / 2, delta0=mid)
+            else:
+                phi1, _ = sequences._ou_phase(rng, ou, dark_time)
+        vec = u @ DensityMatrix.pure(3, 0).matrix.reshape(-1)
+        if echo:
+            vec = kron_rotation(1, cfg.delta_two * dark_time / 2 + phi1) * vec
+            vec = u @ (u @ vec)
+            vec = kron_rotation(1, cfg.delta_two * dark_time / 2 + phi2) * vec
+        else:
+            vec = kron_rotation(1, cfg.delta_two * dark_time + phi1) * vec
+        out = []
+        for phi in phases:
+            rot = kron_rotation(0, phi)
+            out.append((rot * (u @ (rot.conj() * vec)))[0].real)
+        members.append(out)
+    return np.average(members, axis=0, weights=weights)
+
+
+@pytest.mark.parametrize("spread", [0.0, 0.004])
+def test_streamed_rabi_ensemble_matches_member_loop(fig3_config, table, spread):
+    spec = sequences.EnsembleSpec(rabi_spread=spread, delta_sigma=50.0, samples=12, seed=4)
+    traj = sequences.run_rabi_ensemble(fig3_config, table, 60e-6, 301, spec)
+    want = reference_rabi_ensemble(fig3_config, table, 60e-6, 301, spec)
+    for i, label in enumerate(("up", "down", "lost")):
+        assert np.abs(traj.populations[label] - want[:, i]).max() < 1e-12
+
+
+@pytest.mark.parametrize("echo", [False, True])
+@pytest.mark.parametrize("with_ou", [False, True])
+def test_batched_coherence_scans_match_member_loop(fig3_config, table, echo, with_ou):
+    ou = sequences.OUNoise(sigma=103.0, tau_c=25e-3) if with_ou else None
+    spec = sequences.EnsembleSpec(rabi_spread=0.004, delta_sigma=150.0, samples=9, seed=8)
+    scan = sequences.spin_echo_scan if echo else sequences.ramsey_phase_scan
+    got = scan(4e-3, PHASES, fig3_config, table, ensemble=spec, ou=ou)
+    want = reference_two_pulse(4e-3, PHASES, fig3_config, table, spec, ou, echo)
+    assert np.abs(got - want).max() < 1e-12
+
+
+def test_batched_ramsey_time_scan_matches_member_loop(fig3_config, lam, table):
+    cfg = driven.raman_config(lam, fig3_config.up.rabi, fig3_config.down.rabi,
+                              fig3_config.delta_one, TWO_PI * 10e3)
+    spec = sequences.EnsembleSpec(delta_sigma=300.0, samples=7, sampling="hermite")
+    dark = np.linspace(0.0, 0.6e-3, 25)
+    got = sequences.ramsey_time_scan(dark, cfg, table, ensemble=spec)
+    want = [reference_two_pulse(t, [0.0], cfg, table, spec, None, echo=False)[0] for t in dark]
+    assert np.abs(got - np.array(want)).max() < 1e-12
+
+
+def test_rabi_ensemble_memory_stays_streamed(fig3_config, table):
+    # fig3d size: one (200, 1111, 9) complex stack of member states is 32 MB
+    spec = sequences.EnsembleSpec(rabi_spread=0.004, samples=200, seed=31)
+    tracemalloc.start()
+    try:
+        sequences.run_rabi_ensemble(fig3_config, table, 0.5e-3, 1111, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
