@@ -1,15 +1,18 @@
-"""Sectioned key = value config parser with mandatory unit suffixes.
+"""The package's text formats: sectioned key = value configs and numeric CSV.
 
-The same format is used for harness scenario files and for level-scheme /
-decay-table configs.  Every numeric value carries a unit token; dimensionless
-quantities use an empty-unit declaration on the consumer side.  Parsing is
-strict: unknown keys, missing units, and malformed lines raise ConfigError
-with the offending line number.
+Configs (harness scenario files, level-scheme / decay-table configs) carry a
+unit token on every numeric value; dimensionless quantities use an
+empty-unit declaration on the consumer side.  Parsing is strict: unknown
+keys, missing units, and malformed lines raise ConfigError with the
+offending line number.  Numeric CSV is written repr-exact by `format_csv`
+and read back bit-exact by `parse_csv`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .units import TWO_PI
 
@@ -140,3 +143,53 @@ def convert(value: RawValue, kind: str, source: str = "<config>") -> float:
             f"{source}:{value.line}: expected a {kind} unit, got {value.unit!r} ({unit_kind})"
         )
     return value.number * scale
+
+
+def format_csv(columns: dict[str, np.ndarray]) -> str:
+    """Numeric CSV text: a header line of the column names, then one line per
+    row with every value written repr-exact (%.17g), so equal arrays give
+    byte-identical text."""
+    names = list(columns)
+    data = np.column_stack([np.asarray(columns[c], dtype=float) for c in names])
+    row = ",".join(["%.17g"] * len(names)) + "\n"
+    return ",".join(names) + "\n" + "".join(row % tuple(r) for r in data.tolist())
+
+
+def parse_csv(text: str, source: str = "<csv>") -> tuple[list[str], np.ndarray]:
+    """Parse numeric CSV text into (header, data of shape (rows, width)).
+
+    Blank lines and `#` comments are skipped.  The first remaining line is
+    the header when it starts with a letter and not with a number such as
+    `nan` or `inf`; otherwise the header is empty.  A ragged row, a field
+    that is not a number and a non-finite value raise ValueError naming
+    `source` and the physical (1-based) line.
+    """
+    numbered = [(n, s) for n, raw in enumerate(text.splitlines(), start=1)
+                if (s := raw.strip()) and s[0] != "#"]
+    header: list[str] = []
+    if numbered and numbered[0][1][0].isalpha():
+        try:
+            float(numbered[0][1].split(",", 1)[0])
+        except ValueError:
+            header = [h.strip() for h in numbered.pop(0)[1].split(",")]
+    if not numbered:
+        return header, np.empty((0, len(header)))
+    width = len(header) or numbered[0][1].count(",") + 1
+    for n, s in numbered:
+        if s.count(",") != width - 1:
+            raise ValueError(f"{source}: line {n} has {s.count(',') + 1} fields, expected {width}")
+    try:
+        data = np.array(",".join([s for _, s in numbered]).split(","), dtype=float).reshape(-1, width)
+    except ValueError:
+        for n, s in numbered:
+            for field in s.split(","):
+                try:
+                    float(field)
+                except ValueError:
+                    raise ValueError(f"{source}: {field!r} is not a number on line {n}") from None
+        raise
+    rows, cols = np.nonzero(~np.isfinite(data))
+    if rows.size:
+        column = header[cols[0]] if header else f"column {cols[0] + 1}"
+        raise ValueError(f"{source}: non-finite {column!r} on line {numbered[rows[0]][0]}")
+    return header, data

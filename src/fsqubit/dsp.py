@@ -9,7 +9,6 @@ in the package.
 from __future__ import annotations
 
 import inspect
-import io
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -17,6 +16,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.signal import butter, hilbert, sosfilt, sosfiltfilt
 from scipy.special import exprel
+
+from .config import parse_csv
 
 
 # share of samples at each record edge left out of fits after a filter step
@@ -81,13 +82,6 @@ class Trace:
     def times(self) -> np.ndarray:
         return np.arange(self.n) * self.dt
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("t_s,value\n")
-        for t, v in zip(self.times, self.samples):
-            buf.write(f"{t:.17g},{v:.17g}\n")
-        return buf.getvalue()
-
     @classmethod
     def from_xy(cls, t: np.ndarray, y: np.ndarray) -> "Trace":
         t = np.asarray(t, dtype=float)
@@ -100,24 +94,13 @@ class Trace:
         return cls(dt=dt, samples=np.asarray(y, dtype=float))
 
     @classmethod
-    def from_csv(cls, text: str) -> "Trace":
-        rows = []
-        for lineno, ln in enumerate(text.splitlines(), start=1):
-            ln = ln.strip()
-            if not ln or ln.startswith("#"):
-                continue
-            parts = ln.split(",")
-            try:
-                t, y = float(parts[0]), float(parts[1])
-            except ValueError:
-                if ln[0].isalpha():  # a header; "nan" and "inf" rows are data
-                    continue
-                raise
-            if not (math.isfinite(t) and math.isfinite(y)):
-                raise ValueError(f"non-finite value on CSV line {lineno}: {ln!r}")
-            rows.append((t, y))
-        arr = np.array(rows)
-        return cls.from_xy(arr[:, 0], arr[:, 1])
+    def from_csv(cls, text: str, source: str = "<csv>") -> "Trace":
+        """A trace from numeric CSV text: times in the first column, samples in
+        the second."""
+        _, data = parse_csv(text, source)
+        if data.shape[1] < 2:
+            raise ValueError(f"{source}: need a time and a sample column")
+        return cls.from_xy(data[:, 0], data[:, 1])
 
 
 @dataclass(frozen=True)

@@ -142,8 +142,7 @@ def _cmd_analyze(args) -> int:
     if args.dry_run:
         print(f"analyze {args.what}: input={args.input}")
         return 0
-    text = args.input.read_text()
-    trace = dsp.Trace.from_csv(text)
+    trace = dsp.Trace.from_csv(args.input.read_text(), source=str(args.input))
     if args.what == "rabi":
         res = dsp.extract_rabi(trace)
         out = {

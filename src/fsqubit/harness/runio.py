@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..config import format_csv, parse_csv
 from .scenario import Scenario
 
 ARTIFACT_VERSION = "0.1.0"
@@ -61,16 +62,7 @@ class RunWriter:
         return self.outdir / name
 
     def write_csv(self, name: str, columns: dict[str, np.ndarray]) -> Path:
-        cols = list(columns)
-        arrays = [np.asarray(columns[c], dtype=float) for c in cols]
-        n = len(arrays[0])
-        lines = [",".join(cols)]
-        for i in range(n):
-            lines.append(",".join(f"{a[i]:.17g}" for a in arrays))
-        p = self.path(name)
-        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        self.outputs.append(name)
-        return p
+        return self.write_text(name, format_csv(columns))
 
     def write_text(self, name: str, text: str) -> Path:
         p = self.path(name)
@@ -90,15 +82,7 @@ class RunWriter:
 
     def read_csv(self, name: str) -> dict[str, np.ndarray]:
         """Read back one of this run's CSVs; summary checks run on these."""
-        lines = self.path(name).read_text().strip().splitlines()
-        header = lines[0].split(",")
-        data = np.array([[float(x) for x in ln.split(",")] for ln in lines[1:]])
-        if data.size == 0:
-            data = data.reshape(0, len(header))
-        bad = np.argwhere(~np.isfinite(data))
-        if len(bad):
-            row, col = bad[0]
-            raise ValueError(f"{name}: non-finite {header[col]!r} on line {row + 2}")
+        header, data = parse_csv(self.path(name).read_text(encoding="utf-8"), source=name)
         return {h: data[:, i] for i, h in enumerate(header)}
 
     def finish(self, input_files: dict[str, Path] | None = None) -> bool:

@@ -13,7 +13,6 @@ Trace is never renormalized; its drift is a diagnostic.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -112,25 +111,6 @@ class Trajectory:
 
     def column(self, label: str) -> np.ndarray:
         return self.populations[label]
-
-    def to_csv(self) -> str:
-        labels = list(self.populations)
-        buf = io.StringIO()
-        buf.write("t_s," + ",".join(labels) + "\n")
-        for i, t in enumerate(self.times):
-            row = [f"{t:.17g}"] + [f"{self.populations[k][i]:.17g}" for k in labels]
-            buf.write(",".join(row) + "\n")
-        return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str) -> "Trajectory":
-        lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-        header = lines[0].split(",")
-        if header[0] != "t_s":
-            raise ValueError("trajectory CSV must start with a t_s column")
-        data = np.array([[float(x) for x in ln.split(",")] for ln in lines[1:]])
-        pops = {name: data[:, i + 1] for i, name in enumerate(header[1:])}
-        return cls(times=data[:, 0], populations=pops)
 
 
 def liouvillian(model: RotatingFrameModel) -> np.ndarray:

@@ -187,23 +187,12 @@ def _draws_and_weights(spec: EnsembleSpec, collapse: bool = True) -> tuple[np.nd
         return draws, np.full(spec.samples, 1.0 / spec.samples)
     nodes, w = np.polynomial.hermite_e.hermegauss(spec.samples)
     w = w / w.sum()
-    axes = []
-    if spec.rabi_spread > 0:
-        axes.append((1.0 + spec.rabi_spread * nodes, w))
-    if spec.delta_sigma > 0:
-        axes.append((spec.delta_sigma * nodes, w))
-    if not axes:
-        return np.array([[1.0, 0.0]]), np.array([1.0])
-    if len(axes) == 1:
-        vals, ww = axes[0]
-        draws = np.column_stack([vals, np.zeros_like(vals)]) if spec.rabi_spread > 0 \
-            else np.column_stack([np.ones_like(vals), vals])
-        return draws, ww
-    scale_v, scale_w = axes[0]
-    off_v, off_w = axes[1]
+    # an axis without spread is a single node of weight 1 at no change
+    one = np.array([1.0])
+    scale_v, scale_w = (1.0 + spec.rabi_spread * nodes, w) if spec.rabi_spread > 0 else (one, one)
+    off_v, off_w = (spec.delta_sigma * nodes, w) if spec.delta_sigma > 0 else (np.zeros(1), one)
     sg, og = np.meshgrid(scale_v, off_v, indexing="ij")
-    wg = np.outer(scale_w, off_w)
-    return np.column_stack([sg.ravel(), og.ravel()]), wg.ravel()
+    return np.column_stack([sg.ravel(), og.ravel()]), np.outer(scale_w, off_w).ravel()
 
 
 def scaled_config(config: RamanConfig, scale: float, delta_offset: float) -> RamanConfig:

@@ -1,6 +1,9 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
-from fsqubit.config import ConfigError, convert, parse_config
+from fsqubit.config import ConfigError, convert, format_csv, parse_config, parse_csv
 from fsqubit.units import TWO_PI
 
 
@@ -68,3 +71,61 @@ def test_ramp_units():
 def test_angle_units():
     sections = parse_config("[a]\nbeta = 90 deg\n")
     assert convert(sections["a"]["beta"], "angle") == pytest.approx(TWO_PI / 4)
+
+
+# ------------------------------------------------------------- numeric CSV
+
+_EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                                -1.7976931348623157e308])
+
+
+@settings(max_examples=60, deadline=None)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+                  elements=st.floats(allow_nan=False, allow_infinity=False) | _EDGE_FLOATS))
+def test_csv_roundtrip_is_bit_exact(data):
+    names = [f"c{k}" for k in range(data.shape[1])]
+    header, back = parse_csv(format_csv({n: data[:, k] for k, n in enumerate(names)}))
+    assert header == names
+    assert back.shape == data.shape
+    assert np.array_equal(back.view(np.int64), data.view(np.int64))
+
+
+def test_format_csv_matches_repr_exact_reference():
+    t = np.array([0.0, 1e-7, 2.0000000000000004e-7, -0.0])
+    y = np.array([1 / 3, 5e-324, -1.7976931348623157e308, 0.1])
+    want = "t_s,value\n" + "".join(f"{a:.17g},{b:.17g}\n" for a, b in zip(t, y))
+    assert format_csv({"t_s": t, "value": y}) == want
+
+
+def test_format_csv_header_only():
+    assert format_csv({"a": [], "b": []}) == "a,b\n"
+    header, data = parse_csv("a,b\n")
+    assert header == ["a", "b"] and data.shape == (0, 2)
+
+
+def test_parse_csv_headerless_two_columns():
+    header, data = parse_csv("0,1.5\n1e-6,-2\n")
+    assert header == []
+    assert np.array_equal(data, [[0.0, 1.5], [1e-6, -2.0]])
+
+
+def test_parse_csv_nan_first_row_is_data():
+    with pytest.raises(ValueError, match=r"t.csv: non-finite 'column 1' on line 1"):
+        parse_csv("nan,1\n1,2\n", source="t.csv")
+
+
+def test_parse_csv_line_numbers_count_comments_and_blanks():
+    text = "# run 7\n\nt,y\n# first block\n0,1\n\n1,2\n# note\n2,3\n"
+    header, data = parse_csv(text)
+    assert header == ["t", "y"] and np.array_equal(data, [[0, 1], [1, 2], [2, 3]])
+    with pytest.raises(ValueError, match=r"t.csv: line 9 has 3 fields, expected 2"):
+        parse_csv(text.replace("2,3", "2,3,4"), source="t.csv")
+    with pytest.raises(ValueError, match=r"t.csv: 'x' is not a number on line 7"):
+        parse_csv(text.replace("1,2", "1,x"), source="t.csv")
+    with pytest.raises(ValueError, match=r"t.csv: non-finite 'y' on line 7"):
+        parse_csv(text.replace("1,2", "1,inf"), source="t.csv")
+
+
+def test_parse_csv_header_after_data_is_an_error():
+    with pytest.raises(ValueError, match=r"'t' is not a number on line 3"):
+        parse_csv("t,y\n0,1\nt,y\n1,2\n")

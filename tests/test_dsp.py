@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fsqubit import dsp, formulas
+from fsqubit.config import format_csv
 from fsqubit.units import TWO_PI
 
 
@@ -501,16 +502,16 @@ def test_detection_fidelity_domain():
 
 def test_trace_csv_roundtrip():
     trace = dsp.Trace(dt=2e-6, samples=np.array([0.1, 0.5, 0.9, 0.4]))
-    back = dsp.Trace.from_csv(trace.to_csv())
+    back = dsp.Trace.from_csv(format_csv({"t_s": trace.times, "value": trace.samples}))
     assert back.dt == pytest.approx(trace.dt)
     np.testing.assert_allclose(back.samples, trace.samples)
 
 
 def test_trace_csv_rejects_non_finite_row():
     text = "t_s,value\n0,0.1\n2e-06,nan\n4e-06,0.3\n6e-06,0.2\n"
-    with pytest.raises(ValueError, match=r"non-finite value on CSV line 3"):
+    with pytest.raises(ValueError, match=r"non-finite 'value' on line 3"):
         dsp.Trace.from_csv(text)
-    with pytest.raises(ValueError, match=r"non-finite value on CSV line 4"):
+    with pytest.raises(ValueError, match=r"non-finite 't_s' on line 4"):
         dsp.Trace.from_csv(text.replace("2e-06,nan", "2e-06,0.2").replace("4e-06", "nan"))
 
 

@@ -284,6 +284,17 @@ def test_cli_numerical_failure_exit_code(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("t,y\n", "need at least two samples"),
+    ("t,y\n0,1\n1e-6\n2e-6,0.5\n", "line 3 has 1 fields, expected 2"),
+])
+def test_cli_analyze_malformed_trace_exit_code(tmp_path, capsys, text, message):
+    src = tmp_path / "bad.csv"
+    src.write_text(text)
+    assert cli_main(["analyze", "rabi", "--input", str(src)]) == 3
+    assert message in capsys.readouterr().err
+
+
 def test_cli_failed_checks_exit_code(tmp_path, capsys):
     # a trace too short for the pipeline windows fails its checks
     bad = GOOD_SCENARIO.replace("duration = 0.1 ms", "duration = 0.05 ms") \
@@ -310,6 +321,7 @@ def test_reproduce_fig3d_byte_identical_and_worker_independent(tmp_path):
     csv_a = (tmp_path / "a" / "trace.csv").read_bytes()
     csv_b = (tmp_path / "b" / "trace.csv").read_bytes()
     assert hashlib.sha256(csv_a).hexdigest() == hashlib.sha256(csv_b).hexdigest()
+    assert csv_a.splitlines()[0] == b"t_s,up,down,lost"
     m_a = json.loads((tmp_path / "a" / "manifest.json").read_text())
     m_b = json.loads((tmp_path / "b" / "manifest.json").read_text())
     assert m_a["outputs"] == m_b["outputs"]

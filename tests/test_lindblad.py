@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from fsqubit import atom, driven, lindblad
-from fsqubit.lindblad import DensityMatrix, Trajectory, evolve, scan, steady_state, trace_distance
+from fsqubit.lindblad import DensityMatrix, evolve, scan, steady_state, trace_distance
 from fsqubit.units import TWO_PI
 
 
@@ -296,17 +296,6 @@ def test_scan_error_names_offending_point():
     with pytest.raises(lindblad.IntegrationError) as err:
         scan(factory, [-1.0, 1.0], observable="up", protocol="steady")
     assert "1.0" in str(err.value)
-
-
-def test_trajectory_csv_roundtrip(fig3_config, table):
-    model = driven.build_effective_qubit_model(fig3_config, table)
-    traj = evolve(model, DensityMatrix.pure(3, 0), 20e-6, n_samples=17)
-    text = traj.to_csv()
-    back = Trajectory.from_csv(text)
-    assert np.array_equal(back.times, traj.times)
-    for k in traj.populations:
-        assert np.array_equal(back.populations[k], traj.populations[k])
-    assert text.splitlines()[0] == "t_s,up,down,lost"
 
 
 def test_density_matrix_validation():

@@ -370,6 +370,27 @@ def test_member_draws_hermite_weights_normalized():
     assert weights.sum() == pytest.approx(1.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("samples", [1, 5, 41])
+@pytest.mark.parametrize("rabi_spread, delta_sigma", [(0.01, 0.0), (0.0, 5.0), (0.01, 5.0)])
+def test_hermite_draws_and_weights_pinned(rabi_spread, delta_sigma, samples):
+    # reference: Gauss-Hermite nodes and normalised weights on each spread axis,
+    # a tensor grid (scale-major) when both axes spread
+    nodes, w = np.polynomial.hermite_e.hermegauss(samples)
+    w = w / w.sum()
+    if delta_sigma == 0.0:
+        want = np.column_stack([1.0 + rabi_spread * nodes, np.zeros(samples)]), w
+    elif rabi_spread == 0.0:
+        want = np.column_stack([np.ones(samples), delta_sigma * nodes]), w
+    else:
+        sg, og = np.meshgrid(1.0 + rabi_spread * nodes, delta_sigma * nodes, indexing="ij")
+        want = np.column_stack([sg.ravel(), og.ravel()]), np.outer(w, w).ravel()
+    spec = sequences.EnsembleSpec(rabi_spread=rabi_spread, delta_sigma=delta_sigma,
+                                  samples=samples, sampling="hermite")
+    for got, ref in zip((sequences.member_draws(spec), sequences.member_weights(spec)), want):
+        assert got.shape == ref.shape
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
 def test_member_average_hermite_weights():
     spec = sequences.EnsembleSpec(delta_sigma=2.0, samples=41, sampling="hermite")
     offsets = sequences.member_draws(spec)[:, 1]
