@@ -1,4 +1,4 @@
-"""Master-equation evolution, steady states, and parameter scans.
+"""Master-equation evolution and steady states.
 
 The master equation is integrated on the vectorized density matrix.  A
 constant generator is stepped by `steps` (collected by `propagate`), the one
@@ -6,6 +6,25 @@ place the program steps a state through time with a matrix exponential: the
 propagator over one grid step is computed once and applied repeatedly, which
 is exact up to roundoff and untroubled by GHz-scale rotating-frame
 diagonals.  A stack of generators steps every ensemble member at once.
+
+A model's state is stepped by `model_steps` on the block of its Liouvillian
+that holds the initial state, never on the whole d^2 x d^2 generator.  The
+block comes from the model and the initial state (`invariant_block`): join
+two levels when the Hamiltonian couples them or the initial state holds a
+coherence between them; the block is every pair (a, b) of levels in one
+connected component, so it holds all populations, the coherences inside each
+coupled component, and a cross-component coherence such as the up/down one a
+Ramsey dark segment carries.  The generator maps that block into itself
+because every collapse operator is a single-element jump C = c|to><from|:
+C rho C^dagger moves only the `from` population onto the `to` population and
+C^dagger C is diagonal, so the dissipator keeps each pair of Hamiltonian
+components apart and the populations among themselves, and the Hamiltonian
+mixes a coherence only within its own pair of components.  Propagating the
+block is therefore exact, and every entry outside it stays exactly zero (the
+weak-symmetry block reduction of a Lindblad generator; Buca & Prosen, New J.
+Phys. 14, 073007 (2012); Albert & Jiang, Phys. Rev. A 89, 022118 (2014)).
+`liouvillian` builds the generator straight on the block's pairs.
+
 Time-dependent detuning schedules (frequency ramps) fall back to an
 adaptive embedded Runge-Kutta integrator on the same vectorized equation.
 Trace is never renormalized; its drift is a diagnostic.
@@ -14,7 +33,7 @@ Trace is never renormalized; its drift is a diagnostic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -113,23 +132,67 @@ class Trajectory:
         return self.populations[label]
 
 
-def liouvillian(model: RotatingFrameModel) -> np.ndarray:
-    """Vectorized generator L with drho_vec/dt = L rho_vec (row-major vec)."""
+def liouvillian(model: RotatingFrameModel, index=None) -> np.ndarray:
+    """Vectorized generator L with drho_vec/dt = L rho_vec (row-major vec).
+
+    L[(a,b),(a',b')] = -i (H[a,a'] delta_bb' - delta_aa' H[b',b]), plus for
+    each jump c|to><from| |c|^2 from the `from` onto the `to` population and
+    -|c|^2/2 on a pair for each of its two levels that is `from`.  Each
+    jump's terms are added in jump order, so the whole generator is
+    bit-equal to the Kronecker-product build.
+
+    With `index`, only the rows and columns at those vec positions (the pair
+    (a, b) sits at a * dim + b) are built, bit-equal to slicing the whole
+    generator.  `index` must be sorted and hold every population, as every
+    block from `invariant_block` does.
+    """
+    d = model.dim
+    pos = np.arange(d * d) if index is None else index
+    a, b = np.divmod(pos, d)
     h = model.hamiltonian
-    eye = np.eye(model.dim)
-    lv = -1j * (_kron(h, eye) - _kron(eye, h.T))
-    for c in model.collapse_ops:
-        cd = c.conj().T
-        cdc = cd @ c
-        lv += _kron(c, c.conj()) - 0.5 * (_kron(cdc, eye) + _kron(eye, cdc.T))
+    lv = h.take(a, 0).take(a, 1) * (b[:, None] == b)
+    lv -= (a[:, None] == a) * h.T.take(b, 0).take(b, 1)
+    lv *= -1j
+    if model.collapse_ops:
+        ops = np.array(model.collapse_ops)
+        jump, to, frm = ops.nonzero()  # one element per jump, in jump order
+        amp = ops[jump, to, frm]
+        rate = (amp * amp.conj()).real
+        # block positions of each jump's `to` and `from` populations
+        row, col = pos.searchsorted(to * (d + 1)), pos.searchsorted(frm * (d + 1))
+        gain = rate * (to != frm)
+        loss = -0.5 * rate[:, None] * np.add(a == frm[:, None], b == frm[:, None], dtype=float)
+        # a self-jump's gain cancels its loss on its own population
+        loss[jump, col] *= to != frm
+        # H's diagonal is real, so each diagonal entry's real part is the
+        # sum of the jumps' losses, added one jump at a time
+        lv.reshape(-1)[::len(pos) + 1] += loss.cumsum(axis=0)[-1]
+        # a gain lands between two populations, where the Hamiltonian part
+        # is zero; add.at sums repeated entries in jump order
+        np.add.at(lv, (row, col), gain)
     return lv
 
 
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron of two matrices by broadcasting: the same single products, so
-    bit-equal, without np.kron's per-call overhead."""
-    (p, q), (r, s) = a.shape, b.shape
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(p * r, q * s)
+def invariant_block(models, rho0) -> np.ndarray | None:
+    """Vec positions of a block of the models' generators that holds the
+    density matrix `rho0` and that they map into itself, in row-major order;
+    None when that is the whole space.
+
+    The block is every pair (a, b) inside one connected component of the
+    graph that joins two levels when the Hamiltonian couples them or `rho0`
+    holds a coherence between them.  `models` is one RotatingFrameModel or a
+    sequence of them (a stack) that all start from `rho0`; a stack joins the
+    levels that any member couples.
+    """
+    linked = rho0 != 0
+    for m in [models] if isinstance(models, RotatingFrameModel) else models:
+        linked |= m.hamiltonian != 0
+    d = len(linked)
+    linked.reshape(-1)[::d + 1] = True
+    # k squarings join levels up to 2**k links apart; d - 1 links suffice
+    for _ in range(max(d - 2, 0).bit_length()):
+        linked = linked @ linked
+    return None if linked.all() else linked.ravel().nonzero()[0]
 
 
 @dataclass(frozen=True)
@@ -172,7 +235,7 @@ def evolve(
         raise IntegrationError("the expm engine cannot integrate a detuning ramp")
     times = np.linspace(0.0, duration, n_samples)
     if engine == "expm":
-        vecs = propagate(liouvillian(model), rho0.matrix.reshape(-1), times)
+        vecs = np.array(list(model_steps(model, rho0.matrix, times)))
     elif engine == "rk":
         vecs = _integrate_rk(model, rho0.matrix, times, rtol, atol, ramp)
     else:
@@ -221,20 +284,44 @@ def steps(generator: np.ndarray, vec0: np.ndarray, times):
         yield vec
 
 
+def model_steps(models, rho0, times):
+    """Yield the vectorized state of the master equation at every time, `rho0` first.
+
+    `models` is one RotatingFrameModel or a sequence of them (a stack, see
+    `steps`) that all start from the density matrix `rho0`.  Only the
+    invariant block that holds `rho0` (`invariant_block`) is stepped, and
+    each state is scattered back into the whole vec, where every entry
+    outside the block is exactly zero.
+    """
+    index = invariant_block(models, rho0)
+    vec0 = rho0.reshape(-1)
+    if isinstance(models, RotatingFrameModel):
+        lv = liouvillian(models, index)
+    else:
+        lv = np.stack([liouvillian(m, index) for m in models])
+        vec0 = np.broadcast_to(vec0, (len(models), vec0.size))
+    if index is None:
+        yield from steps(lv, vec0, times)
+        return
+    for vec in steps(lv, vec0[..., index], times):
+        full = np.zeros(vec0.shape, dtype=vec.dtype)
+        full[..., index] = vec
+        yield full
+
+
 def _integrate_rk(model, rho0, times, rtol, atol, ramp) -> np.ndarray:
     n = model.dim
     lv = liouvillian(model)
     duration = times[-1]
     if ramp is not None:
-        proj = np.zeros((n, n))
-        proj[ramp.level, ramp.level] = 1.0
-        eye = np.eye(n)
-        lv_ramp = -1j * (_kron(proj, eye) - _kron(eye, proj))
+        # -det(t) on H[level, level] adds -i * -det(t) * (delta_a,level - delta_b,level)
+        on_level = (np.arange(n) == ramp.level).astype(float)
+        lv_ramp = -1j * (np.repeat(on_level, n) - np.tile(on_level, n))
         slope = (ramp.stop - ramp.start) / duration
 
         def rhs(t, y):
             det = ramp.start + slope * t
-            return lv @ y + (-det) * (lv_ramp @ y)
+            return lv @ y + (-det) * (lv_ramp * y)
     else:
 
         def rhs(t, y):
@@ -281,39 +368,3 @@ def steady_state(model: RotatingFrameModel) -> DensityMatrix:
         raise DegenerateSteadyStateError("null vector is traceless; no physical steady state")
     rho = rho / tr
     return DensityMatrix(rho)
-
-
-def scan(
-    model_factory: Callable[[float], RotatingFrameModel],
-    grid: Iterable[float],
-    observable: str,
-    protocol: str = "steady",
-    evolve_time: float | None = None,
-    rho0: DensityMatrix | None = None,
-) -> np.ndarray:
-    """Evaluate one named population over a parameter grid.
-
-    protocol "steady" reads the steady state; "evolve" propagates `rho0`
-    for `evolve_time` and reads the final sample.  Points are independent,
-    so evaluation order cannot affect the result.
-    """
-    grid = list(grid)
-    if not grid:
-        raise ValueError("scan grid must not be empty")
-    if protocol not in ("steady", "evolve"):
-        raise ValueError(f"unknown scan protocol {protocol!r}")
-    if protocol == "evolve" and (evolve_time is None or rho0 is None):
-        raise ValueError("evolve protocol needs evolve_time and rho0")
-
-    def one(value: float) -> float:
-        try:
-            model = model_factory(value)
-            idx = model.index(observable)
-            if protocol == "steady":
-                return steady_state(model).population(idx)
-            traj = evolve(model, rho0, evolve_time, n_samples=2)
-            return float(traj.populations[observable][-1])
-        except Exception as exc:
-            raise IntegrationError(f"scan point {value!r} failed: {exc}") from exc
-
-    return np.array([one(value) for value in grid])

@@ -34,9 +34,8 @@ from .lindblad import (
     Trajectory,
     evolve,
     liouvillian,
-    propagate,
+    model_steps,
     steady_state,
-    steps,
 )
 from .units import TWO_PI
 
@@ -381,7 +380,7 @@ def _advance(model, state, t_start, duration, times, next_idx, sampled):
     grid = [t_start, *times[next_idx:idx]]
     if t_end - local > eps:
         grid.append(t_end)
-    vecs = propagate(liouvillian(model), state.reshape(-1), grid)
+    vecs = np.array(list(model_steps(model, state, grid)))
     sampled[next_idx:idx] = vecs[1:1 + idx - next_idx, ::dim + 1].real
     return vecs[-1].reshape(dim, dim), idx
 
@@ -488,13 +487,21 @@ def _phase_rotation_vec(dim: int, index: int, phi) -> np.ndarray:
     return (d[..., :, None] * d.conj()[..., None, :]).reshape(*phi.shape, dim * dim)
 
 
+def _member_models(config: RamanConfig, table: DecayTable,
+                   draws: np.ndarray) -> tuple[list[RotatingFrameModel], np.ndarray]:
+    """The eliminated qubit model of each (scale, offset) draw, and each
+    member's two-photon detuning (M,)."""
+    cfgs = [scaled_config(config, scale, offset) for scale, offset in draws]
+    models = [build_effective_qubit_model(c, table) for c in cfgs]
+    return models, np.array([c.delta_two for c in cfgs])
+
+
 def _member_generators(config: RamanConfig, table: DecayTable,
                        draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked Liouvillians (M, 9, 9) of the eliminated qubit model, one per
-    (scale, offset) draw, and each member's two-photon detuning (M,)."""
-    cfgs = [scaled_config(config, scale, offset) for scale, offset in draws]
-    lv = np.stack([liouvillian(build_effective_qubit_model(c, table)) for c in cfgs])
-    return lv, np.array([c.delta_two for c in cfgs])
+    """Stacked Liouvillians (M, 9, 9) of the members' models, and each
+    member's two-photon detuning (M,)."""
+    models, delta = _member_models(config, table, draws)
+    return np.stack([liouvillian(m) for m in models]), delta
 
 
 def _apply(ops: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -744,8 +751,9 @@ def scattering_decay(
     env = env or MagneticEnvironment()
     model = build_single_drive_model(field, scheme, table, env)
     i_up = model.index("up")
-    vec0 = DensityMatrix.pure(model.dim, i_up).matrix.reshape(-1)
-    return propagate(liouvillian(model), vec0, times)[:, i_up * (model.dim + 1)].real
+    rho0 = DensityMatrix.pure(model.dim, i_up).matrix
+    vecs = np.array(list(model_steps(model, rho0, times)))
+    return vecs[:, i_up * (model.dim + 1)].real
 
 
 # ------------------------------------------------------- ensemble wrapper
@@ -759,14 +767,13 @@ def run_rabi_ensemble(
 ) -> Trajectory:
     """Ensemble-averaged Rabi trace on the eliminated qubit model.
 
-    Every member steps together through one stacked `lindblad.steps`, and
-    only the weighted mean populations are kept per sample."""
+    Every member steps together through one stacked `lindblad.model_steps`,
+    and only the weighted mean populations are kept per sample."""
     times = np.linspace(0.0, duration, n_samples)
     draws, weights = _draws_and_weights(ensemble)
-    lv, _ = _member_generators(config, table, draws)
-    vec0 = np.broadcast_to(_RHO_UP, (len(draws), _RHO_UP.size))
+    models, _ = _member_models(config, table, draws)
     mean = np.empty((n_samples, _DIM))
-    for k, vec in enumerate(steps(lv, vec0, times)):
+    for k, vec in enumerate(model_steps(models, _RHO_UP.reshape(_DIM, _DIM), times)):
         mean[k] = member_average(vec[:, ::_DIM + 1].real, weights)
     labels = ("up", "down", "lost")
     return Trajectory(times=times, populations={lab: mean[:, i] for i, lab in enumerate(labels)})

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from fsqubit import atom, driven, lindblad
-from fsqubit.lindblad import DensityMatrix, evolve, scan, steady_state, trace_distance
+from fsqubit.lindblad import DensityMatrix, evolve, steady_state, trace_distance
 from fsqubit.units import TWO_PI
 
 
@@ -225,6 +225,127 @@ def test_liouvillian_bit_equal_to_kron_build(lam, full_scheme, table, env, fig3_
         assert np.array_equal(lindblad.liouvillian(model), kron_liouvillian(model))
 
 
+# ------------------------------------------------------- invariant block
+
+def model_kinds(lam, full_scheme, table, env, fig3_config):
+    """One model of each kind `driven` builds, with its block size from the
+    pure `up` state."""
+    field = driven.DriveField((full_scheme.up, full_scheme.s), TWO_PI * 36e6, -TWO_PI * 6e9)
+    full_cfg = driven.raman_config(full_scheme, TWO_PI * 36e6, TWO_PI * 36e6, -TWO_PI * 6e9)
+    closed_cfg = driven.raman_config(lam, TWO_PI * 5e6, TWO_PI * 7e6, -TWO_PI * 3e6)
+    return {
+        "closed": (driven.build_lambda_model(closed_cfg, lam, table, mode="closed"), 9),
+        "lossy": (lossy_lambda(lam, table, 5.0, 7.0, -3.0, 0.4), 10),
+        "full raman": (driven.build_lambda_model(full_cfg, full_scheme, table, env, mode="full"), 23),
+        "single drive": (driven.build_single_drive_model(field, full_scheme, table, env), 19),
+        "eliminated": (driven.build_effective_qubit_model(fig3_config, table), 5),
+    }
+
+
+def up_and_coherent_states(model):
+    """The pure `up` state, and an up/`last level` superposition that puts a
+    coherence across two components wherever they differ."""
+    up, last = model.index("up"), model.dim - 1
+    psi = np.zeros(model.dim, dtype=complex)
+    psi[[up, last]] = 0.6, 0.8j
+    return DensityMatrix.pure(model.dim, up).matrix, DensityMatrix.from_state(psi).matrix
+
+
+def block_or_all(models, rho0):
+    index = lindblad.invariant_block(models, rho0)
+    return np.arange(rho0.size) if index is None else index
+
+
+def test_block_sizes_of_every_model_kind(lam, full_scheme, table, env, fig3_config):
+    for name, (model, size) in model_kinds(lam, full_scheme, table, env, fig3_config).items():
+        pure, _ = up_and_coherent_states(model)
+        assert len(block_or_all(model, pure)) == size, name
+
+
+def test_generator_maps_block_into_itself(lam, full_scheme, table, env, fig3_config):
+    for name, (model, _) in model_kinds(lam, full_scheme, table, env, fig3_config).items():
+        lv = lindblad.liouvillian(model)
+        for rho0 in up_and_coherent_states(model):
+            index = block_or_all(model, rho0)
+            outside = np.setdiff1d(np.arange(model.dim ** 2), index)
+            assert np.count_nonzero(rho0.reshape(-1)[outside]) == 0, name
+            assert np.count_nonzero(lv[np.ix_(outside, index)]) == 0, name
+
+
+def test_block_liouvillian_bit_equal_to_slice(lam, full_scheme, table, env, fig3_config):
+    for name, (model, _) in model_kinds(lam, full_scheme, table, env, fig3_config).items():
+        lv = lindblad.liouvillian(model)
+        for rho0 in up_and_coherent_states(model):
+            index = block_or_all(model, rho0)
+            assert np.array_equal(lindblad.liouvillian(model, index), lv[np.ix_(index, index)]), name
+
+
+@st.composite
+def sparse_models(draw, dim):
+    """A model with random couplings on random level pairs and random
+    single-element jumps, self-jumps included."""
+    value = st.floats(-3.0, 3.0)
+    h = np.diag([draw(value) for _ in range(dim)]).astype(complex)
+    pairs = st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1))
+    for i, j in draw(st.lists(pairs, max_size=dim)):
+        if i != j:
+            h[i, j] = complex(draw(value), draw(value))
+            h[j, i] = np.conj(h[i, j])
+    ops = []
+    for to, frm in draw(st.lists(pairs, max_size=4)):
+        c = np.zeros((dim, dim), dtype=complex)
+        c[to, frm] = math.sqrt(draw(st.floats(0.1, 3.0)))
+        ops.append(c)
+    return driven.RotatingFrameModel(h, tuple(ops), tuple(f"l{k}" for k in range(dim)), None)
+
+
+@st.composite
+def stacks_and_states(draw):
+    dim = draw(st.integers(2, 5))
+    models = draw(st.lists(sparse_models(dim), min_size=1, max_size=3))
+    support = draw(st.lists(st.integers(0, dim - 1), min_size=1, max_size=dim, unique=True))
+    psi = np.zeros(dim, dtype=complex)
+    for k in support:
+        psi[k] = complex(draw(st.floats(0.1, 1.0)), draw(st.floats(-1.0, 1.0)))
+    return models, DensityMatrix.from_state(psi).matrix
+
+
+@settings(max_examples=60, deadline=None)
+@given(stacks_and_states(), st.sampled_from(sorted(GRIDS)))
+def test_block_propagation_equals_full_propagation(case, grid):
+    models, rho0 = case
+    times = GRIDS[grid] * 1e6  # the sparse models' rates are of order 1
+    index = block_or_all(models, rho0)
+    outside = np.setdiff1d(np.arange(rho0.size), index)
+    stacked = np.array(list(lindblad.model_steps(models, rho0, times)))
+    for m, model in enumerate(models):
+        want = lindblad.propagate(lindblad.liouvillian(model), rho0.reshape(-1), times)
+        alone = np.array(list(lindblad.model_steps(model, rho0, times)))
+        assert np.abs(alone - want).max() < 1e-12
+        assert np.abs(stacked[:, m] - want).max() < 1e-12
+        assert np.count_nonzero(alone[:, outside]) == 0
+
+
+def test_block_propagation_with_self_jumps_and_cross_coherence(lam, table, fig3_config):
+    """The eliminated model scatters each qubit state back into itself; a
+    dark segment (no drive: every level its own component) carries an
+    up/down coherence across components."""
+    dark = driven.build_lambda_model(driven.raman_config(lam, 0.0, 0.0, 0.0), lam, table)
+    psi = np.array([0.6, 0.0, 0.8j, 0.0])
+    cases = [
+        (driven.build_effective_qubit_model(fig3_config, table), DensityMatrix.pure(3, 0).matrix),
+        (dark, DensityMatrix.from_state(psi).matrix),
+    ]
+    assert any(c[0, 0] != 0 for c in cases[0][0].collapse_ops)
+    for model, rho0 in cases:
+        index = lindblad.invariant_block(model, rho0)
+        assert index is not None and len(index) < model.dim ** 2
+        times = np.linspace(0.0, 2e-6, 21)
+        want = lindblad.propagate(lindblad.liouvillian(model), rho0.reshape(-1), times)
+        got = np.array(list(lindblad.model_steps(model, rho0, times)))
+        assert np.abs(got - want).max() < 1e-12
+
+
 def test_steady_state_two_level_formula():
     rabi, det, gamma = TWO_PI * 2e6, TWO_PI * 1e6, TWO_PI * 1.5e6
     model = two_level_model(rabi, detuning=det, gamma=gamma)
@@ -261,41 +382,6 @@ def test_steady_state_matches_long_time_evolution():
     horizon = 50.0 / min(gamma, rabi)
     traj = evolve(model, DensityMatrix.pure(2, 0), horizon, n_samples=3, store_states=True)
     assert trace_distance(traj.states[-1], rho_ss) < 1e-6
-
-
-def test_scan_singleton_equals_direct_call():
-    def factory(det):
-        return two_level_model(TWO_PI * 1e6, detuning=det, gamma=TWO_PI * 2e6)
-
-    vals = scan(factory, [TWO_PI * 0.5e6], observable="up", protocol="steady")
-    direct = steady_state(factory(TWO_PI * 0.5e6)).population(1)
-    assert vals[0] == pytest.approx(direct, rel=1e-12)
-
-
-def test_scan_worker_independence():
-    def factory(det):
-        return two_level_model(TWO_PI * 1e6, detuning=det, gamma=TWO_PI * 2e6)
-
-    grid = list(np.linspace(-TWO_PI * 2e6, TWO_PI * 2e6, 9))
-    a = scan(factory, grid, observable="up", protocol="steady")
-    b = scan(factory, grid, observable="up", protocol="steady")
-    assert np.array_equal(a, b)
-
-
-def test_scan_empty_grid_rejected():
-    with pytest.raises(ValueError):
-        scan(lambda d: two_level_model(1.0), [], observable="up")
-
-
-def test_scan_error_names_offending_point():
-    def factory(det):
-        if det > 0:
-            raise ValueError("boom")
-        return two_level_model(TWO_PI * 1e6, detuning=det, gamma=TWO_PI * 1e6)
-
-    with pytest.raises(lindblad.IntegrationError) as err:
-        scan(factory, [-1.0, 1.0], observable="up", protocol="steady")
-    assert "1.0" in str(err.value)
 
 
 def test_density_matrix_validation():
