@@ -12,7 +12,8 @@ odd ones, with seed S = --seed + pair.  The output keeps every run as
 same layout over all of a side's runs and, per end-to-end metric, the
 number of pairs the change won (lower is better; ties count for neither).
 It also records each tree's `src.lines`, the wall time of its Tier-1 suite
-and the machine record of the change's last run.
+(run on one BLAS thread, as CI and `bench/run.py` run) and the machine
+record of the change's last run.
 """
 
 from __future__ import annotations
@@ -40,7 +41,9 @@ def repeat(tree: Path, workload: str, seed: int) -> dict:
 
 
 def tier1(tree: Path) -> dict:
-    env = {**os.environ, "PYTHONPATH": "src"}
+    # one BLAS thread, as CI and bench/run.py use, so both sides' times compare
+    env = {**os.environ, "PYTHONPATH": "src", "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
     t0 = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
                           cwd=tree, env=env, capture_output=True, text=True)

@@ -145,8 +145,9 @@ def run_at(sc: Scenario, w: RunWriter) -> None:
         probe_rabi=sc.get("scan", "probe_rabi"),
         strong=sc.string("scan", "strong", "down"),
     )
-    spec_cols = {"detuning_hz": result.detunings / TWO_PI}
-    for p, row in zip(result.powers_mw, result.spectra):
+    spec_cols = {}
+    for p, dets, row in zip(result.powers_mw, result.detunings, result.spectra):
+        spec_cols[f"detuning_hz_p{p:.3g}mW"] = dets / TWO_PI
         spec_cols[f"loss_p{p:.3g}mW"] = row
     w.write_csv("spectra.csv", spec_cols)
     resolved = [(p, s, r) for p, s, r in
@@ -246,14 +247,6 @@ def run_detuning(sc: Scenario, w: RunWriter) -> None:
               "|detuning| (GHz)", "cycles")
 
 
-def _contrast_scan(scan_fn, dark_times, phases, cfg, table, ensemble, ou):
-    out = []
-    for t_dark in dark_times:
-        pops = scan_fn(t_dark, phases, cfg, table, ensemble=ensemble, ou=ou)
-        out.append(sequences.ramsey_contrast(pops, phases))
-    return np.array(out)
-
-
 def run_coherence(sc: Scenario, w: RunWriter) -> None:
     scheme = atom.lambda_scheme()
     table = atom.DecayTable(gamma_s=0.0, channels=())  # dephasing-only presets
@@ -266,8 +259,8 @@ def run_coherence(sc: Scenario, w: RunWriter) -> None:
         delta_sigma=sc.get("ramsey", "delta_sigma"),
         samples=sc.get_int("ramsey", "samples"), sampling="hermite",
     )
-    c_ramsey = _contrast_scan(sequences.ramsey_phase_scan, t_ramsey, phases,
-                              cfg, table, spec_r, None)
+    pops = sequences.ramsey_phase_scan(t_ramsey, phases, cfg, table, ensemble=spec_r)
+    c_ramsey = np.array([sequences.ramsey_contrast(row, phases) for row in pops])
     w.write_csv("ramsey_contrast.csv", {"dark_s": t_ramsey, "contrast": c_ramsey})
 
     t_echo = np.linspace(sc.get("echo", "dark_min"), sc.get("echo", "dark_max"),
@@ -277,8 +270,8 @@ def run_coherence(sc: Scenario, w: RunWriter) -> None:
         samples=sc.get_int("echo", "samples"), seed=sc.seed,
     )
     ou = sequences.OUNoise(sigma=sc.get("echo", "ou_sigma"), tau_c=sc.get("echo", "ou_tau"))
-    c_echo = _contrast_scan(sequences.spin_echo_scan, t_echo, phases,
-                            cfg, table, spec_e, ou)
+    pops = sequences.spin_echo_scan(t_echo, phases, cfg, table, ensemble=spec_e, ou=ou)
+    c_echo = np.array([sequences.ramsey_contrast(row, phases) for row in pops])
     w.write_csv("echo_contrast.csv", {"dark_s": t_echo, "contrast": c_echo})
 
     dr = w.read_csv("ramsey_contrast.csv")
@@ -508,7 +501,8 @@ def _run_two_pulse(sc: Scenario, w: RunWriter, echo: bool) -> None:
         ou = sequences.OUNoise(sigma=sc.get("noise", "ou_sigma"),
                                tau_c=sc.get("noise", "ou_tau"))
     scan_fn = sequences.spin_echo_scan if echo else sequences.ramsey_phase_scan
-    contrast = _contrast_scan(scan_fn, dark, phases, cfg, table, spec, ou)
+    pops = scan_fn(dark, phases, cfg, table, ensemble=spec, ou=ou)
+    contrast = np.array([sequences.ramsey_contrast(row, phases) for row in pops])
     w.write_csv("contrast.csv", {"dark_s": dark, "contrast": contrast})
     data = w.read_csv("contrast.csv")
     fit = dsp.fit_gaussian_decay(data["dark_s"], np.clip(data["contrast"], 0, 1.05))

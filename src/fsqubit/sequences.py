@@ -4,6 +4,10 @@ Declarative segments (drive, dark, phase jump, frequency ramp) run on the
 master-equation engine, with an ensemble layer for quasi-static Rabi and
 detuning inhomogeneity on top.  Far-detuned Raman segments run on the
 adiabatically eliminated qubit model unless full integration is forced.
+
+Every scan steps its points as one stack: the coherence scans take all dark
+times and ensemble members at once, and the Autler-Townes scan steps one
+stack of models per power column.
 """
 
 from __future__ import annotations
@@ -152,16 +156,6 @@ def member_rng(spec: EnsembleSpec, member: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def member_draws(spec: EnsembleSpec) -> np.ndarray:
-    """Per-member (rabi scale, delta offset) pairs."""
-    return _draws_and_weights(spec)[0]
-
-
-def member_weights(spec: EnsembleSpec) -> np.ndarray:
-    """Averaging weights matching member_draws (uniform for random draws)."""
-    return _draws_and_weights(spec)[1]
-
-
 def member_average(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Weighted mean over the leading (member) axis, as np.average computes it."""
     values = np.asarray(values)
@@ -170,6 +164,8 @@ def member_average(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def _draws_and_weights(spec: EnsembleSpec, collapse: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """Per-member (rabi scale, delta offset) pairs (M, 2) and their averaging
+    weights (M,), uniform for random draws."""
     if spec.rabi_spread == 0.0 and spec.delta_sigma == 0.0:
         if collapse:
             # all members coincide; collapse to one so the average is
@@ -496,35 +492,28 @@ def _member_models(config: RamanConfig, table: DecayTable,
     return models, np.array([c.delta_two for c in cfgs])
 
 
-def _member_generators(config: RamanConfig, table: DecayTable,
-                       draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked Liouvillians (M, 9, 9) of the members' models, and each
-    member's two-photon detuning (M,)."""
-    models, delta = _member_models(config, table, draws)
-    return np.stack([liouvillian(m) for m in models]), delta
-
-
 def _apply(ops: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """Stacked matrix-vector products, (..., n, n) @ (..., n)."""
     return (ops @ vecs[..., None])[..., 0]
 
 
 def _dark(vecs: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Free evolution of each member: the down level gains phase `phi` (M,)."""
+    """Free evolution of each state: the down level gains phase `phi`."""
     return _phase_rotation_vec(_DIM, _DOWN, phi) * vecs
 
 
 def _readout_up(u_half: np.ndarray, vecs: np.ndarray, phases) -> np.ndarray:
-    """Up population after a final pi/2 pulse, (M, K), for states `vecs`
-    (M, K, 9) and pulse phases (K,) or (1,)."""
+    """Up population after a final pi/2 pulse, (M, ..., K), for states `vecs`
+    (M, ..., 9), the members' pulses `u_half` (M, ..., 9, 9) broadcasting
+    against them, and pulse phases (K,)."""
     rot = _phase_rotation_vec(_DIM, _UP, phases)
     # only the up-population row of each member's pulse is needed
-    pulsed = ((rot.conj() * vecs) @ u_half[:, _UP_UP, :, None])[..., 0]
+    pulsed = ((rot.conj() * vecs[..., None, :]) @ u_half[..., _UP_UP, :, None])[..., 0]
     return (rot[:, _UP_UP] * pulsed).real
 
 
 def ramsey_phase_scan(
-    dark_time: float,
+    dark_time,
     phases,
     config: RamanConfig,
     table: DecayTable,
@@ -532,13 +521,16 @@ def ramsey_phase_scan(
     ou: OUNoise | None = None,
     pulse_override: float | None = None,
 ) -> np.ndarray:
-    """Population in `up` after pi/2 - dark(T) - pi/2(phase), per phase."""
+    """Population in `up` after pi/2 - dark(T) - pi/2(phase).
+
+    `dark_time` is a scalar or an array of dark times; the result has shape
+    (*np.shape(dark_time), len(phases)), one row of phases per dark time."""
     return _two_pulse_scan(dark_time, phases, config, table, ensemble, ou,
                            pulse_override, echo=False)
 
 
 def spin_echo_scan(
-    dark_time: float,
+    dark_time,
     phases,
     config: RamanConfig,
     table: DecayTable,
@@ -546,40 +538,50 @@ def spin_echo_scan(
     ou: OUNoise | None = None,
     pulse_override: float | None = None,
 ) -> np.ndarray:
-    """Ramsey scan with a rephasing pi pulse inserted at T/2."""
+    """Ramsey scan with a rephasing pi pulse inserted at T/2; the result has
+    shape (*np.shape(dark_time), len(phases)) as in `ramsey_phase_scan`."""
     return _two_pulse_scan(dark_time, phases, config, table, ensemble, ou,
                            pulse_override, echo=True)
 
 
 def _two_pulse_scan(dark_time, phases, config, table, ensemble, ou,
                     pulse_override, echo: bool) -> np.ndarray:
+    """Every member and dark time in one stack: members on axis 0, dark
+    times on the next axes and phases last, averaged over the members."""
     if not elimination_applies(config, table):
         warnings.warn("coherence scans assume the far-detuned regime",
                       formulas.RegimeWarning, stacklevel=3)
+    dark_time = np.asarray(dark_time, dtype=float)
     phases = np.asarray(phases, dtype=float)
     spec = ensemble or EnsembleSpec()
     t_half = pulse_duration(config, "pi/2", pulse_override)
     draws, weights = _draws_and_weights(spec, collapse=(ou is None))
-    lv, delta = _member_generators(config, table, draws)
-    u_half = expm(lv * t_half)
+    models, delta = _member_models(config, table, draws)
+    # each member's axis broadcasts against the dark-time axes
+    grid = (len(draws), *(1,) * dark_time.ndim)
+    u_half = expm(np.stack([liouvillian(m) for m in models]) * t_half)
+    u_half = u_half.reshape(*grid, *u_half.shape[1:])
+    delta = delta.reshape(grid)
     # OU phase of each member over the dark time, or over each echo half
-    noise = np.zeros((len(draws), 2))
+    noise = np.zeros((2, len(draws), *dark_time.shape))
     if ou is not None:
-        for i in range(len(draws)):
-            rng = member_rng(spec, i + (1 << 20))  # distinct stream for dark noise
+        for i, *j in np.ndindex(noise.shape[1:]):
+            t = dark_time[tuple(j)]
+            # the member's dark-noise stream restarts for every dark time
+            rng = member_rng(spec, i + (1 << 20))
             if echo:
-                noise[i, 0], delta_mid = _ou_phase(rng, ou, dark_time / 2)
-                noise[i, 1], _ = _ou_phase(rng, ou, dark_time / 2, delta0=delta_mid)
+                noise[(0, i, *j)], delta_mid = _ou_phase(rng, ou, t / 2)
+                noise[(1, i, *j)], _ = _ou_phase(rng, ou, t / 2, delta0=delta_mid)
             else:
-                noise[i, 0], _ = _ou_phase(rng, ou, dark_time)
+                noise[(0, i, *j)], _ = _ou_phase(rng, ou, t)
     vec = _apply(u_half, _RHO_UP)
     if echo:
-        vec = _dark(vec, delta * (dark_time / 2) + noise[:, 0])
+        vec = _dark(vec, delta * (dark_time / 2) + noise[0])
         vec = _apply(u_half, _apply(u_half, vec))
-        vec = _dark(vec, delta * (dark_time / 2) + noise[:, 1])
+        vec = _dark(vec, delta * (dark_time / 2) + noise[1])
     else:
-        vec = _dark(vec, delta * dark_time + noise[:, 0])
-    return member_average(_readout_up(u_half, vec[:, None, :], phases), weights)
+        vec = _dark(vec, delta * dark_time + noise[0])
+    return member_average(_readout_up(u_half, vec, phases), weights)
 
 
 def ramsey_time_scan(
@@ -591,14 +593,8 @@ def ramsey_time_scan(
 ) -> np.ndarray:
     """Fixed-phase Ramsey fringe vs dark time; oscillates at the two-photon
     detuning (plus any light-shift offsets)."""
-    dark_times = np.asarray(dark_times, dtype=float)
-    t_half = pulse_duration(config, "pi/2", pulse_override)
-    draws, weights = _draws_and_weights(ensemble or EnsembleSpec())
-    lv, delta = _member_generators(config, table, draws)
-    u_half = expm(lv * t_half)
-    after_first = _apply(u_half, _RHO_UP)
-    vecs = _dark(after_first[:, None, :], delta[:, None] * dark_times)
-    return member_average(_readout_up(u_half, vecs, [0.0]), weights)
+    return _two_pulse_scan(dark_times, [0.0], config, table, ensemble, None,
+                           pulse_override, echo=False)[..., 0]
 
 
 def ramsey_contrast(populations: np.ndarray, phases) -> float:
@@ -611,8 +607,8 @@ def ramsey_contrast(populations: np.ndarray, phases) -> float:
 
 @dataclass(frozen=True)
 class ATScanResult:
-    powers_mw: np.ndarray
-    detunings: np.ndarray
+    powers_mw: np.ndarray            # (n_powers,)
+    detunings: np.ndarray            # (n_powers, n_detunings) rad/s, each spectrum's own axis
     spectra: np.ndarray              # (n_powers, n_detunings) loss signal
     splittings: tuple[float | None, ...]  # rad/s, None when unresolved
     dressing_rabis: np.ndarray       # rad/s, from the power calibration
@@ -634,9 +630,11 @@ def autler_townes_scan(
     `calibration` maps laser power to the dressing Rabi frequency,
     rad/s per sqrt(mW).  The probe is weak, and the signal is the
     population that decayed out of the Lambda system (the atoms detected
-    in the ground state).  Per power column the two dressed resonances
-    are fitted and their separation reported; below the natural linewidth
-    the doublet is unresolved and the splitting is None.
+    in the ground state).  Each power column spans +-1.6 max(dressing Rabi,
+    linewidth) unless `detunings` is given, and its models step as one
+    stack.  Per power column the two dressed resonances are fitted and their
+    separation reported; below the natural linewidth the doublet is
+    unresolved and the splitting is None.
     """
     if probe_rabi > table.gamma_s / 10.0:
         warnings.warn("probe exceeds gamma_s/10; extraction accuracy degrades",
@@ -647,38 +645,29 @@ def autler_townes_scan(
     rabis = calibration * np.sqrt(powers_mw)
     t_probe = probe_time if probe_time is not None else table.gamma_s / probe_rabi**2
 
-    results = []
+    axes, spectra, splittings = [], [], []
     for rabi_s in rabis:
         span = 1.6 * max(rabi_s, table.gamma_s)
         dets = detunings if detunings is not None else np.linspace(-span, span, n_detunings)
-
-        def one(det: float) -> float:
-            if strong == "down":
-                cfg = raman_config(scheme, probe_rabi, rabi_s, det, det)
-                init = "up"
-            else:
-                cfg = raman_config(scheme, rabi_s, probe_rabi, 0.0, det)
-                init = "down"
-            model = build_lambda_model(cfg, scheme, table, mode="lossy")
-            rho0 = DensityMatrix.pure(4, model.index(init))
-            traj = evolve(model, rho0, t_probe, n_samples=2)
-            return float(traj.populations["lost"][-1])
-
-        signal = np.array([one(det) for det in dets])
-        results.append((dets, signal))
-
-    splittings = []
-    for (dets, signal), rabi_s in zip(results, rabis):
+        if strong == "down":
+            cfgs = [raman_config(scheme, probe_rabi, rabi_s, det, det) for det in dets]
+        else:
+            cfgs = [raman_config(scheme, rabi_s, probe_rabi, 0.0, det) for det in dets]
+        models = [build_lambda_model(c, scheme, table, mode="lossy") for c in cfgs]
+        dim = models[0].dim
+        rho0 = DensityMatrix.pure(dim, models[0].index("up" if strong == "down" else "down"))
+        *_, final = model_steps(models, rho0.matrix, [0.0, t_probe])
+        signal = final[:, models[0].index("lost") * (dim + 1)].real
+        axes.append(dets)
+        spectra.append(signal)
         if rabi_s < table.gamma_s:
             splittings.append(None)
-            continue
-        splittings.append(_two_peak_separation(dets, signal, rabi_s, table.gamma_s))
-    detunings_out = results[0][0]
-    spectra = np.vstack([sig for _, sig in results])
+        else:
+            splittings.append(_two_peak_separation(dets, signal, rabi_s, table.gamma_s))
     return ATScanResult(
         powers_mw=powers_mw,
-        detunings=detunings_out,
-        spectra=spectra,
+        detunings=np.vstack(axes),
+        spectra=np.vstack(spectra),
         splittings=tuple(splittings),
         dressing_rabis=rabis,
     )

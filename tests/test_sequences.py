@@ -242,7 +242,7 @@ def test_at_dressed_state_oracle(lam, table):
         [1.0], TWO_PI * 10e6, lam, table, probe_rabi=TWO_PI * 0.5e6)
     assert scan.splittings[0] is None  # 10 MHz dressing < the 11 MHz linewidth
     spectrum = scan.spectra[0]
-    dets = scan.detunings
+    dets = scan.detunings[0]
     i_lo = np.argmax(spectrum[: len(dets) // 2])
     i_hi = np.argmax(spectrum[len(dets) // 2:]) + len(dets) // 2
     assert dets[i_lo] == pytest.approx(-TWO_PI * 5e6, rel=0.15)
@@ -260,10 +260,42 @@ def test_at_zero_power_single_line(lam, table):
                                         detunings=np.linspace(-3, 3, 121) * table.gamma_s)
     assert scan.splittings[0] is None
     spectrum = scan.spectra[0]
-    fit = dsp.fit_lorentzian((scan.detunings, spectrum))
+    fit = dsp.fit_lorentzian((scan.detunings[0], spectrum))
     # single line; saturation of the timed probe broadens it slightly
     assert abs(fit.value("fwhm")) == pytest.approx(table.gamma_s, rel=0.3)
     assert fit.value("center") == pytest.approx(0.0, abs=table.gamma_s / 10)
+
+
+def test_at_each_power_on_its_own_axis(lam, table):
+    # every power column spans its own detuning range, so each doublet must
+    # sit at +- half its own dressing Rabi rate on that row's axis
+    scan = sequences.autler_townes_scan([1.0, 10.0], TWO_PI * 19.3e6, lam, table)
+    assert scan.detunings.shape == scan.spectra.shape == (2, 161)
+    for dets, spectrum, rabi in zip(scan.detunings, scan.spectra, scan.dressing_rabis):
+        half = len(dets) // 2
+        i_lo = np.argmax(spectrum[:half])
+        i_hi = np.argmax(spectrum[half:]) + half
+        assert dets[i_lo] == pytest.approx(-rabi / 2, rel=0.15)
+        assert dets[i_hi] == pytest.approx(rabi / 2, rel=0.15)
+
+
+@pytest.mark.parametrize("strong", ["down", "up"])
+def test_stacked_at_scan_matches_point_loop(lam, table, strong):
+    probe, rabi_s = TWO_PI * 1.0e6, TWO_PI * 19.3e6 * math.sqrt(2.0)
+    scan = sequences.autler_townes_scan([2.0], TWO_PI * 19.3e6, lam, table,
+                                        strong=strong, n_detunings=41)
+    t_probe = table.gamma_s / probe**2
+    want = []
+    for det in scan.detunings[0]:
+        if strong == "down":
+            cfg, init = driven.raman_config(lam, probe, rabi_s, det, det), "up"
+        else:
+            cfg, init = driven.raman_config(lam, rabi_s, probe, 0.0, det), "down"
+        model = driven.build_lambda_model(cfg, lam, table, mode="lossy")
+        traj = lindblad.evolve(model, DensityMatrix.pure(4, model.index(init)), t_probe,
+                               n_samples=2)
+        want.append(traj.populations["lost"][-1])
+    assert np.abs(scan.spectra[0] - np.array(want)).max() < 1e-12
 
 
 def test_at_splitting_accuracy_above_five_linewidths(lam, table):
@@ -364,8 +396,7 @@ def test_ensemble_two_seeds_statistically_consistent(fig3_config, table):
 def test_member_draws_hermite_weights_normalized():
     spec = sequences.EnsembleSpec(rabi_spread=0.01, delta_sigma=5.0, samples=9,
                                   sampling="hermite")
-    draws = sequences.member_draws(spec)
-    weights = sequences.member_weights(spec)
+    draws, weights = sequences._draws_and_weights(spec)
     assert len(draws) == 81  # tensor grid over both axes
     assert weights.sum() == pytest.approx(1.0, rel=1e-12)
 
@@ -386,15 +417,15 @@ def test_hermite_draws_and_weights_pinned(rabi_spread, delta_sigma, samples):
         want = np.column_stack([sg.ravel(), og.ravel()]), np.outer(w, w).ravel()
     spec = sequences.EnsembleSpec(rabi_spread=rabi_spread, delta_sigma=delta_sigma,
                                   samples=samples, sampling="hermite")
-    for got, ref in zip((sequences.member_draws(spec), sequences.member_weights(spec)), want):
+    for got, ref in zip(sequences._draws_and_weights(spec), want):
         assert got.shape == ref.shape
         assert np.array_equal(got.view(np.int64), ref.view(np.int64))
 
 
 def test_member_average_hermite_weights():
     spec = sequences.EnsembleSpec(delta_sigma=2.0, samples=41, sampling="hermite")
-    offsets = sequences.member_draws(spec)[:, 1]
-    mean = sequences.member_average(offsets**2, sequences.member_weights(spec))
+    draws, weights = sequences._draws_and_weights(spec)
+    mean = sequences.member_average(draws[:, 1] ** 2, weights)
     assert mean == pytest.approx(4.0, rel=1e-9)
 
 
@@ -410,13 +441,14 @@ def test_member_average_is_np_average_over_members():
 def reference_rabi_ensemble(config, table, duration, n_samples, spec):
     """Mean populations with every member propagated on its own."""
     times = np.linspace(0.0, duration, n_samples)
+    draws, weights = sequences._draws_and_weights(spec)
     members = []
-    for scale, offset in sequences.member_draws(spec):
+    for scale, offset in draws:
         model = driven.build_effective_qubit_model(sequences.scaled_config(config, scale, offset),
                                                    table)
         vec0 = DensityMatrix.pure(3, 0).matrix.reshape(-1)
         members.append(lindblad.propagate(lindblad.liouvillian(model), vec0, times)[:, ::4].real)
-    return np.average(members, axis=0, weights=sequences.member_weights(spec))
+    return np.average(members, axis=0, weights=weights)
 
 
 def kron_rotation(index, phi):
@@ -474,6 +506,14 @@ def test_batched_coherence_scans_match_member_loop(fig3_config, table, echo, wit
     got = scan(4e-3, PHASES, fig3_config, table, ensemble=spec, ou=ou)
     want = reference_two_pulse(4e-3, PHASES, fig3_config, table, spec, ou, echo)
     assert np.abs(got - want).max() < 1e-12
+    # every dark time in one call: one row per dark time, each the scalar call
+    dark = np.array([0.0, 1e-3, 4e-3, 9e-3])
+    rows = scan(dark, PHASES, fig3_config, table, ensemble=spec, ou=ou)
+    assert rows.shape == (len(dark), len(PHASES))
+    for t, row in zip(dark, rows):
+        want = reference_two_pulse(t, PHASES, fig3_config, table, spec, ou, echo)
+        assert np.abs(row - want).max() < 1e-12
+        assert np.array_equal(row, scan(t, PHASES, fig3_config, table, ensemble=spec, ou=ou))
 
 
 def test_batched_ramsey_time_scan_matches_member_loop(fig3_config, lam, table):
