@@ -23,6 +23,10 @@ from .atom import (
 )
 
 
+# least |Delta| / max(Rabi frequencies, linewidth) at which the eliminated model applies
+ELIMINATION_FACTOR = 100.0
+
+
 class ModelError(Exception):
     """Drive configuration incompatible with the level scheme."""
 
@@ -345,7 +349,7 @@ def _signed_eff_coupling(config: RamanConfig) -> float:
     return config.up.rabi * config.down.rabi / (2.0 * config.delta_one)
 
 
-def elimination_applies(config: RamanConfig, table: DecayTable, factor: float = 100.0) -> bool:
+def elimination_applies(config: RamanConfig, table: DecayTable) -> bool:
     """Whether |Delta| is large enough to eliminate the intermediate state."""
     scales = (config.up.rabi, config.down.rabi, table.gamma_s)
-    return abs(config.delta_one) > factor * max(scales)
+    return abs(config.delta_one) > ELIMINATION_FACTOR * max(scales)

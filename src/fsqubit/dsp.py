@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.signal import butter, hilbert, sosfilt, sosfiltfilt
+from scipy.signal import butter, hilbert, sosfiltfilt
 from scipy.special import exprel
 
 from .config import parse_csv
@@ -22,6 +22,8 @@ from .config import parse_csv
 
 # share of samples at each record edge left out of fits after a filter step
 EDGE_FRACTION = 0.05
+# low-frequency spectrum bins skipped by the carrier peak search
+GUARD_BINS = 3
 
 
 class FitError(Exception):
@@ -144,37 +146,25 @@ def nlls(
     p0,
     names: tuple[str, ...] | None = None,
     sigma=None,
-    max_iterations: int = 200,
-    cost_tol: float = 1e-10,
-    grad_tol: float = 1e-12,
 ) -> FitResult:
     """Damped (Levenberg-Marquardt) least squares with numeric Jacobian.
 
     Parameters
     ----------
     model_fn : callable(x, *params) -> y
-    data : Trace or (x, y) pair
+    data : (x, y) pair
     p0 : initial parameter vector (finite)
     names : parameter names; taken from the model signature if omitted
     sigma : per-point uncertainties; when given, the covariance is absolute,
         otherwise it is scaled by the reduced chi-square estimate.
 
-    Converged when the relative cost change drops below `cost_tol` or the
-    gradient infinity-norm below `grad_tol`; a max-iteration exit returns
+    Converged when the relative cost change drops below 1e-10 or the
+    gradient infinity-norm below 1e-12; an exit after 200 iterations returns
     converged=False.
     """
-    if isinstance(data, Trace):
-        x, y = data.times, data.samples
-        if sigma is None and data.sigma is not None:
-            sigma = data.sigma
-        if data.valid is not None:
-            x, y = x[data.valid], y[data.valid]
-            if sigma is not None:
-                sigma = np.asarray(sigma)[data.valid]
-    else:
-        x, y = data
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
+    x, y = data
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
     p = np.asarray(p0, dtype=float).copy()
     if not np.all(np.isfinite(p)):
         raise FitError("initial parameters must be finite")
@@ -193,12 +183,12 @@ def nlls(
     lam = 1e-3
     iterations = 0
     converged = False
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, 201):
         f0 = model_fn(x, *p)
         jac = _numeric_jacobian(model_fn, x, p, f0) * w[:, None]
         jtj = jac.T @ jac
         grad = jac.T @ r
-        if float(np.abs(grad).max(initial=0.0)) < grad_tol:
+        if float(np.abs(grad).max(initial=0.0)) < 1e-12:
             converged = True
             iterations -= 1
             break
@@ -219,7 +209,7 @@ def nlls(
                 p, r, cost = trial, r_trial, cost_trial
                 lam = max(lam / 3.0, 1e-12)
                 accepted = True
-                if rel_drop < cost_tol:
+                if rel_drop < 1e-10:
                     converged = True
                 break
             lam *= 10.0
@@ -306,18 +296,15 @@ def _lorentzian(x, center, fwhm, amplitude, offset):
     return amplitude / (1.0 + (2.0 * (x - center) / fwhm) ** 2) + offset
 
 
-def fit_lorentzian(spectrum, sigma=None) -> FitResult:
+def fit_lorentzian(data) -> FitResult:
     """Lorentzian fit with a deterministic peak-and-half-width initial guess.
 
-    Accepts a Spectrum or an (x, y) pair.  Dips are fitted with negative
-    amplitude when the strongest interior feature points downward.
+    `data` is an (x, y) pair.  Dips are fitted with negative amplitude when
+    the strongest interior feature points downward.
     """
-    if isinstance(spectrum, Spectrum):
-        x, y = spectrum.frequencies, spectrum.magnitude
-    else:
-        x, y = spectrum
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
+    x, y = data
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
     base = float(np.median(y))
     i_hi = int(np.argmax(y))
     i_lo = int(np.argmin(y))
@@ -335,12 +322,10 @@ def fit_lorentzian(spectrum, sigma=None) -> FitResult:
         k -= 1
     width = max(float(x[j] - x[k]), float(abs(x[1] - x[0])))
     p0 = [float(x[i_pk]), width, float(amp), base]
-    return nlls(
-        _lorentzian, (x, y), p0, names=("center", "fwhm", "amplitude", "offset"), sigma=sigma
-    )
+    return nlls(_lorentzian, (x, y), p0, names=("center", "fwhm", "amplitude", "offset"))
 
 
-def _fit_carrier(spectrum: Spectrum, guard_bins: int) -> FitResult:
+def _fit_carrier(spectrum: Spectrum) -> FitResult:
     """Lorentzian carrier fit restricted to a window around the strongest
     peak above the low-frequency guard.
 
@@ -349,10 +334,9 @@ def _fit_carrier(spectrum: Spectrum, guard_bins: int) -> FitResult:
     with a one-bin center uncertainty."""
     mags = spectrum.magnitude
     freqs = spectrum.frequencies
-    guard = max(1, guard_bins)
-    if len(mags) <= guard + 2:
+    if len(mags) <= GUARD_BINS + 2:
         raise FitError("spectrum too short for a guarded peak search")
-    i_pk = int(np.argmax(mags[guard:]) + guard)
+    i_pk = int(np.argmax(mags[GUARD_BINS:]) + GUARD_BINS)
     f_pk = freqs[i_pk]
     resolution = float(freqs[1] - freqs[0])
     lo = max(1, int(np.searchsorted(freqs, 0.5 * f_pk)))
@@ -377,35 +361,35 @@ def _fit_carrier(spectrum: Spectrum, guard_bins: int) -> FitResult:
         )
 
 
-def butterworth_bandpass(trace: Trace, f_lo: float, f_hi: float, zero_phase: bool = True) -> Trace:
-    """2nd-order Butterworth band-pass, forward-backward by default."""
+def butterworth_bandpass(trace: Trace, f_lo: float, f_hi: float) -> Trace:
+    """2nd-order Butterworth band-pass, run forward and backward (zero phase)."""
     nyquist = 0.5 / trace.dt
     if not 0.0 < f_lo < f_hi:
         raise ValueError("need 0 < f_lo < f_hi")
     if f_hi >= nyquist:
         raise ValueError(f"upper cutoff {f_hi:.6g} Hz reaches the Nyquist frequency {nyquist:.6g} Hz")
     sos = butter(2, [f_lo, f_hi], btype="band", fs=1.0 / trace.dt, output="sos")
-    y = sosfiltfilt(sos, trace.samples) if zero_phase else sosfilt(sos, trace.samples)
+    y = sosfiltfilt(sos, trace.samples)
     return Trace(dt=trace.dt, samples=np.asarray(y), sigma=trace.sigma, valid=trace.valid)
 
 
-def hilbert_envelope(trace: Trace, edge_fraction: float = EDGE_FRACTION) -> Trace:
+def hilbert_envelope(trace: Trace) -> Trace:
     """Magnitude of the analytic signal, sqrt(y^2 + H[y]^2).
 
     The transform is computed spectrally with zero padding to the next power
-    of two.  The first and last `edge_fraction` of samples are flagged
+    of two.  The first and last EDGE_FRACTION of samples are flagged
     invalid; envelope fits skip them.
     """
     n = trace.n
     nfft = 1 << (n - 1).bit_length()
     analytic = hilbert(trace.samples, N=nfft)[:n]
     env = np.abs(analytic)
-    return Trace(dt=trace.dt, samples=env, valid=_interior(n, edge_fraction))
+    return Trace(dt=trace.dt, samples=env, valid=_interior(n))
 
 
-def _interior(n: int, edge_fraction: float) -> np.ndarray:
-    """Mask that drops the first and last `edge_fraction` of n samples."""
-    n_edge = int(edge_fraction * n)
+def _interior(n: int) -> np.ndarray:
+    """Mask that drops the first and last EDGE_FRACTION of n samples."""
+    n_edge = int(EDGE_FRACTION * n)
     valid = np.ones(n, dtype=bool)
     if n_edge > 0:
         valid[:n_edge] = False
@@ -475,7 +459,7 @@ class RabiExtraction:
         return self.omega / (2.0 * math.pi)
 
 
-def extract_rabi(trace: Trace, guard_bins: int = 3) -> RabiExtraction:
+def extract_rabi(trace: Trace) -> RabiExtraction:
     """Carrier and envelope extraction for a damped oscillation trace.
 
     Chain: Fourier spectrum, Lorentzian carrier fit, band-pass at +-50%
@@ -483,7 +467,7 @@ def extract_rabi(trace: Trace, guard_bins: int = 3) -> RabiExtraction:
     stage failure is re-raised with the stage name.
 
     Slow population loss concentrates spectral weight in the first few
-    resolution bins; the carrier peak is picked above `guard_bins` and the
+    resolution bins; the carrier peak is picked above GUARD_BINS and the
     Lorentzian is fitted inside +-50% of that peak so a strong loss
     component cannot capture the fit.
     """
@@ -495,7 +479,7 @@ def extract_rabi(trace: Trace, guard_bins: int = 3) -> RabiExtraction:
             raise PipelineError(f"stage {name!r}: {exc}") from exc
 
     spectrum = stage("fft", fft_spectrum, trace)
-    carrier = stage("lorentzian", _fit_carrier, spectrum, guard_bins)
+    carrier = stage("lorentzian", _fit_carrier, spectrum)
     f_c = carrier.value("center")
     if f_c <= 0:
         raise PipelineError("stage 'lorentzian': carrier frequency is not positive")
@@ -560,7 +544,7 @@ def fit_loss(trace: Trace, carrier_hz: float) -> FitResult:
     positive.  meta also carries `rate` and `rate_sigma`.
     """
     filtered = butterworth_bandpass(trace, 0.5 * carrier_hz, 1.5 * carrier_hz)
-    mask = _interior(trace.n, EDGE_FRACTION)
+    mask = _interior(trace.n)
     if trace.valid is not None:
         mask &= trace.valid
     t = trace.times[mask]
@@ -625,7 +609,7 @@ def _sin_phase(x, amplitude, phase, offset):
     return offset + amplitude * np.cos(x + phase)
 
 
-def fit_sinusoid(x, y, mode: str = "phase", sigma=None) -> FitResult:
+def fit_sinusoid(x, y, mode: str = "phase") -> FitResult:
     """Sinusoid fit for phase scans and free-frequency time scans.
 
     mode "phase": y = offset + amplitude cos(x + phase) with x in radians.
@@ -661,7 +645,7 @@ def fit_sinusoid(x, y, mode: str = "phase", sigma=None) -> FitResult:
     else:
         raise ValueError(f"unknown sinusoid mode {mode!r}")
     try:
-        fit = nlls(model, (x, y), p0, names=names, sigma=sigma)
+        fit = nlls(model, (x, y), p0, names=names)
     except DegenerateParameterError:
         # vanishing amplitude leaves phase (and frequency) unconstrained
         params = np.array(p0)
@@ -684,7 +668,7 @@ def _gauss_decay(t, contrast0, t2):
     return contrast0 * np.exp(-((t / t2) ** 2))
 
 
-def fit_gaussian_decay(times, contrasts, sigma=None) -> FitResult:
+def fit_gaussian_decay(times, contrasts) -> FitResult:
     """Fit C0 exp(-(T/T2)^2) to contrast-vs-dark-time data."""
     t = np.asarray(times, dtype=float)
     c = np.asarray(contrasts, dtype=float)
@@ -695,7 +679,7 @@ def fit_gaussian_decay(times, contrasts, sigma=None) -> FitResult:
     t2_0 = float(t[below[0]]) if len(below) else float(t.max())
     if t2_0 <= 0:
         t2_0 = float(t.max()) or 1.0
-    return nlls(_gauss_decay, (t, c), [c0, t2_0], names=("contrast0", "t2"), sigma=sigma)
+    return nlls(_gauss_decay, (t, c), [c0, t2_0], names=("contrast0", "t2"))
 
 
 def fit_linear(x, y, sigma=None) -> FitResult:

@@ -19,8 +19,8 @@ class RegimeWarning(UserWarning):
     """A closed-form expression was evaluated outside its validity regime."""
 
 
-def _check_regime(detuning: float, *scales: float, factor: float = 10.0) -> None:
-    if abs(detuning) <= factor * max(scales):
+def _check_regime(detuning: float, *scales: float) -> None:
+    if abs(detuning) <= 10.0 * max(scales):
         warnings.warn(
             f"|detuning|={abs(detuning):.3g} rad/s is not large against the drive "
             f"scales (max {max(scales):.3g}); the adiabatic-elimination formulas "

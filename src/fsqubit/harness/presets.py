@@ -65,14 +65,26 @@ def _drive_config(sc: Scenario, scheme) -> driven.RamanConfig:
     )
 
 
-def _ensemble(sc: Scenario, sampling: str = "gaussian") -> sequences.EnsembleSpec:
+def _ensemble(sc: Scenario) -> sequences.EnsembleSpec:
     return sequences.EnsembleSpec(
         rabi_spread=sc.get("ensemble", "rabi_spread", 0.0),
         delta_sigma=sc.get("ensemble", "delta_sigma", 0.0),
         samples=sc.get_int("ensemble", "samples", 1),
         seed=sc.seed,
-        sampling=sampling,
     )
+
+
+def _contrast_decay(sc: Scenario, w: RunWriter, section: str, name: str, scan_fn,
+                    phases, cfg, table, spec, ou):
+    """Fringe contrast at each dark time of `section`, written to `name`, and
+    the Gaussian decay fitted to the contrasts read back from it."""
+    dark = np.linspace(sc.get(section, "dark_min"), sc.get(section, "dark_max"),
+                       sc.get_int(section, "dark_points"))
+    pops = scan_fn(dark, phases, cfg, table, ensemble=spec, ou=ou)
+    contrast = np.array([sequences.ramsey_contrast(row, phases) for row in pops])
+    w.write_csv(name, {"dark_s": dark, "contrast": contrast})
+    data = w.read_csv(name)
+    return data, dsp.fit_gaussian_decay(data["dark_s"], np.clip(data["contrast"], 0, 1.05))
 
 
 # --------------------------------------------------------------- runners
@@ -253,31 +265,21 @@ def run_coherence(sc: Scenario, w: RunWriter) -> None:
     cfg = _drive_config(sc, scheme)
     phases = np.linspace(0.0, 2.0 * math.pi, sc.get_int("scan", "phases"), endpoint=False)
 
-    t_ramsey = np.linspace(sc.get("ramsey", "dark_min"), sc.get("ramsey", "dark_max"),
-                           sc.get_int("ramsey", "dark_points"))
     spec_r = sequences.EnsembleSpec(
         delta_sigma=sc.get("ramsey", "delta_sigma"),
         samples=sc.get_int("ramsey", "samples"), sampling="hermite",
     )
-    pops = sequences.ramsey_phase_scan(t_ramsey, phases, cfg, table, ensemble=spec_r)
-    c_ramsey = np.array([sequences.ramsey_contrast(row, phases) for row in pops])
-    w.write_csv("ramsey_contrast.csv", {"dark_s": t_ramsey, "contrast": c_ramsey})
+    dr, fit_r = _contrast_decay(sc, w, "ramsey", "ramsey_contrast.csv",
+                                sequences.ramsey_phase_scan, phases, cfg, table, spec_r, None)
 
-    t_echo = np.linspace(sc.get("echo", "dark_min"), sc.get("echo", "dark_max"),
-                         sc.get_int("echo", "dark_points"))
     spec_e = sequences.EnsembleSpec(
         delta_sigma=sc.get("ramsey", "delta_sigma"),
         samples=sc.get_int("echo", "samples"), seed=sc.seed,
     )
     ou = sequences.OUNoise(sigma=sc.get("echo", "ou_sigma"), tau_c=sc.get("echo", "ou_tau"))
-    pops = sequences.spin_echo_scan(t_echo, phases, cfg, table, ensemble=spec_e, ou=ou)
-    c_echo = np.array([sequences.ramsey_contrast(row, phases) for row in pops])
-    w.write_csv("echo_contrast.csv", {"dark_s": t_echo, "contrast": c_echo})
+    de, fit_e = _contrast_decay(sc, w, "echo", "echo_contrast.csv",
+                                sequences.spin_echo_scan, phases, cfg, table, spec_e, ou)
 
-    dr = w.read_csv("ramsey_contrast.csv")
-    de = w.read_csv("echo_contrast.csv")
-    fit_r = dsp.fit_gaussian_decay(dr["dark_s"], np.clip(dr["contrast"], 0, 1.05))
-    fit_e = dsp.fit_gaussian_decay(de["dark_s"], np.clip(de["contrast"], 0, 1.05))
     t2_star = fit_r.value("t2")
     t2_echo = fit_e.value("t2")
     sigma_delta = sc.get("ramsey", "delta_sigma")
@@ -286,8 +288,8 @@ def run_coherence(sc: Scenario, w: RunWriter) -> None:
     w.info["t2_echo_ms"] = t2_echo * 1e3
     w.check("t2_star_vs_static_spread_rel", t2_star / t2_analytic, 0.95, 1.05)
     w.check("t2_echo_ms", t2_echo * 1e3, 28.0, 50.0)
-    grid_r = np.linspace(t_ramsey[0], t_ramsey[-1], 80)
-    grid_e = np.linspace(t_echo[0], t_echo[-1], 80)
+    grid_r = np.linspace(dr["dark_s"][0], dr["dark_s"][-1], 80)
+    grid_e = np.linspace(de["dark_s"][0], de["dark_s"][-1], 80)
     emit_plot(w.register("contrast.svg"), [
         Series(dr["dark_s"] * 1e3, dr["contrast"], "ramsey", "markers"),
         Series(de["dark_s"] * 1e3, de["contrast"], "echo", "markers"),
@@ -493,22 +495,16 @@ def _run_two_pulse(sc: Scenario, w: RunWriter, echo: bool) -> None:
     table = atom.DecayTable(gamma_s=0.0, channels=())
     cfg = _drive_config(sc, scheme)
     phases = np.linspace(0.0, 2.0 * math.pi, sc.get_int("scan", "phases"), endpoint=False)
-    dark = np.linspace(sc.get("scan", "dark_min"), sc.get("scan", "dark_max"),
-                       sc.get_int("scan", "dark_points"))
     spec = _ensemble(sc)
     ou = None
     if ("noise", "ou_sigma") in sc.params:
         ou = sequences.OUNoise(sigma=sc.get("noise", "ou_sigma"),
                                tau_c=sc.get("noise", "ou_tau"))
     scan_fn = sequences.spin_echo_scan if echo else sequences.ramsey_phase_scan
-    pops = scan_fn(dark, phases, cfg, table, ensemble=spec, ou=ou)
-    contrast = np.array([sequences.ramsey_contrast(row, phases) for row in pops])
-    w.write_csv("contrast.csv", {"dark_s": dark, "contrast": contrast})
-    data = w.read_csv("contrast.csv")
-    fit = dsp.fit_gaussian_decay(data["dark_s"], np.clip(data["contrast"], 0, 1.05))
+    data, fit = _contrast_decay(sc, w, "scan", "contrast.csv", scan_fn, phases, cfg, table, spec, ou)
     w.info["t2_ms"] = fit.value("t2") * 1e3
     emit_plot(w.register("contrast.svg"),
-              [Series(dark * 1e3, contrast, "contrast", "markers")],
+              [Series(data["dark_s"] * 1e3, data["contrast"], "contrast", "markers")],
               "dark time (ms)", "contrast")
 
 

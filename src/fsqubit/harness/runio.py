@@ -2,8 +2,8 @@
 
 CSV payloads are written with repr-exact float formatting, so identical
 scenarios with identical seeds reproduce byte-identical files.  The
-manifest records the scenario hash, package version, input digests, and
-the output file list; its timestamp is the only non-reproducible field.
+manifest records the scenario hash, package version, and the digest of
+every output file; its timestamp is the only non-reproducible field.
 """
 
 from __future__ import annotations
@@ -20,10 +20,6 @@ from ..config import format_csv, parse_csv
 from .scenario import Scenario
 
 ARTIFACT_VERSION = "0.1.0"
-
-
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 @dataclass
@@ -85,7 +81,7 @@ class RunWriter:
         header, data = parse_csv(self.path(name).read_text(encoding="utf-8"), source=name)
         return {h: data[:, i] for i, h in enumerate(header)}
 
-    def finish(self, input_files: dict[str, Path] | None = None) -> bool:
+    def finish(self) -> bool:
         """Write summary.json and manifest.json; True when all checks pass."""
         all_pass = all(c.passed for c in self.checks)
         summary = {
@@ -104,11 +100,9 @@ class RunWriter:
             "scenario_sha256": self.scenario.digest(),
             "artifact_version": ARTIFACT_VERSION,
             "timestamp_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-            "inputs": {
-                name: _sha256(Path(p)) for name, p in (input_files or {}).items()
-            },
             "outputs": {
-                name: _sha256(self.path(name)) for name in sorted(set(self.outputs))
+                name: hashlib.sha256(self.path(name).read_bytes()).hexdigest()
+                for name in sorted(set(self.outputs))
             },
         }
         self.path("manifest.json").write_text(

@@ -37,13 +37,13 @@ class Series:
         object.__setattr__(self, "y", y)
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
+def _nice_ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         hi = lo + 1.0
     span = hi - lo
-    step = 10.0 ** math.floor(math.log10(span / target))
+    step = 10.0 ** math.floor(math.log10(span / 6))
     for mult in (1, 2, 5, 10):
-        if span / (step * mult) <= target:
+        if span / (step * mult) <= 6:
             step *= mult
             break
     first = math.ceil(lo / step) * step
@@ -64,7 +64,6 @@ def emit_plot(
     series: list[Series],
     x_label: str,
     y_label: str,
-    title: str = "",
     log_x: bool = False,
 ) -> None:
     """Write a static SVG with axes and one polyline or marker set per series."""
@@ -116,8 +115,6 @@ def emit_plot(
         f'<text x="16" y="{(_MT + _H - _MB) / 2:.1f}" text-anchor="middle" '
         f'transform="rotate(-90 16 {(_MT + _H - _MB) / 2:.1f})">{y_label}</text>'
     )
-    if title:
-        out.append(f'<text x="{_W / 2:.1f}" y="18" text-anchor="middle">{title}</text>')
 
     for i, s in enumerate(series):
         color = _COLORS[i % len(_COLORS)]

@@ -128,9 +128,6 @@ class Trajectory:
     def dt(self) -> float:
         return float(self.times[1] - self.times[0]) if len(self.times) > 1 else 0.0
 
-    def column(self, label: str) -> np.ndarray:
-        return self.populations[label]
-
 
 def liouvillian(model: RotatingFrameModel, index=None) -> np.ndarray:
     """Vectorized generator L with drho_vec/dt = L rho_vec (row-major vec).
@@ -223,12 +220,14 @@ def evolve(
 
     engine "expm" propagates with the exact one-step matrix exponential
     (constant generator only); "rk" uses adaptive RK45 on the vectorized
-    equation; "auto" picks expm unless a ramp is present.
+    equation; "auto" picks expm unless a ramp is present.  `rho0` must be a
+    valid density matrix of the model's dimension.
     """
     if duration <= 0.0:
         raise ValueError("duration must be positive")
+    rho0.validate()
     if model.dim != rho0.dim:
-        raise ValueError("model and state dimension mismatch")
+        raise ValueError(f"initial state has dimension {rho0.dim}; the model has {model.dim}")
     if engine == "auto":
         engine = "rk" if ramp is not None else "expm"
     if engine == "expm" and ramp is not None:

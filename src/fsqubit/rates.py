@@ -14,7 +14,7 @@ import numpy as np
 
 from . import dsp, formulas
 from .atom import DecayTable, LevelScheme, MagneticEnvironment, decay_rates, zeeman_shift
-from .driven import DriveField, _pi_coupling_ratio
+from .driven import DriveField, ModelError, _pi_coupling_ratio
 from .lindblad import propagate
 
 
@@ -53,11 +53,14 @@ def pump_rates(
 
     Line strengths scale with the pi-coupling ratios; each line's detuning
     includes its differential Zeeman shift, which barely matters at GHz
-    detunings but is carried anyway."""
+    detunings but is carried anyway.  Every line scatters at the 3S1
+    linewidth, so the field must drive a transition into 3S1."""
     lo, hi = field.transition
     low_lvl, high_lvl = scheme.levels[lo], scheme.levels[hi]
     if low_lvl.energy > high_lvl.energy:
         low_lvl, high_lvl = high_lvl, low_lvl
+    if high_lvl.manifold != "3S1":
+        raise ModelError(f"rate model scatters via 3S1, not {low_lvl.manifold}-{high_lvl.manifold}")
     out = []
     j_max = min(low_lvl.j, high_lvl.j)
     z_low0 = zeeman_shift(scheme.levels[scheme.index(low_lvl.manifold, low_lvl.m_j)], env)
@@ -84,9 +87,8 @@ def build_rate_model(
     scheme: LevelScheme,
     table: DecayTable,
     env: MagneticEnvironment | None = None,
-    initial: str = "up",
 ) -> RateModel:
-    """Rate matrix from optical pumping plus the decay table."""
+    """Rate matrix from optical pumping plus the decay table, starting in `up`."""
     env = env or MagneticEnvironment()
     n = scheme.n
     m = np.zeros((n, n))
@@ -98,7 +100,7 @@ def build_rate_model(
         m[i, i] -= rate
     labels = tuple(scheme.label(i) for i in range(n))
     p0 = np.zeros(n)
-    p0[labels.index(initial)] = 1.0
+    p0[labels.index("up")] = 1.0
     return RateModel(matrix=m, labels=labels, initial=p0)
 
 
@@ -117,9 +119,9 @@ def _populations(matrix: np.ndarray, p0: np.ndarray, times: np.ndarray) -> np.nd
     return propagate(matrix, p0, times)
 
 
-def survival(model: RateModel, times, label: str = "up") -> np.ndarray:
+def survival(model: RateModel, times) -> np.ndarray:
     pops = evolve_rates(model, times)
-    i = model.index(label)
+    i = model.index("up")
     return pops[:, i] / model.initial[i]
 
 
@@ -130,7 +132,6 @@ def fit_scattering_rate(
     scheme: LevelScheme,
     table: DecayTable,
     env: MagneticEnvironment | None = None,
-    sigma=None,
 ) -> dsp.FitResult:
     """Fit the rate model's scattering rate to a survival trace.
 
@@ -152,7 +153,7 @@ def fit_scattering_rate(
         return _populations(decay_only + gamma_sc * pump_unit, base.initial, t)[:, i_up]
 
     slope0 = _initial_rate_guess(times, data)
-    fit = dsp.nlls(model_fn, (times, data), [max(slope0, 1.0)], names=("gamma_sc",), sigma=sigma)
+    fit = dsp.nlls(model_fn, (times, data), [max(slope0, 1.0)], names=("gamma_sc",))
     gamma = fit.value("gamma_sc")
     meta = dict(fit.meta)
     meta["tau_max"] = 1.0 / gamma if gamma > 0 else np.inf

@@ -229,10 +229,8 @@ def _ou_phase(
 
 # ------------------------------------------------------------ generic run
 
-def pulse_duration(config: RamanConfig, kind: str = "pi", override: float | None = None) -> float:
+def pulse_duration(config: RamanConfig, kind: str = "pi") -> float:
     """Pi or pi/2 pulse duration from the effective Rabi frequency."""
-    if override is not None:
-        return override
     rabi = formulas.raman_rabi(config.up.rabi, config.down.rabi, config.delta_one)
     if rabi == 0.0:
         raise ModelError("cannot size a pulse at zero effective Rabi frequency")
@@ -288,8 +286,11 @@ def run(
     basis when every Raman segment is deep in the far-detuned regime,
     otherwise the Lambda basis with an explicit loss state.  The state is
     carried across segment boundaries exactly; grid points falling inside a
-    segment are reached with exact partial-step propagators.
+    segment are reached with exact partial-step propagators.  A given `rho0`
+    must be a valid density matrix of the working basis's dimension.
     """
+    if rho0 is not None:
+        rho0.validate()
     basis = _choose_basis(seq, table, force_full)
     if basis == "ramp":
         return _run_ramp(seq, scheme, table, env, n_samples, rho0)
@@ -321,6 +322,8 @@ def run(
             raise ModelError(f"state {name!r} is not in the working basis {labels}")
 
     dim = len(labels)
+    if rho0 is not None and rho0.dim != dim:
+        raise ValueError(f"initial state has dimension {rho0.dim}; the {basis} basis has {dim}")
     state = rho0.matrix.copy() if rho0 is not None else \
         DensityMatrix.pure(dim, labels.index(seq.initial_state)).matrix.copy()
 
@@ -416,7 +419,6 @@ def landau_zener(
     rabi: float,
     sweep_range_hz: float,
     duration: float,
-    steps: int | None = None,
 ) -> LZResult:
     """Transfer fidelity of a linear sweep symmetric about resonance.
 
@@ -433,8 +435,6 @@ def landau_zener(
     warn = TWO_PI * sweep_range_hz < rabi
     if rabi == 0.0:
         return LZResult(fidelity=0.0, regime_warning=warn)
-    if steps is not None:
-        return LZResult(_lz_sweep(rabi, sweep_range_hz, duration, steps), warn)
     n = max(20_000, int(2 * sweep_range_hz * duration))
     f_prev = _lz_sweep(rabi, sweep_range_hz, duration, n)
     for _ in range(3):
@@ -519,14 +519,12 @@ def ramsey_phase_scan(
     table: DecayTable,
     ensemble: EnsembleSpec | None = None,
     ou: OUNoise | None = None,
-    pulse_override: float | None = None,
 ) -> np.ndarray:
     """Population in `up` after pi/2 - dark(T) - pi/2(phase).
 
     `dark_time` is a scalar or an array of dark times; the result has shape
     (*np.shape(dark_time), len(phases)), one row of phases per dark time."""
-    return _two_pulse_scan(dark_time, phases, config, table, ensemble, ou,
-                           pulse_override, echo=False)
+    return _two_pulse_scan(dark_time, phases, config, table, ensemble, ou, echo=False)
 
 
 def spin_echo_scan(
@@ -536,16 +534,13 @@ def spin_echo_scan(
     table: DecayTable,
     ensemble: EnsembleSpec | None = None,
     ou: OUNoise | None = None,
-    pulse_override: float | None = None,
 ) -> np.ndarray:
     """Ramsey scan with a rephasing pi pulse inserted at T/2; the result has
     shape (*np.shape(dark_time), len(phases)) as in `ramsey_phase_scan`."""
-    return _two_pulse_scan(dark_time, phases, config, table, ensemble, ou,
-                           pulse_override, echo=True)
+    return _two_pulse_scan(dark_time, phases, config, table, ensemble, ou, echo=True)
 
 
-def _two_pulse_scan(dark_time, phases, config, table, ensemble, ou,
-                    pulse_override, echo: bool) -> np.ndarray:
+def _two_pulse_scan(dark_time, phases, config, table, ensemble, ou, echo: bool) -> np.ndarray:
     """Every member and dark time in one stack: members on axis 0, dark
     times on the next axes and phases last, averaged over the members."""
     if not elimination_applies(config, table):
@@ -554,7 +549,7 @@ def _two_pulse_scan(dark_time, phases, config, table, ensemble, ou,
     dark_time = np.asarray(dark_time, dtype=float)
     phases = np.asarray(phases, dtype=float)
     spec = ensemble or EnsembleSpec()
-    t_half = pulse_duration(config, "pi/2", pulse_override)
+    t_half = pulse_duration(config, "pi/2")
     draws, weights = _draws_and_weights(spec, collapse=(ou is None))
     models, delta = _member_models(config, table, draws)
     # each member's axis broadcasts against the dark-time axes
@@ -589,12 +584,10 @@ def ramsey_time_scan(
     config: RamanConfig,
     table: DecayTable,
     ensemble: EnsembleSpec | None = None,
-    pulse_override: float | None = None,
 ) -> np.ndarray:
     """Fixed-phase Ramsey fringe vs dark time; oscillates at the two-photon
     detuning (plus any light-shift offsets)."""
-    return _two_pulse_scan(dark_times, [0.0], config, table, ensemble, None,
-                           pulse_override, echo=False)[..., 0]
+    return _two_pulse_scan(dark_times, [0.0], config, table, ensemble, None, echo=False)[..., 0]
 
 
 def ramsey_contrast(populations: np.ndarray, phases) -> float:
@@ -622,7 +615,6 @@ def autler_townes_scan(
     probe_rabi: float = TWO_PI * 1.0e6,
     strong: str = "down",
     detunings: np.ndarray | None = None,
-    probe_time: float | None = None,
     n_detunings: int = 161,
 ) -> ATScanResult:
     """Probe spectra against a strong resonant dressing field.
@@ -643,7 +635,7 @@ def autler_townes_scan(
         raise ValueError("strong must be 'up' or 'down'")
     powers_mw = np.asarray(powers_mw, dtype=float)
     rabis = calibration * np.sqrt(powers_mw)
-    t_probe = probe_time if probe_time is not None else table.gamma_s / probe_rabi**2
+    t_probe = table.gamma_s / probe_rabi**2
 
     axes, spectra, splittings = [], [], []
     for rabi_s in rabis:
@@ -704,7 +696,6 @@ def cpt_scan(
     delta_grid,
     scheme: LevelScheme,
     table: DecayTable,
-    delta_one: float = 0.0,
 ) -> np.ndarray:
     """Steady-state excited population vs two-photon detuning.
 
@@ -714,7 +705,7 @@ def cpt_scan(
         warnings.warn("CPT scan assumes weak fields", formulas.RegimeWarning, stacklevel=2)
 
     def one(delta: float) -> float:
-        cfg = raman_config(scheme, rabi_up, rabi_down, delta_one, delta)
+        cfg = raman_config(scheme, rabi_up, rabi_down, 0.0, delta)
         model = build_lambda_model(cfg, scheme, table, mode="closed")
         return steady_state(model).population(model.index("s"))
 

@@ -200,10 +200,9 @@ def recoil_energy(wavelength_nm: float, mass_u: float = SR88_MASS_U) -> RecoilEn
     return RecoilEnergy(frequency_hz=freq, temperature_uk=temp_uk)
 
 
-def depth_to_hz(depth: float, unit: str, wavelength_nm: float,
-                mass_u: float = SR88_MASS_U) -> float:
+def depth_to_hz(depth: float, unit: str, wavelength_nm: float) -> float:
     """Trap depth in Hz from recoil or temperature units."""
-    rec = recoil_energy(wavelength_nm, mass_u)
+    rec = recoil_energy(wavelength_nm)
     if unit == "E_rec":
         return depth * rec.frequency_hz
     if unit == "uK":

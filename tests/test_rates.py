@@ -136,3 +136,13 @@ def test_zeeman_shifted_lines_carry_reduced_rates(up_field, full_scheme, table, 
     assert by_m[1] / by_m[0] == pytest.approx(0.75, rel=0.01)
     assert by_m[-1] / by_m[0] == pytest.approx(0.75, rel=0.01)
     assert by_m[1] != by_m[-1]  # opposite Zeeman shifts at finite field
+
+
+def test_rate_model_rejects_field_outside_3s1(full_scheme, table, env):
+    # a valid single-drive field, but the rate model scatters at the 3S1 linewidth
+    field = driven.DriveField((full_scheme.g, full_scheme.up), TWO_PI * 1e3, 0.0)
+    driven.build_single_drive_model(field, full_scheme, table, env)
+    with pytest.raises(driven.ModelError, match="1S0-3P2"):
+        rates.pump_rates(field, full_scheme, table, env)
+    with pytest.raises(driven.ModelError, match="1S0-3P2"):
+        rates.build_rate_model(field, full_scheme, table, env)

@@ -98,6 +98,34 @@ def test_run_rejects_zero_duration_sequence(lam, table):
         sequences.run(seq, lam, table)
 
 
+# one defect each, with the message that names it; the eliminated qubit
+# basis of fig3_config is 3-dimensional
+@pytest.mark.parametrize("matrix, message", [
+    pytest.param([[1.0, 0.1, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]], "not Hermitian",
+                 id="not_hermitian"),
+    pytest.param(np.diag([0.5, 0.6, 0.0]), "trace differs from 1", id="trace_not_one"),
+    pytest.param(np.diag([1.2, -0.2, 0.0]), "negative eigenvalue", id="negative_eigenvalue"),
+])
+def test_run_and_evolve_reject_invalid_initial_state(matrix, message, fig3_config, lam, table):
+    rho0 = DensityMatrix(np.array(matrix))
+    seq = sequences.PulseSequence("up", (sequences.ConstantDrive(fig3_config, 1e-6),), ("up",))
+    with pytest.raises(lindblad.IntegrationError, match=message):
+        sequences.run(seq, lam, table, n_samples=11, rho0=rho0)
+    model = driven.build_effective_qubit_model(fig3_config, table)
+    with pytest.raises(lindblad.IntegrationError, match=message):
+        lindblad.evolve(model, rho0, 1e-6, n_samples=11)
+
+
+def test_run_and_evolve_reject_initial_state_of_wrong_dimension(fig3_config, lam, table):
+    rho0 = DensityMatrix.pure(2, 0)
+    seq = sequences.PulseSequence("up", (sequences.ConstantDrive(fig3_config, 1e-6),), ("up",))
+    with pytest.raises(ValueError, match="dimension 2; the effective basis has 3"):
+        sequences.run(seq, lam, table, n_samples=11, rho0=rho0)
+    model = driven.build_effective_qubit_model(fig3_config, table)
+    with pytest.raises(ValueError, match="dimension 2; the model has 3"):
+        lindblad.evolve(model, rho0, 1e-6, n_samples=11)
+
+
 def test_segment_validation():
     with pytest.raises(ValueError):
         sequences.Dark(-1.0)
