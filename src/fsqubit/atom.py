@@ -308,19 +308,27 @@ def load_scheme_config(text: str, source: str = "<config>") -> tuple[LevelScheme
 
     Sections: one `[manifold X]` per manifold with `j`, `g_j`, `energy`;
     `[decay X]` sections give `linewidth` (or `lifetime`) plus `to_Y`
-    manifold branching fractions, split over m_J by dipole weights.
+    manifold branching fractions, split over m_J by dipole weights.  J and
+    g_J must match `MANIFOLDS`, which Zeeman shifts read.
     """
     sections = parse_config(text, source)
-    manifolds: dict[str, tuple[int, float, float]] = {}
+    manifolds: dict[str, float] = {}
     decays: dict[str, tuple[float, dict[str, float]]] = {}
     for name, body in sections.items():
         if name.startswith("manifold "):
             label = name.split(None, 1)[1]
             j = int(convert(_req(body, "j", name, source), "dimensionless", source))
-            g = convert(_req(body, "g_j", name, source), "dimensionless", source)
+            g_raw = _req(body, "g_j", name, source)
+            g = convert(g_raw, "dimensionless", source)
             energy = convert(_req(body, "energy", name, source), "frequency", source)
             _reject_unknown(body, {"j", "g_j", "energy"}, name, source)
-            manifolds[label] = (j, g, energy)
+            if label not in MANIFOLDS:
+                raise ConfigError(f"{source}: manifold {label!r} is not supported")
+            if MANIFOLDS[label][0] != j:
+                raise ConfigError(f"{source}: manifold {label} must have J={MANIFOLDS[label][0]}")
+            if MANIFOLDS[label][1] != g:
+                raise ConfigError(f"{source}:{g_raw.line}: manifold {label} must have g_j = {MANIFOLDS[label][1]}")
+            manifolds[label] = energy
         elif name.startswith("decay "):
             label = name.split(None, 1)[1]
             if "linewidth" in body:
@@ -343,11 +351,8 @@ def load_scheme_config(text: str, source: str = "<config>") -> tuple[LevelScheme
         raise ConfigError(f"{source}: no [manifold ...] sections")
 
     levels = []
-    for label, (j, _, energy) in manifolds.items():
-        if label not in MANIFOLDS:
-            raise ConfigError(f"{source}: manifold {label!r} is not supported")
-        if MANIFOLDS[label][0] != j:
-            raise ConfigError(f"{source}: manifold {label} must have J={MANIFOLDS[label][0]}")
+    for label, energy in manifolds.items():
+        j = MANIFOLDS[label][0]
         for m in range(-j, j + 1):
             levels.append(Sublevel(label, m, energy))
     scheme = LevelScheme(tuple(levels))

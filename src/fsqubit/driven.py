@@ -4,6 +4,11 @@ Builders return immutable RotatingFrameModel instances.  The Hamiltonian is
 assembled from its upper triangle, so Hermiticity holds exactly.  Collapse
 operators are single-element jump matrices with the rate folded in as a
 square root, one per decay channel, which keeps branching auditable.
+
+`pi_lines` alone decides which Zeeman lines a pi-polarized field drives and
+how strongly.  `build_single_drive_model` sets them on the Zeeman-shifted
+diagonal of the field's two manifolds, with 0 on every level the field does
+not address; the full Raman model and `rates.pump_rates` read that model.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from .atom import (
     DecayTable,
     LevelScheme,
     MagneticEnvironment,
+    Sublevel,
     clebsch_gordan,
     decay_rates,
     zeeman_shift,
@@ -136,34 +142,6 @@ def _jump(dim: int, to: int, frm: int, rate: float) -> np.ndarray:
     return c
 
 
-def transition_allowed(a, b) -> bool:
-    """Single-laser coupling selection: pi-polarized dipole transitions,
-    plus the (1S0, 3P2) quadrupole line used for state preparation."""
-    if a.m_j != b.m_j:
-        return False
-    pair = {a.manifold, b.manifold}
-    if pair == {"1S0", "3P2"}:
-        return True
-    dj = abs(a.j - b.j)
-    if dj > 1 or (a.j == 0 and b.j == 0):
-        return False
-    # pi coupling J -> J with m = 0 vanishes
-    if a.j == b.j and a.m_j == 0:
-        return False
-    return pair in ({"3P2", "3S1"}, {"3P0", "3S1"}, {"3P1", "3S1"})
-
-
-def _check_field(field_: DriveField, scheme: LevelScheme) -> None:
-    lo, hi = field_.transition
-    if not (0 <= lo < scheme.n and 0 <= hi < scheme.n):
-        raise ModelError("field transition indices out of range for scheme")
-    a, b = scheme.levels[lo], scheme.levels[hi]
-    if not transition_allowed(a, b):
-        raise ModelError(
-            f"drive on ({a.manifold},{a.m_j})-({b.manifold},{b.m_j}) is not an allowed transition"
-        )
-
-
 def build_lambda_model(
     config: RamanConfig,
     scheme: LevelScheme,
@@ -179,12 +157,9 @@ def build_lambda_model(
     of the Lambda.  mode "full": all 13 sublevels with their Zeeman and
     detuning diagonal entries (requires `env`).
     """
-    _check_field(config.up, scheme)
-    _check_field(config.down, scheme)
-    if scheme.levels[config.up.transition[0]].key() != ("3P2", 0):
-        raise ModelError("up field must drive (3P2,0)-(3S1,0)")
-    if scheme.levels[config.down.transition[0]].key() != ("3P0", 0):
-        raise ModelError("down field must drive (3P0,0)-(3S1,0)")
+    for name, fld, lower in (("up", config.up, "3P2"), ("down", config.down, "3P0")):
+        if sorted(fld.transition) != sorted((scheme.index(lower, 0), scheme.s)):
+            raise ModelError(f"{name} field must drive ({lower},0)-(3S1,0)")
 
     if mode == "full":
         return _full_model(config, scheme, table, env)
@@ -225,41 +200,56 @@ def _pi_coupling_ratio(j_low: int, j_high: int, m: int) -> float:
     return clebsch_gordan(j_low, m, 1, 0, j_high, m) / ref
 
 
+# manifold pairs a pi-polarized field may drive: the dipole lines into 3S1,
+# plus the (1S0, 3P2) quadrupole line used for state preparation
+_DRIVEN_PAIRS = ({"3P2", "3S1"}, {"3P0", "3S1"}, {"3P1", "3S1"}, {"1S0", "3P2"})
+
+
+def pi_lines(
+    field_: DriveField, scheme: LevelScheme
+) -> tuple[Sublevel, Sublevel, list[tuple[int, int, float]]]:
+    """The Zeeman lines a pi-polarized field drives: (lower, upper, lines).
+
+    lower and upper are the field's endpoints ordered by energy.  Each line
+    m -> m that the scheme holds in both manifolds is (lower index, upper
+    index, amplitude ratio against the m = 0 line).  A J -> J field is
+    rejected: its m = 0 reference line vanishes."""
+    lo, hi = field_.transition
+    if not (0 <= lo < scheme.n and 0 <= hi < scheme.n):
+        raise ModelError("field transition indices out of range for scheme")
+    a, b = scheme.levels[lo], scheme.levels[hi]
+    name = f"({a.manifold},{a.m_j})-({b.manifold},{b.m_j})"
+    if a.m_j != b.m_j or {a.manifold, b.manifold} not in _DRIVEN_PAIRS:
+        raise ModelError(f"drive on {name} is not an allowed transition")
+    if a.j == b.j:
+        raise ModelError(f"drive on {name} is J -> J, whose m = 0 reference line vanishes")
+    low, high = (b, a) if a.energy > b.energy else (a, b)
+    lines = []
+    for m in range(-min(low.j, high.j), min(low.j, high.j) + 1):
+        if scheme.has(low.manifold, m) and scheme.has(high.manifold, m):
+            ratio = 1.0 if m == 0 else _pi_coupling_ratio(low.j, high.j, m)
+            lines.append((scheme.index(low.manifold, m), scheme.index(high.manifold, m), ratio))
+    return low, high, lines
+
+
 def _full_model(
     config: RamanConfig,
     scheme: LevelScheme,
     table: DecayTable,
     env: MagneticEnvironment | None,
 ) -> RotatingFrameModel:
+    """The up field's single-drive model plus the down coupling and -delta on 3P0."""
     if env is None:
         raise ModelError("the full model needs a MagneticEnvironment")
     if scheme.n != 13:
         raise ModelError("full mode expects the 13-sublevel scheme")
-    n = scheme.n
-    i_up, i_s, i_down = scheme.up, scheme.s, scheme.down
-    entries: dict[tuple[int, int], complex] = {}
-    for i, lvl in enumerate(scheme.levels):
-        z = zeeman_shift(lvl, env)
-        if lvl.manifold == "3S1":
-            entries[(i, i)] = -config.delta_one + z
-        elif lvl.manifold == "3P0":
-            entries[(i, i)] = -config.delta_two
-        else:
-            # 3P2 Zeeman ladder; spectator manifolds keep their Zeeman offset
-            entries[(i, i)] = z
-    # up laser couples every (3P2,m)-(3S1,m) pi line it can reach
-    for m in (-1, 0, 1):
-        lo, hi = scheme.index("3P2", m), scheme.index("3S1", m)
-        amp = config.up.rabi * _pi_coupling_ratio(2, 1, m) / 2.0
-        entries[(min(lo, hi), max(lo, hi))] = amp * np.exp(1j * config.up.phase)
-    lo, hi = i_down, i_s
-    entries[(min(lo, hi), max(lo, hi))] = (
-        config.down.rabi / 2.0 * np.exp(-1j * config.down.phase)
-    )
-    h = _hermitian(n, entries)
-    ops = tuple(_jump(n, j, i, rate) for i, j, rate in decay_rates(scheme, table))
-    labels = tuple(scheme.label(i) for i in range(n))
-    return RotatingFrameModel(h, ops, labels, scheme)
+    up = build_single_drive_model(config.up, scheme, table, env)
+    h = np.array(up.hamiltonian)
+    h[scheme.down, scheme.down] = -config.delta_two
+    lo, hi = sorted((scheme.down, scheme.s))
+    h[lo, hi] = config.down.rabi / 2.0 * np.exp(-1j * config.down.phase)
+    h[hi, lo] = np.conj(h[lo, hi])
+    return RotatingFrameModel(h, up.collapse_ops, up.labels, scheme)
 
 
 def build_single_drive_model(
@@ -276,34 +266,20 @@ def build_single_drive_model(
     scheme without decay sources (e.g. the 1S0-3P2 pair) this reduces to a
     bare two-level model for sweep simulations.
     """
-    _check_field(field_, scheme)
-    lo, hi = field_.transition
-    low_lvl, high_lvl = scheme.levels[lo], scheme.levels[hi]
-    if low_lvl.energy > high_lvl.energy:
-        lo, hi = hi, lo
-        low_lvl, high_lvl = high_lvl, low_lvl
+    low_lvl, high_lvl, lines = pi_lines(field_, scheme)
     n = scheme.n
     entries: dict[tuple[int, int], complex] = {}
     env = env or MagneticEnvironment(b_gauss=0.0)
     z_ref_low = zeeman_shift(low_lvl, env)
     z_ref_high = zeeman_shift(high_lvl, env)
+    # levels the field does not address keep 0 on the diagonal
     for i, lvl in enumerate(scheme.levels):
         if lvl.manifold == high_lvl.manifold:
             entries[(i, i)] = -field_.detuning + zeeman_shift(lvl, env) - z_ref_high
         elif lvl.manifold == low_lvl.manifold:
             entries[(i, i)] = zeeman_shift(lvl, env) - z_ref_low
-        else:
-            entries[(i, i)] = 0.0
-    j_lo, j_hi = low_lvl.j, high_lvl.j
-    for m in range(-min(j_lo, j_hi), min(j_lo, j_hi) + 1):
-        if not (scheme.has(low_lvl.manifold, m) and scheme.has(high_lvl.manifold, m)):
-            continue
-        a, b = scheme.index(low_lvl.manifold, m), scheme.index(high_lvl.manifold, m)
-        ratio = 1.0 if {low_lvl.manifold, high_lvl.manifold} == {"1S0", "3P2"} else _pi_coupling_ratio(j_lo, j_hi, m)
-        if ratio == 0.0:
-            continue
-        amp = field_.rabi * ratio / 2.0
-        entries[(min(a, b), max(a, b))] = amp * np.exp(1j * field_.phase)
+    for a, b, ratio in lines:
+        entries[(min(a, b), max(a, b))] = field_.rabi * ratio / 2.0 * np.exp(1j * field_.phase)
     h = _hermitian(n, entries)
     ops: tuple[np.ndarray, ...] = ()
     if table is not None:

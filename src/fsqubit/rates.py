@@ -4,6 +4,9 @@ Population-only dynamics on the full sublevel set: the drive pumps each
 addressable Zeeman line at its off-resonant scattering rate, decay follows
 the branching table, and the intermediate manifold recycles population to
 the ground state.  Used to extract scattering rates from decay traces.
+
+The pumped lines and their Zeeman-shifted detunings are read off the
+field's single-drive Hamiltonian (`driven.build_single_drive_model`).
 """
 
 from __future__ import annotations
@@ -13,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dsp, formulas
-from .atom import DecayTable, LevelScheme, MagneticEnvironment, decay_rates, zeeman_shift
-from .driven import DriveField, ModelError, _pi_coupling_ratio
+from .atom import DecayTable, LevelScheme, MagneticEnvironment, decay_rates
+from .driven import DriveField, ModelError, build_single_drive_model
 from .lindblad import propagate
 
 
@@ -51,34 +54,19 @@ def pump_rates(
 ) -> list[tuple[int, int, float]]:
     """Per-Zeeman-line scattering rates (from, to_excited, rate 1/s).
 
-    Line strengths scale with the pi-coupling ratios; each line's detuning
-    includes its differential Zeeman shift, which barely matters at GHz
-    detunings but is carried anyway.  Every line scatters at the 3S1
-    linewidth, so the field must drive a transition into 3S1."""
-    lo, hi = field.transition
-    low_lvl, high_lvl = scheme.levels[lo], scheme.levels[hi]
-    if low_lvl.energy > high_lvl.energy:
-        low_lvl, high_lvl = high_lvl, low_lvl
-    if high_lvl.manifold != "3S1":
-        raise ModelError(f"rate model scatters via 3S1, not {low_lvl.manifold}-{high_lvl.manifold}")
+    Each line is a coupling H_ab of the field's single-drive Hamiltonian; it
+    scatters at Rabi frequency 2|H_ab| and detuning H_aa - H_bb, which
+    carries the line's differential Zeeman shift.  Every line scatters at the
+    3S1 linewidth, so the field must drive a transition into 3S1."""
+    low, high = sorted((scheme.levels[i] for i in field.transition), key=lambda lvl: lvl.energy)
+    if high.manifold != "3S1":
+        raise ModelError(f"rate model scatters via 3S1, not {low.manifold}-{high.manifold}")
+    h = build_single_drive_model(field, scheme, None, env).hamiltonian
     out = []
-    j_max = min(low_lvl.j, high_lvl.j)
-    z_low0 = zeeman_shift(scheme.levels[scheme.index(low_lvl.manifold, low_lvl.m_j)], env)
-    z_high0 = zeeman_shift(scheme.levels[scheme.index(high_lvl.manifold, high_lvl.m_j)], env)
-    for m in range(-j_max, j_max + 1):
-        if not (scheme.has(low_lvl.manifold, m) and scheme.has(high_lvl.manifold, m)):
-            continue
-        ratio = _pi_coupling_ratio(low_lvl.j, high_lvl.j, m)
-        if ratio == 0.0:
-            continue
-        i_lo = scheme.index(low_lvl.manifold, m)
-        i_hi = scheme.index(high_lvl.manifold, m)
-        z_line = (zeeman_shift(scheme.levels[i_hi], env) - z_high0) - (
-            zeeman_shift(scheme.levels[i_lo], env) - z_low0
-        )
-        det = field.detuning - z_line
-        rate = formulas.scattering_rate(field.rabi * abs(ratio), det, table.gamma_s)
-        out.append((i_lo, i_hi, rate))
+    for line in zip(*np.nonzero(np.triu(h, 1))):
+        a, b = sorted(map(int, line), key=lambda i: scheme.levels[i].energy)
+        out.append((a, b, formulas.scattering_rate(2.0 * abs(h[a, b]), (h[a, a] - h[b, b]).real,
+                                                   table.gamma_s)))
     return out
 
 

@@ -233,6 +233,14 @@ def test_scheme_config_rejects_unknown_key():
     assert "bogus" in str(err.value)
 
 
+def test_scheme_config_rejects_g_j_that_zeeman_shifts_ignore():
+    # Zeeman shifts read MANIFOLDS, so an edited g_j would silently change nothing
+    bad = SCHEME_CFG.replace("g_j = 2", "g_j = 2.0023")
+    line = bad.splitlines().index("g_j = 2.0023") + 1
+    with pytest.raises(ConfigError, match=rf"<config>:{line}: manifold 3S1 must have g_j = 2\.0"):
+        atom.load_scheme_config(bad)
+
+
 def test_immutability(full_scheme, table):
     with pytest.raises(Exception):
         full_scheme.levels[0].m_j = 2  # frozen dataclass

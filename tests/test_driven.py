@@ -178,3 +178,44 @@ def test_models_are_immutable(fig3_config, table):
     m = driven.build_effective_qubit_model(fig3_config, table)
     with pytest.raises(ValueError):
         m.hamiltonian[0, 0] = 1.0
+
+
+def test_full_model_reads_the_up_ladder_off_the_single_drive_model(full_scheme, table, env):
+    # figS3's working point: 36 MHz up laser, -6 GHz, 20 G
+    cfg = driven.raman_config(full_scheme, TWO_PI * 36e6, TWO_PI * 36e6, -TWO_PI * 6e9, TWO_PI * 5e3)
+    full = driven.build_lambda_model(cfg, full_scheme, table, env, mode="full").hamiltonian
+    single = driven.build_single_drive_model(cfg.up, full_scheme, table, env).hamiltonian
+    for m in (-1, 0, 1):
+        a, b = full_scheme.index("3P2", m), full_scheme.index("3S1", m)
+        assert full[a, b] == single[a, b] and full[b, a] == single[b, a]
+        assert full[a, b] != 0.0
+    ladder = [i for i, lvl in enumerate(full_scheme.levels) if lvl.manifold in ("3P2", "3S1")]
+    assert len(ladder) == 8
+    for i in ladder:
+        assert full[i, i] == single[i, i]
+    # levels the up field does not address keep 0 on the diagonal; 3P0 carries -delta
+    for m in (-1, 0, 1):
+        i = full_scheme.index("3P1", m)
+        assert full[i, i] == 0.0
+    assert full[full_scheme.down, full_scheme.down] == -cfg.delta_two
+
+
+def test_pi_lines_of_the_up_field(full_scheme, lam):
+    field = driven.DriveField((full_scheme.s, full_scheme.up), 1.0, 0.0)
+    low, high, lines = driven.pi_lines(field, full_scheme)
+    assert (low.key(), high.key()) == (("3P2", 0), ("3S1", 0))
+    expected = [(full_scheme.index("3P2", m), full_scheme.index("3S1", m), r)
+                for m, r in ((-1, math.sqrt(0.75)), (0, 1.0), (1, math.sqrt(0.75)))]
+    assert [(a, b) for a, b, _ in lines] == [(a, b) for a, b, _ in expected]
+    np.testing.assert_allclose([r for *_, r in lines], [r for *_, r in expected], rtol=1e-12)
+    # the restricted Lambda holds only the m = 0 line
+    _, _, lam_lines = driven.pi_lines(driven.DriveField((lam.up, lam.s), 1.0, 0.0), lam)
+    assert lam_lines == [(lam.up, lam.s, 1.0)]
+
+
+def test_pi_lines_reject_wrong_polarization_and_range(full_scheme):
+    with pytest.raises(driven.ModelError, match=r"\(3P2,1\)-\(3S1,0\)"):
+        driven.pi_lines(driven.DriveField((full_scheme.index("3P2", 1), full_scheme.s), 1.0, 0.0),
+                        full_scheme)
+    with pytest.raises(driven.ModelError, match="out of range"):
+        driven.pi_lines(driven.DriveField((0, full_scheme.n), 1.0, 0.0), full_scheme)

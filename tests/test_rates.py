@@ -146,3 +146,33 @@ def test_rate_model_rejects_field_outside_3s1(full_scheme, table, env):
         rates.pump_rates(field, full_scheme, table, env)
     with pytest.raises(driven.ModelError, match="1S0-3P2"):
         rates.build_rate_model(field, full_scheme, table, env)
+
+
+def test_j_to_j_field_rejected_naming_the_transition(full_scheme, table, env):
+    # 3P1 - 3S1 is J = 1 -> 1: the m = 0 pi line the ladder is scaled by vanishes
+    field = driven.DriveField((full_scheme.index("3P1", 1), full_scheme.index("3S1", 1)),
+                              TWO_PI * 1e3, 0.0)
+    with pytest.raises(driven.ModelError, match=r"\(3P1,1\)-\(3S1,1\)"):
+        driven.build_single_drive_model(field, full_scheme, table, env)
+    with pytest.raises(driven.ModelError, match=r"\(3P1,1\)-\(3S1,1\)"):
+        rates.build_rate_model(field, full_scheme, table, env)
+
+
+def test_pump_rates_pinned_at_the_figS3_working_point(up_field, full_scheme, table, env):
+    from fsqubit import atom
+
+    pumped = rates.pump_rates(up_field, full_scheme, table, env)
+    assert [(full_scheme.levels[i].key(), full_scheme.levels[j].key()) for i, j, _ in pumped] == [
+        (("3P2", m), ("3S1", m)) for m in (-1, 0, 1)]
+    ref = atom.clebsch_gordan(2, 0, 1, 0, 1, 0)
+
+    def z(manifold, m):
+        return atom.zeeman_shift(atom.Sublevel(manifold, m, 0.0), env)
+
+    for i, _, rate in pumped:
+        m = full_scheme.levels[i].m_j
+        ratio = atom.clebsch_gordan(2, m, 1, 0, 1, m) / ref
+        z_line = (z("3S1", m) - z("3S1", 0)) - (z("3P2", m) - z("3P2", 0))
+        expected = formulas.scattering_rate(up_field.rabi * abs(ratio), up_field.detuning - z_line,
+                                            table.gamma_s)
+        assert rate == pytest.approx(expected, rel=1e-12, abs=0.0)
