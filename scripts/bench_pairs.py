@@ -14,6 +14,15 @@ number of pairs the change won (lower is better; ties count for neither).
 It also records each tree's `src.lines`, the wall time of its Tier-1 suite
 (run on one BLAS thread, as CI and `bench/run.py` run) and the machine
 record of the change's last run.
+
+Before the pairs, each packaged preset runs as `fsqubit reproduce` in
+three fresh processes per tree, alternated and on one BLAS thread.
+`cold_s` holds each side's process wall times per preset.  `outputs`
+compares the last run directories file by file: "identical" when the
+bytes match; for a CSV (read through `config.parse_csv`) or a JSON file,
+each moved column or numeric leaf with its largest absolute and relative
+change; "differs" for any other file.  The manifest is compared without
+its timestamp, so its digests show which files moved.
 """
 
 from __future__ import annotations
@@ -27,9 +36,22 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
+sys.path.insert(0, str(ROOT / "src"))
 from repeat import summarize  # noqa: E402
+
+from fsqubit.config import parse_csv  # noqa: E402
+from fsqubit.harness.presets import FIGURE_PRESETS  # noqa: E402
+
+# one BLAS thread, as CI and bench/run.py use, so both sides' times and digits compare
+ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+# the `fsqubit` console script, run from the tree on PYTHONPATH
+CLI = "import sys; from fsqubit.harness.cli import main; sys.exit(main())"
+# fresh `reproduce` processes per preset and side
+COLD_RUNS = 3
 
 
 def repeat(tree: Path, workload: str, seed: int) -> dict:
@@ -41,14 +63,95 @@ def repeat(tree: Path, workload: str, seed: int) -> dict:
 
 
 def tier1(tree: Path) -> dict:
-    # one BLAS thread, as CI and bench/run.py use, so both sides' times compare
-    env = {**os.environ, "PYTHONPATH": "src", "OPENBLAS_NUM_THREADS": "1",
-           "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    env = {**os.environ, "PYTHONPATH": "src", **ONE_THREAD}
     t0 = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
                           cwd=tree, env=env, capture_output=True, text=True)
     return {"wall_s": time.perf_counter() - t0, "exit": proc.returncode,
             "result": proc.stdout.strip().splitlines()[-1]}
+
+
+def reproduce(tree: Path, figure: str, out: Path) -> float:
+    """Wall seconds of one fresh `fsqubit reproduce FIGURE --out OUT` process."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), **ONE_THREAD}
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", CLI, "reproduce", figure, "--out", str(out)],
+                          cwd=out.parent, env=env, capture_output=True, text=True)
+    took = time.perf_counter() - t0
+    if proc.returncode != 0:
+        raise RuntimeError(f"{tree}: reproduce {figure} exited {proc.returncode}\n{proc.stderr}")
+    return took
+
+
+def moved(old, new) -> dict | None:
+    """Largest absolute and relative change of new against old; None when equal."""
+    old, new = np.asarray(old, dtype=float), np.asarray(new, dtype=float)
+    if old.shape != new.shape:
+        return {"shape": [list(old.shape), list(new.shape)]}
+    if np.array_equal(old, new, equal_nan=True):
+        return None
+    diff = np.abs(new - old)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = diff / np.abs(old)
+    return {"max_abs": float(np.nanmax(diff)), "max_rel": float(np.nanmax(rel))}
+
+
+def leaves(node, prefix: str = "") -> dict:
+    """Flatten nested JSON to {"a.0.b": value}."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return {prefix: node}
+    out = {}
+    for key, value in items:
+        out.update(leaves(value, f"{prefix}.{key}" if prefix else str(key)))
+    return out
+
+
+def compare_file(old: Path, new: Path):
+    if old.read_bytes() == new.read_bytes():
+        return "identical"
+    if old.suffix == ".csv":
+        (h_old, d_old), (h_new, d_new) = (parse_csv(p.read_text(), str(p)) for p in (old, new))
+        if h_old != h_new:
+            return {"header": [h_old, h_new]}
+        changes = {name: moved(d_old[:, i], d_new[:, i]) for i, name in enumerate(h_old)}
+    elif old.suffix == ".json":
+        l_old, l_new = (leaves(json.loads(p.read_text())) for p in (old, new))
+        if old.name == "manifest.json":
+            l_old.pop("timestamp_utc", None)
+            l_new.pop("timestamp_utc", None)
+        changes = {}
+        for key in sorted(l_old.keys() | l_new.keys()):
+            a, b = l_old.get(key), l_new.get(key)
+            numeric = all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (a, b))
+            changes[key] = moved(a, b) if numeric else (None if a == b else {"old": a, "new": b})
+    else:
+        return "differs"
+    return {name: change for name, change in changes.items() if change is not None} or "identical"
+
+
+def outputs_and_cold(trees: dict) -> tuple[dict, dict]:
+    """Per preset: each side's cold `reproduce` wall times, and how its outputs moved."""
+    cold, outputs = {}, {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for figure in FIGURE_PRESETS:
+            times = {"parent": [], "change": []}
+            for i in range(COLD_RUNS):
+                for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+                    out = Path(tmp) / side / figure
+                    out.mkdir(parents=True, exist_ok=True)
+                    times[side].append(reproduce(trees[side], figure, out))
+            cold[figure] = {side: summarize(values) for side, values in times.items()}
+            old, new = (Path(tmp) / side / figure / figure for side in ("parent", "change"))
+            names = sorted({p.name for p in old.iterdir()} | {p.name for p in new.iterdir()})
+            outputs[figure] = {
+                name: compare_file(old / name, new / name)
+                if (old / name).exists() and (new / name).exists() else "only on one side"
+                for name in names}
+    return cold, outputs
 
 
 def main(argv=None) -> int:
@@ -63,6 +166,7 @@ def main(argv=None) -> int:
     end_to_end = [m["name"] for m in spec["end_to_end"]]
 
     record = {"workloads": {}}
+    record["cold_s"], record["outputs"] = outputs_and_cold(trees)
     for item in args.pairs:
         workload, n = item.split("=")
         runs = {"parent": [], "change": []}

@@ -4,6 +4,10 @@ Implements the damped-Rabi analysis chain (Fourier spectrum, Lorentzian
 carrier fit, zero-phase Butterworth band-pass, Hilbert envelope, exponential
 envelope fit) plus the general damped least-squares engine behind every fit
 in the package.
+
+`scipy.signal` is imported inside the band-pass and the envelope, the only
+functions that use it: importing it costs about a second, more than most
+commands run, and only the Rabi extraction chain filters.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.signal import butter, hilbert, sosfiltfilt
 from scipy.special import exprel
 
 from .config import parse_csv
@@ -363,6 +366,8 @@ def _fit_carrier(spectrum: Spectrum) -> FitResult:
 
 def butterworth_bandpass(trace: Trace, f_lo: float, f_hi: float) -> Trace:
     """2nd-order Butterworth band-pass, run forward and backward (zero phase)."""
+    from scipy.signal import butter, sosfiltfilt
+
     nyquist = 0.5 / trace.dt
     if not 0.0 < f_lo < f_hi:
         raise ValueError("need 0 < f_lo < f_hi")
@@ -380,6 +385,8 @@ def hilbert_envelope(trace: Trace) -> Trace:
     of two.  The first and last EDGE_FRACTION of samples are flagged
     invalid; envelope fits skip them.
     """
+    from scipy.signal import hilbert
+
     n = trace.n
     nfft = 1 << (n - 1).bit_length()
     analytic = hilbert(trace.samples, N=nfft)[:n]

@@ -22,6 +22,7 @@ import numpy as np
 
 from .. import dsp, trap
 from ..config import ConfigError
+from ..driven import ModelError
 from ..dsp import FitError, PipelineError
 from ..lindblad import DegenerateSteadyStateError, IntegrationError
 from ..units import TWO_PI
@@ -204,7 +205,7 @@ def main(argv=None) -> int:
                 print(f"[{mark}] {check['name']} = {check['value']:.6g}")
             return 0 if ok else 4
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, trap.TableError, FileNotFoundError) as exc:
+    except (ConfigError, ModelError, trap.TableError, FileNotFoundError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except (IntegrationError, DegenerateSteadyStateError, FitError, PipelineError,

@@ -27,6 +27,9 @@ Phys. 14, 073007 (2012); Albert & Jiang, Phys. Rev. A 89, 022118 (2014)).
 
 Time-dependent detuning schedules (frequency ramps) fall back to an
 adaptive embedded Runge-Kutta integrator on the same vectorized equation.
+`scipy.integrate` is imported inside that integrator: only
+`evolve(engine="rk")` reaches it, and a module-level import would add a
+quarter second to the start-up of every command.
 Trace is never renormalized; its drift is a diagnostic.
 """
 
@@ -36,7 +39,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from .driven import RotatingFrameModel
@@ -309,6 +311,8 @@ def model_steps(models, rho0, times):
 
 
 def _integrate_rk(model, rho0, times, rtol, atol, ramp) -> np.ndarray:
+    from scipy.integrate import solve_ivp
+
     n = model.dim
     lv = liouvillian(model)
     duration = times[-1]

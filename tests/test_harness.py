@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -244,6 +247,23 @@ def test_cli_unknown_figure_exit_code(capsys):
 
 def test_cli_missing_scenario_file():
     assert cli_main(["simulate", "rabi", "--scenario", "/nonexistent.scenario"]) == 2
+
+
+def test_cli_model_error_is_a_configuration_error(tmp_path, capsys):
+    p = tmp_path / "negative.scenario"
+    p.write_text(GOOD_SCENARIO.replace("rabi_up = 36 MHz", "rabi_up = -36 MHz"))
+    assert cli_main(["simulate", "rabi", "--scenario", str(p), "--out", str(tmp_path)]) == 2
+    assert "Rabi frequency must be >= 0" in capsys.readouterr().err
+
+
+def test_cli_import_skips_signal_and_integrate():
+    # only the filters and the RK engine need these, and each costs start-up time
+    code = ("import sys, fsqubit.harness.cli; "
+            "print(*(m for m in ('scipy.signal', 'scipy.integrate') if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.strip() == ""
 
 
 def test_cli_kind_mismatch(tmp_path):

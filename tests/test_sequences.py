@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -6,6 +7,8 @@ import pytest
 from scipy.linalg import expm
 
 from fsqubit import atom, driven, dsp, formulas, lindblad, sequences
+from fsqubit.config import parse_csv
+from fsqubit.harness import presets
 from fsqubit.lindblad import DensityMatrix
 from fsqubit.units import TWO_PI
 
@@ -185,6 +188,44 @@ def test_lz_through_generic_run(table):
     f_generic = 1.0 - result.final_state.population(0)
     f_fast = sequences.landau_zener(rabi, 4e3, 50e-3).fidelity
     assert abs(f_generic - f_fast) < 1e-3
+
+
+def _lz_sweep_stepwise(rabi, sweep_range_hz, duration, n):
+    # the state stepped through each midpoint SU(2) matrix in turn
+    dt = duration / n
+    det = TWO_PI * sweep_range_hz * ((np.arange(n) + 0.5) * dt / duration - 0.5)
+    amag = 0.5 * np.hypot(rabi, det)
+    cos_t = np.cos(amag * dt)
+    sinc = np.sin(amag * dt) / amag
+    az, ax = det / 2.0, rabi / 2.0
+    phase = np.exp(1j * det * dt / 2.0)
+    u00 = phase * (cos_t - 1j * sinc * az)
+    u01 = phase * (-1j * sinc * ax)
+    u11 = phase * (cos_t + 1j * sinc * az)
+    a, b = 1.0 + 0.0j, 0.0 + 0.0j
+    for k in range(n):
+        a, b = u00[k] * a + u01[k] * b, u01[k] * a + u11[k] * b
+    return 1.0 - abs(a) ** 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 2**14 - 1, 2**14, 2**14 + 1, 3 * 2**14 + 5])
+def test_lz_sweep_matches_stepwise_product(n):
+    # odd stacks and chunk edges; the pairwise product only reorders rounding
+    args = (TWO_PI * 172.92, 4e3, 50e-3, n)
+    assert abs(sequences._lz_sweep(*args) - _lz_sweep_stepwise(*args)) < 1e-13
+
+
+def test_fig1c_fidelities_pinned(tmp_path):
+    # the four ramps and the 64 kHz sweep, recorded from the stepwise product
+    presets.reproduce("fig1c", tmp_path)
+    header, data = parse_csv((tmp_path / "fidelity_vs_ramp.csv").read_text(), "fig1c")
+    sim = data[:, header.index("fidelity_sim")]
+    wide = json.loads((tmp_path / "summary.json").read_text())["info"]["fidelity_wide_sweep"]
+    np.testing.assert_allclose(
+        [*sim, wide],
+        [0.9987677881426483, 0.9821200352309691, 0.7923532025269892, 0.6846152281152453,
+         0.9747196994722808],
+        rtol=1e-11, atol=0.0)
 
 
 # ------------------------------------------------------------------ Ramsey
