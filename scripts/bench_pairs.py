@@ -15,19 +15,24 @@ It also records each tree's `src.lines`, the wall time of its Tier-1 suite
 (run on one BLAS thread, as CI and `bench/run.py` run) and the machine
 record of the change's last run.
 
-Before the pairs, each packaged preset runs as `fsqubit reproduce` in
-three fresh processes per tree, alternated and on one BLAS thread.
-`cold_s` holds each side's process wall times per preset.  `outputs`
-compares the last run directories file by file: "identical" when the
-bytes match; for a CSV (read through `config.parse_csv`) or a JSON file,
+Before the pairs, each packaged scenario runs in three fresh processes per
+tree, alternated and on one BLAS thread: the 11 presets as `fsqubit
+reproduce FIG`, `ramsey_default` and `echo_default` as `fsqubit simulate
+ramsey|echo`.  `cold_s` holds each side's process wall times per scenario.
+`outputs` compares the last run directories file by file: "identical" when
+the bytes match; for a CSV (read through `config.parse_csv`) or a JSON file,
 each moved column or numeric leaf with its largest absolute and relative
 change; "differs" for any other file.  The manifest is compared without
-its timestamp, so its digests show which files moved.
+its timestamp, so its digests show which files moved.  `dry_run` runs the
+same commands with `--dry-run` and records, per scenario, "identical" when
+both sides print the same text (exit code, stdout and stderr, with each
+tree's path replaced by `<tree>`), or else the differing lines.
 """
 
 from __future__ import annotations
 
 import argparse
+import difflib
 import json
 import os
 import subprocess
@@ -50,8 +55,11 @@ from fsqubit.harness.presets import FIGURE_PRESETS  # noqa: E402
 ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 # the `fsqubit` console script, run from the tree on PYTHONPATH
 CLI = "import sys; from fsqubit.harness.cli import main; sys.exit(main())"
-# fresh `reproduce` processes per preset and side
+# fresh processes per scenario and side
 COLD_RUNS = 3
+# packaged scenario -> the `fsqubit` arguments that run it
+SCENARIOS = {**{fig: ("reproduce", fig) for fig in FIGURE_PRESETS},
+             "ramsey_default": ("simulate", "ramsey"), "echo_default": ("simulate", "echo")}
 
 
 def repeat(tree: Path, workload: str, seed: int) -> dict:
@@ -71,16 +79,39 @@ def tier1(tree: Path) -> dict:
             "result": proc.stdout.strip().splitlines()[-1]}
 
 
-def reproduce(tree: Path, figure: str, out: Path) -> float:
-    """Wall seconds of one fresh `fsqubit reproduce FIGURE --out OUT` process."""
+def run_cli(tree: Path, args: tuple, cwd: Path) -> tuple[subprocess.CompletedProcess, float]:
+    """One fresh `fsqubit ARGS` process of `tree`, and its wall seconds."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), **ONE_THREAD}
     t0 = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-c", CLI, "reproduce", figure, "--out", str(out)],
-                          cwd=out.parent, env=env, capture_output=True, text=True)
-    took = time.perf_counter() - t0
+    proc = subprocess.run([sys.executable, "-c", CLI, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True)
+    return proc, time.perf_counter() - t0
+
+
+def cold_run(tree: Path, args: tuple[str, ...], out: Path) -> float:
+    """Wall seconds of one fresh `fsqubit ARGS --out OUT` process."""
+    proc, took = run_cli(tree, (*args, "--out", str(out)), out.parent)
     if proc.returncode != 0:
-        raise RuntimeError(f"{tree}: reproduce {figure} exited {proc.returncode}\n{proc.stderr}")
+        raise RuntimeError(f"{tree}: {' '.join(args)} exited {proc.returncode}\n{proc.stderr}")
     return took
+
+
+def dry_runs(trees: dict) -> dict:
+    """Per scenario: "identical" when both sides' `--dry-run` text matches, else the
+    differing lines."""
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, args in SCENARIOS.items():
+            texts = {}
+            for side, tree in trees.items():
+                proc, _ = run_cli(tree, (*args, "--dry-run"), Path(tmp))
+                text = f"exit {proc.returncode}\n{proc.stdout}{proc.stderr}"
+                texts[side] = text.replace(str(tree), "<tree>").splitlines()
+            diff = [line for line in difflib.unified_diff(texts["parent"], texts["change"],
+                                                          lineterm="", n=0)
+                    if line[:1] in "+-" and not line.startswith(("+++", "---"))]
+            out[name] = diff or "identical"
+    return out
 
 
 def moved(old, new) -> dict | None:
@@ -134,20 +165,21 @@ def compare_file(old: Path, new: Path):
 
 
 def outputs_and_cold(trees: dict) -> tuple[dict, dict]:
-    """Per preset: each side's cold `reproduce` wall times, and how its outputs moved."""
+    """Per scenario: each side's cold wall times, and how its outputs moved."""
     cold, outputs = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
-        for figure in FIGURE_PRESETS:
+        for name, args in SCENARIOS.items():
             times = {"parent": [], "change": []}
             for i in range(COLD_RUNS):
                 for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
-                    out = Path(tmp) / side / figure
+                    out = Path(tmp) / side / name
                     out.mkdir(parents=True, exist_ok=True)
-                    times[side].append(reproduce(trees[side], figure, out))
-            cold[figure] = {side: summarize(values) for side, values in times.items()}
-            old, new = (Path(tmp) / side / figure / figure for side in ("parent", "change"))
+                    times[side].append(cold_run(trees[side], args, out))
+            cold[name] = {side: summarize(values) for side, values in times.items()}
+            # each command writes one run directory under its --out
+            old, new = (next((Path(tmp) / side / name).iterdir()) for side in ("parent", "change"))
             names = sorted({p.name for p in old.iterdir()} | {p.name for p in new.iterdir()})
-            outputs[figure] = {
+            outputs[name] = {
                 name: compare_file(old / name, new / name)
                 if (old / name).exists() and (new / name).exists() else "only on one side"
                 for name in names}
@@ -167,6 +199,7 @@ def main(argv=None) -> int:
 
     record = {"workloads": {}}
     record["cold_s"], record["outputs"] = outputs_and_cold(trees)
+    record["dry_run"] = dry_runs(trees)
     for item in args.pairs:
         workload, n = item.split("=")
         runs = {"parent": [], "change": []}

@@ -1,7 +1,10 @@
 """Rotating-frame Hamiltonians and collapse operators for Raman drives.
 
 Builders return immutable RotatingFrameModel instances.  The Hamiltonian is
-assembled from its upper triangle, so Hermiticity holds exactly.  Collapse
+assembled from one entry per coupled pair, mirrored as its conjugate, so
+Hermiticity holds exactly.  Every drive coupling is written as
+H[lower, upper] = (rabi / 2) e^{i phase}, with lower and upper the field's
+endpoints ordered by energy, whatever their order in the basis.  Collapse
 operators are single-element jump matrices with the rate folded in as a
 square root, one per decay channel, which keeps branching auditable.
 
@@ -125,7 +128,8 @@ class RotatingFrameModel:
 
 
 def _hermitian(dim: int, entries: dict[tuple[int, int], complex]) -> np.ndarray:
-    """Build a Hermitian matrix from diagonal + upper-triangle entries."""
+    """Build a Hermitian matrix from diagonal entries plus one entry (i, j) per
+    coupled pair, mirrored as its conjugate into (j, i)."""
     h = np.zeros((dim, dim), dtype=complex)
     for (i, j), v in entries.items():
         if i == j:
@@ -171,7 +175,7 @@ def build_lambda_model(
         (1, 1): -config.delta_one,
         (2, 2): -config.delta_two,
         (0, 1): (config.up.rabi / 2.0) * np.exp(1j * config.up.phase),
-        (1, 2): (config.down.rabi / 2.0) * np.exp(-1j * config.down.phase),
+        (2, 1): (config.down.rabi / 2.0) * np.exp(1j * config.down.phase),
     }
     branch = table.branching(("3S1", 0))
     b_up = branch.get(("3P2", 0), 0.0)
@@ -246,9 +250,8 @@ def _full_model(
     up = build_single_drive_model(config.up, scheme, table, env)
     h = np.array(up.hamiltonian)
     h[scheme.down, scheme.down] = -config.delta_two
-    lo, hi = sorted((scheme.down, scheme.s))
-    h[lo, hi] = config.down.rabi / 2.0 * np.exp(-1j * config.down.phase)
-    h[hi, lo] = np.conj(h[lo, hi])
+    h[scheme.down, scheme.s] = config.down.rabi / 2.0 * np.exp(1j * config.down.phase)
+    h[scheme.s, scheme.down] = np.conj(h[scheme.down, scheme.s])
     return RotatingFrameModel(h, up.collapse_ops, up.labels, scheme)
 
 
@@ -279,7 +282,7 @@ def build_single_drive_model(
         elif lvl.manifold == low_lvl.manifold:
             entries[(i, i)] = zeeman_shift(lvl, env) - z_ref_low
     for a, b, ratio in lines:
-        entries[(min(a, b), max(a, b))] = field_.rabi * ratio / 2.0 * np.exp(1j * field_.phase)
+        entries[(a, b)] = field_.rabi * ratio / 2.0 * np.exp(1j * field_.phase)
     h = _hermitian(n, entries)
     ops: tuple[np.ndarray, ...] = ()
     if table is not None:

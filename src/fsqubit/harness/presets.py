@@ -55,21 +55,18 @@ def default_scenario_for_kind(kind: str) -> Path:
     return packaged_scenario_path(_KIND_DEFAULT_SCENARIO[kind])
 
 
-def _drive_config(sc: Scenario, scheme) -> driven.RamanConfig:
-    return driven.raman_config(
-        scheme,
-        sc.get("drive", "rabi_up"),
-        sc.get("drive", "rabi_down"),
-        sc.get("drive", "detuning"),
-        sc.get("drive", "delta", 0.0),
-    )
+def _drive_config(sc: Scenario, scheme, *delta_two: float) -> driven.RamanConfig:
+    """The Raman pair of `[drive]`, on two-photon resonance unless a
+    `delta_two` is passed."""
+    return driven.raman_config(scheme, sc.get("drive", "rabi_up"), sc.get("drive", "rabi_down"),
+                               sc.get("drive", "detuning"), *delta_two)
 
 
 def _ensemble(sc: Scenario) -> sequences.EnsembleSpec:
     return sequences.EnsembleSpec(
-        rabi_spread=sc.get("ensemble", "rabi_spread", 0.0),
-        delta_sigma=sc.get("ensemble", "delta_sigma", 0.0),
-        samples=sc.get_int("ensemble", "samples", 1),
+        rabi_spread=sc.get("ensemble", "rabi_spread"),
+        delta_sigma=sc.get("ensemble", "delta_sigma"),
+        samples=sc.get_int("ensemble", "samples"),
         seed=sc.seed,
     )
 
@@ -92,7 +89,7 @@ def _contrast_decay(sc: Scenario, w: RunWriter, section: str, name: str, scan_fn
 def run_rabi(sc: Scenario, w: RunWriter) -> None:
     scheme = atom.lambda_scheme()
     table = atom.default_decay_table()
-    cfg = _drive_config(sc, scheme)
+    cfg = _drive_config(sc, scheme, sc.get("drive", "delta"))
     traj = sequences.run_rabi_ensemble(
         cfg, table,
         duration=sc.get("simulation", "duration"),
@@ -155,7 +152,7 @@ def run_at(sc: Scenario, w: RunWriter) -> None:
     result = sequences.autler_townes_scan(
         powers, calibration, scheme, table,
         probe_rabi=sc.get("scan", "probe_rabi"),
-        strong=sc.string("scan", "strong", "down"),
+        strong=sc.string("scan", "strong"),
     )
     spec_cols = {}
     for p, dets, row in zip(result.powers_mw, result.detunings, result.spectra):
@@ -217,9 +214,9 @@ def run_detuning(sc: Scenario, w: RunWriter) -> None:
     mags = np.geomspace(abs(sc.get("scan", "detuning_min")),
                         abs(sc.get("scan", "detuning_max")),
                         sc.get_int("scan", "points"))
-    cycles_target = sc.get("simulation", "cycles", 150.0)
-    spread = sc.get("ensemble", "rabi_spread", 0.0)
-    samples = sc.get_int("ensemble", "samples", 1)
+    cycles_target = sc.get("simulation", "cycles")
+    spread = sc.get("ensemble", "rabi_spread")
+    samples = sc.get_int("ensemble", "samples")
     rabi_up = sc.get("drive", "rabi_up")
     rabi_down = sc.get("drive", "rabi_down")
     omegas, taus, n_cycles = [], [], []
@@ -306,7 +303,7 @@ def run_lightshift(sc: Scenario, w: RunWriter) -> None:
     depths = np.linspace(sc.get("lattice", "depth_min"), sc.get("lattice", "depth_max"),
                          sc.get_int("lattice", "depth_points"))
     slope_true = sc.get("lattice", "slope")  # Hz/uK
-    noise = sc.get("lattice", "frequency_noise", 0.0)
+    noise = sc.get("lattice", "frequency_noise")
     delta0 = sc.get("drive", "delta")
     dark = np.linspace(0.0, sc.get("scan", "dark_max"), sc.get_int("scan", "dark_points"))
     rng = np.random.Generator(np.random.Philox(key=np.array([sc.seed, 0], dtype=np.uint64)))
@@ -314,9 +311,7 @@ def run_lightshift(sc: Scenario, w: RunWriter) -> None:
     fringe_cols = {"dark_s": dark}
     for depth in depths:
         delta_total = delta0 + TWO_PI * slope_true * depth
-        cfg = driven.raman_config(scheme, sc.get("drive", "rabi_up"),
-                                  sc.get("drive", "rabi_down"),
-                                  sc.get("drive", "detuning"), delta_total)
+        cfg = _drive_config(sc, scheme, delta_total)
         pops = sequences.ramsey_time_scan(dark, cfg, table)
         fringe_cols[f"p_up_{depth:.3g}uK"] = pops
         fit = dsp.fit_sinusoid(dark, pops, mode="time")
@@ -354,7 +349,7 @@ def run_fidelity(sc: Scenario, w: RunWriter) -> None:
     result = sequences.run(seq, scheme, table, n_samples=161)
     traj = result.trajectory
     # reference-normalization demonstration: references drift linearly
-    drift = sc.get("readout", "reference_drift", 0.1)
+    drift = sc.get("readout", "reference_drift")
     ref_times = np.linspace(-0.1 * traj.times[-1], 1.1 * traj.times[-1], 7)
     ref_values = 1000.0 * (1.0 + drift * ref_times / traj.times[-1])
     ref_interp = np.interp(traj.times, ref_times, ref_values)
@@ -450,7 +445,7 @@ def run_scatter(sc: Scenario, w: RunWriter) -> None:
     w.check("gamma_sc", gamma, 600.0, 1200.0)
     w.check("tau_identity", gamma * fit.meta["tau_max"], 1.0 - 1e-9, 1.0 + 1e-9)
 
-    if ("detuning_scan", "min") in sc.params:
+    if sc.has("detuning_scan"):
         mags = np.geomspace(abs(sc.get("detuning_scan", "min")),
                             abs(sc.get("detuning_scan", "max")),
                             sc.get_int("detuning_scan", "points"))
@@ -493,13 +488,12 @@ def run_echo(sc: Scenario, w: RunWriter) -> None:
 def _run_two_pulse(sc: Scenario, w: RunWriter, echo: bool) -> None:
     scheme = atom.lambda_scheme()
     table = atom.DecayTable(gamma_s=0.0, channels=())
-    cfg = _drive_config(sc, scheme)
+    cfg = _drive_config(sc, scheme, sc.get("drive", "delta"))
     phases = np.linspace(0.0, 2.0 * math.pi, sc.get_int("scan", "phases"), endpoint=False)
     spec = _ensemble(sc)
     ou = None
-    if ("noise", "ou_sigma") in sc.params:
-        ou = sequences.OUNoise(sigma=sc.get("noise", "ou_sigma"),
-                               tau_c=sc.get("noise", "ou_tau"))
+    if sc.has("noise"):
+        ou = sequences.OUNoise(sigma=sc.get("noise", "ou_sigma"), tau_c=sc.get("noise", "ou_tau"))
     scan_fn = sequences.spin_echo_scan if echo else sequences.ramsey_phase_scan
     data, fit = _contrast_decay(sc, w, "scan", "contrast.csv", scan_fn, phases, cfg, table, spec, ou)
     w.info["t2_ms"] = fit.value("t2") * 1e3

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_LZ_EFFICIENCY = 0.975
-
 
 class ReadoutWarning(UserWarning):
     pass

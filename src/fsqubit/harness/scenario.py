@@ -2,257 +2,202 @@
 
 A scenario is sectioned `key = value unit` text (see fsqubit.config).  Every
 scenario declares `[scenario] name / kind / seed`; the remaining sections
-are validated against the schema of that kind.  Unknown sections or keys,
-missing units, and out-of-range values are rejected with line numbers.
+are checked against the schema of that kind in `SCHEMAS`, which is the one
+place that knows a key: its quantity and its default.
+
+- A key is `REQUIRED`, or defaults to a value in canonical units, or is
+  `WITH_SECTION`: required once the file gives its section.  Echo's
+  `[noise]` and scatter's `[detuning_scan]` are all-or-nothing this way;
+  without them the run has no noise and no detuning scan.
+- A `count` (every `samples`, `points`, `dark_points`, `phases`,
+  `ramp_points` and `depth_points`) is a whole number >= 1.
+- A word-valued key takes one of its listed words: `[scan] strong` of an
+  Autler-Townes scan is `down` (the default) or `up`.
+
+Unknown sections or keys, missing units, non-finite numbers, counts that are
+not whole or not positive, and unlisted words are rejected at parse time
+with line numbers, so `--dry-run` checks a scenario completely.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from pathlib import Path
 
-from ..config import ConfigError, convert, parse_config
+from ..config import ConfigError, RawValue, convert, parse_config
 
-# (section, key) -> (quantity kind, required).  Dimensionless counts double
-# as integers where noted in the runners.
-SCHEMAS: dict[str, dict[str, dict[str, tuple[str, bool]]]] = {
+# Each key maps to (quantity, default).  The quantity is a unit kind of
+# fsqubit.config, "count" (held as an int) or the tuple of words the key
+# takes; the default is a value in canonical units, REQUIRED or WITH_SECTION.
+REQUIRED = object()
+WITH_SECTION = object()
+
+_RABI_PAIR = {"rabi_up": ("frequency", REQUIRED), "rabi_down": ("frequency", REQUIRED)}
+_RESONANT_DRIVE = {**_RABI_PAIR, "detuning": ("frequency", REQUIRED)}
+_RAMAN_DRIVE = {**_RESONANT_DRIVE, "delta": ("frequency", 0.0)}
+_ENSEMBLE = {
+    "rabi_spread": ("dimensionless", 0.0),
+    "delta_sigma": ("frequency", 0.0),
+    "samples": ("count", 1),
+}
+_DARK_SCAN = {
+    "dark_min": ("time", REQUIRED),
+    "dark_max": ("time", REQUIRED),
+    "dark_points": ("count", REQUIRED),
+    "phases": ("count", REQUIRED),
+}
+
+# kind -> section -> key -> (quantity, default)
+SCHEMAS: dict[str, dict[str, dict[str, tuple[str | tuple[str, ...], object]]]] = {
     "rabi": {
-        "drive": {
-            "rabi_up": ("frequency", True),
-            "rabi_down": ("frequency", True),
-            "detuning": ("frequency", True),
-            "delta": ("frequency", False),
-        },
-        "ensemble": {
-            "rabi_spread": ("dimensionless", False),
-            "delta_sigma": ("frequency", False),
-            "samples": ("dimensionless", False),
-        },
-        "simulation": {
-            "duration": ("time", True),
-            "samples": ("dimensionless", True),
-        },
+        "drive": _RAMAN_DRIVE,
+        "ensemble": _ENSEMBLE,
+        "simulation": {"duration": ("time", REQUIRED), "samples": ("count", REQUIRED)},
     },
     "lz": {
         "sweep": {
-            "rabi": ("frequency", True),
-            "range": ("frequency", True),
-            "ramp_min": ("ramp", True),
-            "ramp_max": ("ramp", True),
-            "ramp_points": ("dimensionless", True),
+            "rabi": ("frequency", REQUIRED),
+            "range": ("frequency", REQUIRED),
+            "ramp_min": ("ramp", REQUIRED),
+            "ramp_max": ("ramp", REQUIRED),
+            "ramp_points": ("count", REQUIRED),
         },
-        "validation": {
-            "range": ("frequency", True),
-            "ramp": ("ramp", True),
-        },
+        "validation": {"range": ("frequency", REQUIRED), "ramp": ("ramp", REQUIRED)},
     },
     "ramsey": {
-        "drive": {
-            "rabi_up": ("frequency", True),
-            "rabi_down": ("frequency", True),
-            "detuning": ("frequency", True),
-            "delta": ("frequency", False),
-        },
-        "ensemble": {
-            "delta_sigma": ("frequency", False),
-            "rabi_spread": ("dimensionless", False),
-            "samples": ("dimensionless", False),
-        },
-        "scan": {
-            "dark_min": ("time", True),
-            "dark_max": ("time", True),
-            "dark_points": ("dimensionless", True),
-            "phases": ("dimensionless", True),
-        },
+        "drive": _RAMAN_DRIVE,
+        "ensemble": _ENSEMBLE,
+        "scan": _DARK_SCAN,
     },
     "echo": {
-        "drive": {
-            "rabi_up": ("frequency", True),
-            "rabi_down": ("frequency", True),
-            "detuning": ("frequency", True),
-            "delta": ("frequency", False),
-        },
-        "ensemble": {
-            "delta_sigma": ("frequency", False),
-            "rabi_spread": ("dimensionless", False),
-            "samples": ("dimensionless", False),
-        },
-        "noise": {
-            "ou_sigma": ("frequency", False),
-            "ou_tau": ("time", False),
-        },
-        "scan": {
-            "dark_min": ("time", True),
-            "dark_max": ("time", True),
-            "dark_points": ("dimensionless", True),
-            "phases": ("dimensionless", True),
-        },
+        "drive": _RAMAN_DRIVE,
+        "ensemble": _ENSEMBLE,
+        "noise": {"ou_sigma": ("frequency", WITH_SECTION), "ou_tau": ("time", WITH_SECTION)},
+        "scan": _DARK_SCAN,
     },
     "coherence": {
-        "drive": {
-            "rabi_up": ("frequency", True),
-            "rabi_down": ("frequency", True),
-            "detuning": ("frequency", True),
-        },
+        "drive": _RESONANT_DRIVE,
         "ramsey": {
-            "delta_sigma": ("frequency", True),
-            "samples": ("dimensionless", True),
-            "dark_min": ("time", True),
-            "dark_max": ("time", True),
-            "dark_points": ("dimensionless", True),
+            "delta_sigma": ("frequency", REQUIRED),
+            "samples": ("count", REQUIRED),
+            "dark_min": ("time", REQUIRED),
+            "dark_max": ("time", REQUIRED),
+            "dark_points": ("count", REQUIRED),
         },
         "echo": {
-            "ou_sigma": ("frequency", True),
-            "ou_tau": ("time", True),
-            "samples": ("dimensionless", True),
-            "dark_min": ("time", True),
-            "dark_max": ("time", True),
-            "dark_points": ("dimensionless", True),
+            "ou_sigma": ("frequency", REQUIRED),
+            "ou_tau": ("time", REQUIRED),
+            "samples": ("count", REQUIRED),
+            "dark_min": ("time", REQUIRED),
+            "dark_max": ("time", REQUIRED),
+            "dark_points": ("count", REQUIRED),
         },
-        "scan": {
-            "phases": ("dimensionless", True),
-        },
+        "scan": {"phases": ("count", REQUIRED)},
     },
     "scatter": {
-        "drive": {
-            "rabi_up": ("frequency", True),
-            "detuning": ("frequency", True),
-        },
+        "drive": {"rabi_up": ("frequency", REQUIRED), "detuning": ("frequency", REQUIRED)},
         "times": {
-            "min": ("time", True),
-            "max": ("time", True),
-            "points": ("dimensionless", True),
+            "min": ("time", REQUIRED),
+            "max": ("time", REQUIRED),
+            "points": ("count", REQUIRED),
         },
         "detuning_scan": {
-            "min": ("frequency", False),
-            "max": ("frequency", False),
-            "points": ("dimensionless", False),
+            "min": ("frequency", WITH_SECTION),
+            "max": ("frequency", WITH_SECTION),
+            "points": ("count", WITH_SECTION),
         },
     },
     "at": {
         "scan": {
-            "power_min": ("power", True),
-            "power_max": ("power", True),
-            "points": ("dimensionless", True),
-            "calibration": ("calibration", True),
-            "probe_rabi": ("frequency", True),
+            "power_min": ("power", REQUIRED),
+            "power_max": ("power", REQUIRED),
+            "points": ("count", REQUIRED),
+            "calibration": ("calibration", REQUIRED),
+            "probe_rabi": ("frequency", REQUIRED),
+            "strong": (("down", "up"), "down"),
         },
     },
     "cpt": {
-        "drive": {
-            "rabi_up": ("frequency", True),
-            "rabi_down": ("frequency", True),
-        },
-        "scan": {
-            "delta_max": ("frequency", True),
-            "points": ("dimensionless", True),
-        },
+        "drive": _RABI_PAIR,
+        "scan": {"delta_max": ("frequency", REQUIRED), "points": ("count", REQUIRED)},
     },
     "detuning": {
-        "drive": {
-            "rabi_up": ("frequency", True),
-            "rabi_down": ("frequency", True),
-        },
+        "drive": _RABI_PAIR,
         "scan": {
-            "detuning_min": ("frequency", True),
-            "detuning_max": ("frequency", True),
-            "points": ("dimensionless", True),
+            "detuning_min": ("frequency", REQUIRED),
+            "detuning_max": ("frequency", REQUIRED),
+            "points": ("count", REQUIRED),
         },
-        "ensemble": {
-            "rabi_spread": ("dimensionless", False),
-            "samples": ("dimensionless", False),
-        },
-        "simulation": {
-            "cycles": ("dimensionless", False),
-        },
+        "ensemble": {"rabi_spread": ("dimensionless", 0.0), "samples": ("count", 1)},
+        "simulation": {"cycles": ("dimensionless", 150.0)},
     },
     "lightshift": {
-        "drive": {
-            "rabi_up": ("frequency", True),
-            "rabi_down": ("frequency", True),
-            "detuning": ("frequency", True),
-            "delta": ("frequency", True),
-        },
+        "drive": {**_RESONANT_DRIVE, "delta": ("frequency", REQUIRED)},
         "lattice": {
-            "slope": ("slope", True),
-            "depth_min": ("depth", True),
-            "depth_max": ("depth", True),
-            "depth_points": ("dimensionless", True),
-            "frequency_noise": ("frequency", False),
+            "slope": ("slope", REQUIRED),
+            "depth_min": ("depth", REQUIRED),
+            "depth_max": ("depth", REQUIRED),
+            "depth_points": ("count", REQUIRED),
+            "frequency_noise": ("frequency", 0.0),
         },
-        "scan": {
-            "dark_max": ("time", True),
-            "dark_points": ("dimensionless", True),
-        },
+        "scan": {"dark_max": ("time", REQUIRED), "dark_points": ("count", REQUIRED)},
     },
     "pipeline": {
         "signal": {
-            "rabi": ("frequency", True),
-            "tau": ("time", True),
-            "loss_amp": ("dimensionless", True),
-            "tau_loss": ("time", True),
-            "noise": ("dimensionless", True),
-            "duration": ("time", True),
-            "samples": ("dimensionless", True),
+            "rabi": ("frequency", REQUIRED),
+            "tau": ("time", REQUIRED),
+            "loss_amp": ("dimensionless", REQUIRED),
+            "tau_loss": ("time", REQUIRED),
+            "noise": ("dimensionless", REQUIRED),
+            "duration": ("time", REQUIRED),
+            "samples": ("count", REQUIRED),
         },
     },
     "fidelity": {
-        "drive": {
-            "rabi_up": ("frequency", True),
-            "rabi_down": ("frequency", True),
-            "detuning": ("frequency", True),
-        },
+        "drive": _RESONANT_DRIVE,
         "readout": {
-            "lz_efficiency": ("dimensionless", True),
-            "reference_drift": ("dimensionless", False),
+            "lz_efficiency": ("dimensionless", REQUIRED),
+            "reference_drift": ("dimensionless", 0.1),
         },
     },
 }
 
-_STRING_KEYS = {("at", "scan", "strong")}
-
 
 @dataclass(frozen=True)
 class Scenario:
+    """A checked scenario.  `params` holds the value of every key the file
+    gives or the schema defaults, `raw` the text of each key the file gives."""
+
     name: str
     kind: str
     seed: int
-    params: dict[tuple[str, str], float]
-    strings: dict[tuple[str, str], str] = field(default_factory=dict)
-    raw: dict[tuple[str, str], str] = field(default_factory=dict)
-    text: str = ""
+    params: dict[tuple[str, str], float | int | str]
+    raw: dict[tuple[str, str], str]
+    text: str
 
-    def get(self, section: str, key: str, default: float | None = None) -> float:
-        if (section, key) in self.params:
-            return self.params[(section, key)]
-        if default is None:
+    def get(self, section: str, key: str) -> float:
+        if (section, key) not in self.params:
             raise ConfigError(f"scenario {self.name!r}: missing [{section}] {key}")
-        return default
+        return self.params[(section, key)]
 
-    def get_int(self, section: str, key: str, default: int | None = None) -> int:
-        val = self.get(section, key, None if default is None else float(default))
-        rounded = int(round(val))
-        if abs(val - rounded) > 1e-9:
-            raise ConfigError(f"scenario {self.name!r}: [{section}] {key} must be an integer")
-        return rounded
+    def get_int(self, section: str, key: str) -> int:
+        return int(self.get(section, key))
 
-    def string(self, section: str, key: str, default: str | None = None) -> str:
-        if (section, key) in self.strings:
-            return self.strings[(section, key)]
-        if default is None:
-            raise ConfigError(f"scenario {self.name!r}: missing [{section}] {key}")
-        return default
+    def string(self, section: str, key: str) -> str:
+        return str(self.get(section, key))
+
+    def has(self, section: str) -> bool:
+        """Whether the file sets a key of [section]."""
+        return any(sec == section for sec, _ in self.raw)
 
     def digest(self) -> str:
         return hashlib.sha256(self.text.encode()).hexdigest()
 
     def resolved_lines(self) -> list[str]:
         out = [f"name = {self.name}", f"kind = {self.kind}", f"seed = {self.seed}"]
-        for (section, key) in sorted(self.params):
-            out.append(f"{section}.{key} = {self.raw.get((section, key), self.params[(section, key)])}")
-        for (section, key), value in sorted(self.strings.items()):
-            out.append(f"{section}.{key} = {value}")
+        out.extend(f"{section}.{key} = {text}" for (section, key), text in sorted(self.raw.items()))
         return out
 
 
@@ -283,25 +228,46 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
         raise ConfigError(f"{source}:{rv.line}: unknown key {key!r} in [scenario]")
 
     schema = SCHEMAS[kind]
-    params: dict[tuple[str, str], float] = {}
-    strings: dict[tuple[str, str], str] = {}
+    params: dict[tuple[str, str], float | int | str] = {}
     raw: dict[tuple[str, str], str] = {}
     for sec_name, body in sections.items():
         if sec_name not in schema:
             raise ConfigError(f"{source}: unknown section [{sec_name}] for kind {kind!r}")
         sec_schema = schema[sec_name]
         for key, rv in body.items():
-            if (kind, sec_name, key) in _STRING_KEYS:
-                strings[(sec_name, key)] = rv.text
-                continue
             if key not in sec_schema:
                 raise ConfigError(f"{source}:{rv.line}: unknown key {key!r} in [{sec_name}]")
-            qkind, _ = sec_schema[key]
-            params[(sec_name, key)] = convert(rv, qkind, source)
+            params[(sec_name, key)] = _value(rv, sec_schema[key][0], f"[{sec_name}] {key}", source)
             raw[(sec_name, key)] = rv.text
     for sec_name, sec_schema in schema.items():
-        for key, (_, required) in sec_schema.items():
-            if required and (sec_name, key) not in params:
+        for key, (_, default) in sec_schema.items():
+            if (sec_name, key) in params:
+                continue
+            if default is REQUIRED:
                 raise ConfigError(f"{source}: kind {kind!r} requires [{sec_name}] {key}")
-    return Scenario(name=name, kind=kind, seed=seed, params=params, strings=strings,
-                    raw=raw, text=text)
+            if default is WITH_SECTION:
+                if sec_name in sections:
+                    raise ConfigError(f"{source}: [{sec_name}] is all-or-nothing and lacks {key}")
+                continue
+            params[(sec_name, key)] = default
+    return Scenario(name=name, kind=kind, seed=seed, params=params, raw=raw, text=text)
+
+
+def _value(rv: RawValue, quantity: str | tuple[str, ...], what: str,
+           source: str) -> float | int | str:
+    """`rv` as `quantity`: one of its words, a count, or a finite number in
+    canonical units."""
+    if isinstance(quantity, tuple):
+        if rv.text not in quantity:
+            raise ConfigError(f"{source}:{rv.line}: {what} must be one of "
+                              f"{', '.join(quantity)}, got {rv.text!r}")
+        return rv.text
+    value = convert(rv, "dimensionless" if quantity == "count" else quantity, source)
+    if not math.isfinite(value):
+        raise ConfigError(f"{source}:{rv.line}: {what} = {rv.text!r} is not a finite number")
+    if quantity != "count":
+        return value
+    count = round(value)
+    if count < 1 or abs(value - count) > 1e-9:
+        raise ConfigError(f"{source}:{rv.line}: {what} = {rv.text!r} is not a whole number >= 1")
+    return count

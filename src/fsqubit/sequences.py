@@ -256,7 +256,7 @@ def _with_phase_offsets(config: RamanConfig, phases: dict[str, float]) -> RamanC
     return RamanConfig(up=up, down=down)
 
 
-def _choose_basis(seq: PulseSequence, table: DecayTable, force_full: bool) -> str:
+def _choose_basis(seq: PulseSequence, table: DecayTable) -> str:
     has_ramp = any(isinstance(s, FrequencyRamp) for s in seq.segments)
     drives = [s.drive for s in seq.segments if isinstance(s, ConstantDrive)]
     if has_ramp:
@@ -266,7 +266,7 @@ def _choose_basis(seq: PulseSequence, table: DecayTable, force_full: bool) -> st
     if any(isinstance(d, DriveField) for d in drives):
         return "single"
     raman = [d for d in drives if isinstance(d, RamanConfig)]
-    if raman and not force_full and all(elimination_applies(c, table) for c in raman):
+    if raman and all(elimination_applies(c, table) for c in raman):
         return "effective"
     return "lossy"
 
@@ -277,7 +277,6 @@ def run(
     table: DecayTable,
     env: MagneticEnvironment | None = None,
     n_samples: int = 201,
-    force_full: bool = False,
     rho0: DensityMatrix | None = None,
 ) -> RunResult:
     """Run a pulse sequence, sampling populations on a uniform global grid.
@@ -291,7 +290,7 @@ def run(
     """
     if rho0 is not None:
         rho0.validate()
-    basis = _choose_basis(seq, table, force_full)
+    basis = _choose_basis(seq, table)
     if basis == "ramp":
         return _run_ramp(seq, scheme, table, env, n_samples, rho0)
 

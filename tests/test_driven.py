@@ -156,6 +156,21 @@ def test_phase_enters_off_diagonal(lam, table):
     assert coupling == pytest.approx(abs(coupling) * np.exp(1j * (0.9 + math.pi)))
 
 
+def test_drive_phase_sits_on_lower_upper_entry_in_every_builder(lam, full_scheme, table, env):
+    # H[lower, upper] = (rabi / 2) e^{i phase}, lower and upper ordered by energy
+    phases = {"up": 0.3, "down": 0.5}
+    for scheme, mode, index in ((lam, "lossy", {"up": 0, "s": 1, "down": 2}),
+                                (full_scheme, "full", {"up": full_scheme.up, "s": full_scheme.s,
+                                                       "down": full_scheme.down})):
+        cfg = driven.raman_config(scheme, TWO_PI * 1e6, TWO_PI * 2e6, -TWO_PI * 1e9,
+                                  phase_up=phases["up"], phase_down=phases["down"])
+        h = driven.build_lambda_model(cfg, scheme, table, env, mode=mode).hamiltonian
+        for arm in ("up", "down"):
+            assert np.angle(h[index[arm], index["s"]]) == pytest.approx(phases[arm], abs=1e-12)
+        single = driven.build_single_drive_model(cfg.down, scheme, table, env).hamiltonian
+        assert np.angle(single[scheme.down, scheme.s]) == pytest.approx(phases["down"], abs=1e-12)
+
+
 @given(phase=st.floats(min_value=-3.0, max_value=3.0, allow_nan=False))
 def test_phase_covariance_conjugates_coupling(phase):
     lam_local = atom.lambda_scheme()

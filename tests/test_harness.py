@@ -99,6 +99,63 @@ def test_all_packaged_scenarios_parse():
         assert sc.kind in presets.RUNNERS
 
 
+def _packaged_text(name: str) -> str:
+    return presets.packaged_scenario_path(name).read_text()
+
+
+def test_scenario_omitted_keys_read_schema_defaults():
+    sc = parse_scenario(GOOD_SCENARIO.replace("[ensemble]\nrabi_spread = 0.4 %\nsamples = 3\n", ""))
+    assert sc.get("drive", "delta") == 0.0
+    assert sc.get("ensemble", "rabi_spread") == 0.0
+    assert sc.get_int("ensemble", "samples") == 1
+    assert not sc.has("ensemble")
+    assert parse_scenario(_packaged_text("fig2a").replace("strong = down\n", "")).string(
+        "scan", "strong") == "down"
+    # keys the dry run prints are the file's own
+    assert not any(line.startswith("drive.delta") for line in sc.resolved_lines())
+
+
+def test_scenario_unlisted_word_rejected_with_line():
+    bad = _packaged_text("fig2a").replace("strong = down", "strong = sideways")
+    with pytest.raises(ConfigError,
+                       match=r"fig2a.scenario:13: \[scan\] strong must be one of down, up"):
+        parse_scenario(bad, source="fig2a.scenario")
+
+
+@pytest.mark.parametrize("name,old,new", [
+    ("fig2a", "points = 7", "points = 0"),
+    ("fig3d", "samples = 1111", "samples = -5"),
+    ("fig2a", "points = 7", "points = 2.5"),
+    ("fig2a", "points = 7", "points = many"),
+])
+def test_scenario_count_must_be_whole_and_positive(name, old, new):
+    text = _packaged_text(name)
+    assert old in text
+    line = text[:text.index(old)].count("\n") + 1
+    with pytest.raises(ConfigError,
+                       match=rf"{name}.scenario:{line}: .* not a (whole|finite) number"):
+        parse_scenario(text.replace(old, new), source=f"{name}.scenario")
+
+
+def test_cli_dry_run_rejects_bad_count_with_exit_2(tmp_path, capsys):
+    p = tmp_path / "fig2a.scenario"
+    p.write_text(_packaged_text("fig2a").replace("points = 7", "points = 2.5"))
+    assert cli_main(["scan", "autler-townes", "--scenario", str(p), "--dry-run"]) == 2
+    assert f"{p}:10: [scan] points = '2.5' is not a whole number >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name,dropped,missing", [
+    ("echo_default", "ou_sigma = 16.393 Hz\n", "ou_sigma"),
+    ("figS3", "min = -3 GHz\n", "min"),
+    ("echo_default", "ou_sigma = 16.393 Hz\nou_tau = 25 ms\n", "ou_sigma"),
+])
+def test_scenario_partial_section_rejected(name, dropped, missing):
+    text = _packaged_text(name)
+    assert dropped in text
+    with pytest.raises(ConfigError, match=rf"is all-or-nothing and lacks {missing}"):
+        parse_scenario(text.replace(dropped, ""))
+
+
 # ---------------------------------------------------------------- readout
 
 def test_normalize_constant_references():
