@@ -26,7 +26,10 @@ change; "differs" for any other file.  The manifest is compared without
 its timestamp, so its digests show which files moved.  `dry_run` runs the
 same commands with `--dry-run` and records, per scenario, "identical" when
 both sides print the same text (exit code, stdout and stderr, with each
-tree's path replaced by `<tree>`), or else the differing lines.
+tree's path replaced by `<tree>`), or else the differing lines.  `golden`
+holds, per preset and check, the value in both sides' last `summary.json`,
+the value in `tests/golden_checks.json` and whether each side is within
+that file's tolerance, |value - golden| <= atol + rtol * |golden|.
 """
 
 from __future__ import annotations
@@ -57,6 +60,8 @@ ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THRE
 CLI = "import sys; from fsqubit.harness.cli import main; sys.exit(main())"
 # fresh processes per scenario and side
 COLD_RUNS = 3
+# the change tree's pinned preset check values, with their one tolerance
+GOLDEN = json.loads((ROOT / "tests" / "golden_checks.json").read_text())
 # packaged scenario -> the `fsqubit` arguments that run it
 SCENARIOS = {**{fig: ("reproduce", fig) for fig in FIGURE_PRESETS},
              "ramsey_default": ("simulate", "ramsey"), "echo_default": ("simulate", "echo")}
@@ -164,9 +169,27 @@ def compare_file(old: Path, new: Path):
     return {name: change for name, change in changes.items() if change is not None} or "identical"
 
 
-def outputs_and_cold(trees: dict) -> tuple[dict, dict]:
-    """Per scenario: each side's cold wall times, and how its outputs moved."""
-    cold, outputs = {}, {}
+def golden(runs: dict, want: dict) -> dict:
+    """Per check of one preset: each side's value from the `summary.json` in
+    `runs[side]`, the golden value and whether each side is within tolerance."""
+    got = {side: {c["name"]: c["value"]
+                  for c in json.loads((run / "summary.json").read_text())["checks"]}
+           for side, run in runs.items()}
+    out = {}
+    for name, value in want.items():
+        entry = {side: checks.get(name) for side, checks in got.items()}
+        entry["golden"] = value
+        for side in got:
+            entry[f"{side}_within"] = entry[side] is not None and (
+                abs(entry[side] - value) <= GOLDEN["atol"] + GOLDEN["rtol"] * abs(value))
+        out[name] = entry
+    return out
+
+
+def outputs_and_cold(trees: dict) -> tuple[dict, dict, dict]:
+    """Per scenario: each side's cold wall times, how its outputs moved and,
+    for a preset, its check values against the golden ones."""
+    cold, outputs, checks = {}, {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         for name, args in SCENARIOS.items():
             times = {"parent": [], "change": []}
@@ -183,7 +206,9 @@ def outputs_and_cold(trees: dict) -> tuple[dict, dict]:
                 name: compare_file(old / name, new / name)
                 if (old / name).exists() and (new / name).exists() else "only on one side"
                 for name in names}
-    return cold, outputs
+            if name in GOLDEN["checks"]:
+                checks[name] = golden({"parent": old, "change": new}, GOLDEN["checks"][name])
+    return cold, outputs, {"rtol": GOLDEN["rtol"], "atol": GOLDEN["atol"], "checks": checks}
 
 
 def main(argv=None) -> int:
@@ -198,7 +223,7 @@ def main(argv=None) -> int:
     end_to_end = [m["name"] for m in spec["end_to_end"]]
 
     record = {"workloads": {}}
-    record["cold_s"], record["outputs"] = outputs_and_cold(trees)
+    record["cold_s"], record["outputs"], record["golden"] = outputs_and_cold(trees)
     record["dry_run"] = dry_runs(trees)
     for item in args.pairs:
         workload, n = item.split("=")

@@ -5,11 +5,16 @@ unit token on every numeric value; dimensionless quantities use an
 empty-unit declaration on the consumer side.  Parsing is strict: unknown
 keys, missing units, and malformed lines raise ConfigError with the
 offending line number.  Numeric CSV is written repr-exact by `format_csv`
-and read back bit-exact by `parse_csv`.
+and read back bit-exact by `parse_csv`.  Plain numeric text, which is what
+`format_csv` writes, is read by numpy's C tokenizer (`np.loadtxt`); text
+with comments, unusual line ends or any error goes to a line-by-line parser.
+That parser stays: it skips comments anywhere, and it alone names the line
+of an error and the column of a non-finite value.
 """
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,15 +168,60 @@ def parse_csv(text: str, source: str = "<csv>") -> tuple[list[str], np.ndarray]:
     `nan` or `inf`; otherwise the header is empty.  A ragged row, a field
     that is not a number and a non-finite value raise ValueError naming
     `source` and the physical (1-based) line.
+
+    Plain text is read by one `np.loadtxt` call, numpy's C tokenizer: ASCII
+    without `#`, whose only line ends are LF and CR LF, with at least one
+    data row as wide as the header and every value finite.  Every other text
+    (comments, a malformed or non-finite field, a ragged or header-only
+    body) goes to the line parser.  It returns the same header and data bit
+    for bit, and it is the one that names the line of an error, so the
+    messages do not depend on the path.
     """
+    return _parse_plain(text) or _parse_lines(text, source)
+
+
+# Line breaks of str.splitlines that numpy's tokenizer reads as whitespace.
+_SPLITLINES_BREAKS = "\x0b\x0c\x1c\x1d\x1e"
+
+
+def _parse_plain(text: str) -> tuple[list[str], np.ndarray] | None:
+    """`parse_csv` of plain text through `np.loadtxt`, or None for any other text."""
+    if not text.isascii() or "#" in text or any(c in text for c in _SPLITLINES_BREAKS):
+        return None
+    first, _, rest = text.lstrip().partition("\n")
+    first = first.strip()
+    if "\r" in first:  # a lone CR ends a line for the line parser
+        return None
+    header = _header(first)
+    body = rest if header else text
+    if not body or body.isspace():
+        return None
+    try:
+        data = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2)
+    except ValueError:
+        return None
+    if header and data.shape[1] != len(header) or not np.isfinite(data).all():
+        return None
+    return header, data
+
+
+def _header(line: str) -> list[str]:
+    """The column names when the first stripped line `line` is a header, else []."""
+    if line[:1].isalpha():
+        try:
+            float(line.split(",", 1)[0])
+        except ValueError:
+            return [h.strip() for h in line.split(",")]
+    return []
+
+
+def _parse_lines(text: str, source: str) -> tuple[list[str], np.ndarray]:
+    """`parse_csv` line by line: every text, and the error message naming the line."""
     numbered = [(n, s) for n, raw in enumerate(text.splitlines(), start=1)
                 if (s := raw.strip()) and s[0] != "#"]
-    header: list[str] = []
-    if numbered and numbered[0][1][0].isalpha():
-        try:
-            float(numbered[0][1].split(",", 1)[0])
-        except ValueError:
-            header = [h.strip() for h in numbered.pop(0)[1].split(",")]
+    header = _header(numbered[0][1]) if numbered else []
+    if header:
+        numbered.pop(0)
     if not numbered:
         return header, np.empty((0, len(header)))
     width = len(header) or numbered[0][1].count(",") + 1

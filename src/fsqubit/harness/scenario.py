@@ -10,13 +10,15 @@ place that knows a key: its quantity and its default.
   `[noise]` and scatter's `[detuning_scan]` are all-or-nothing this way;
   without them the run has no noise and no detuning scan.
 - A `count` (every `samples`, `points`, `dark_points`, `phases`,
-  `ramp_points` and `depth_points`) is a whole number >= 1.
+  `ramp_points` and `depth_points`) is a whole number >= 1, and the
+  `[scenario] seed` (0 when omitted) a whole number in [0, 2**63).
 - A word-valued key takes one of its listed words: `[scan] strong` of an
   Autler-Townes scan is `down` (the default) or `up`.
 
-Unknown sections or keys, missing units, non-finite numbers, counts that are
-not whole or not positive, and unlisted words are rejected at parse time
-with line numbers, so `--dry-run` checks a scenario completely.
+Unknown sections or keys, missing units, non-finite numbers, counts and
+seeds that are not whole or out of range, and unlisted words are rejected
+at parse time with line numbers, so `--dry-run` checks a scenario
+completely.
 """
 
 from __future__ import annotations
@@ -29,10 +31,15 @@ from pathlib import Path
 from ..config import ConfigError, RawValue, convert, parse_config
 
 # Each key maps to (quantity, default).  The quantity is a unit kind of
-# fsqubit.config, "count" (held as an int) or the tuple of words the key
-# takes; the default is a value in canonical units, REQUIRED or WITH_SECTION.
+# fsqubit.config, a whole-number quantity of _WHOLE (held as an int) or the
+# tuple of words the key takes; the default is a value in canonical units,
+# REQUIRED or WITH_SECTION.
 REQUIRED = object()
 WITH_SECTION = object()
+
+# whole-number quantity -> (smallest value, bound it stays below, the rule in words);
+# a seed keys a uint64 Philox stream and stays within int64
+_WHOLE = {"count": (1, math.inf, ">= 1"), "seed": (0, 2**63, "in [0, 2**63)")}
 
 _RABI_PAIR = {"rabi_up": ("frequency", REQUIRED), "rabi_down": ("frequency", REQUIRED)}
 _RESONANT_DRIVE = {**_RABI_PAIR, "detuning": ("frequency", REQUIRED)}
@@ -223,7 +230,7 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
         raise ConfigError(f"{source}: unknown scenario kind {kind!r} "
                           f"(known: {', '.join(sorted(SCHEMAS))})")
     seed_rv = head.pop("seed", None)
-    seed = int(convert(seed_rv, "dimensionless", source)) if seed_rv is not None else 0
+    seed = _value(seed_rv, "seed", "[scenario] seed", source) if seed_rv is not None else 0
     for key, rv in head.items():
         raise ConfigError(f"{source}:{rv.line}: unknown key {key!r} in [scenario]")
 
@@ -255,19 +262,20 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
 
 def _value(rv: RawValue, quantity: str | tuple[str, ...], what: str,
            source: str) -> float | int | str:
-    """`rv` as `quantity`: one of its words, a count, or a finite number in
-    canonical units."""
+    """`rv` as `quantity`: one of its words, a whole number, or a finite
+    number in canonical units."""
     if isinstance(quantity, tuple):
         if rv.text not in quantity:
             raise ConfigError(f"{source}:{rv.line}: {what} must be one of "
                               f"{', '.join(quantity)}, got {rv.text!r}")
         return rv.text
-    value = convert(rv, "dimensionless" if quantity == "count" else quantity, source)
+    value = convert(rv, "dimensionless" if quantity in _WHOLE else quantity, source)
     if not math.isfinite(value):
         raise ConfigError(f"{source}:{rv.line}: {what} = {rv.text!r} is not a finite number")
-    if quantity != "count":
+    if quantity not in _WHOLE:
         return value
-    count = round(value)
-    if count < 1 or abs(value - count) > 1e-9:
-        raise ConfigError(f"{source}:{rv.line}: {what} = {rv.text!r} is not a whole number >= 1")
-    return count
+    low, high, rule = _WHOLE[quantity]
+    whole = round(value)
+    if not low <= whole < high or abs(value - whole) > 1e-9:
+        raise ConfigError(f"{source}:{rv.line}: {what} = {rv.text!r} is not a whole number {rule}")
+    return whole

@@ -48,6 +48,11 @@ class IntegrationError(Exception):
     pass
 
 
+class StateError(ValueError):
+    """A density matrix that is not a state: not Hermitian, not of unit trace
+    or not positive."""
+
+
 class DegenerateSteadyStateError(Exception):
     """The Liouvillian null space is not one-dimensional; add a small
     dephasing to break the degeneracy."""
@@ -93,11 +98,11 @@ class DensityMatrix:
 
     def validate(self, tol: float = 1e-9) -> None:
         if self.hermiticity_defect() > tol:
-            raise IntegrationError("density matrix is not Hermitian within tolerance")
+            raise StateError("density matrix is not Hermitian within tolerance")
         if abs(np.trace(self.matrix).real - 1.0) > tol:
-            raise IntegrationError("density matrix trace differs from 1")
+            raise StateError("density matrix trace differs from 1")
         if self.min_eigenvalue() < -tol:
-            raise IntegrationError("density matrix has a negative eigenvalue")
+            raise StateError("density matrix has a negative eigenvalue")
 
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:

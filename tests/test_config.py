@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fsqubit.config import ConfigError, convert, format_csv, parse_config, parse_csv
+from fsqubit.config import (ConfigError, _parse_lines, convert, format_csv, parse_config,
+                            parse_csv)
 from fsqubit.units import TWO_PI
 
 
@@ -129,3 +130,54 @@ def test_parse_csv_line_numbers_count_comments_and_blanks():
 def test_parse_csv_header_after_data_is_an_error():
     with pytest.raises(ValueError, match=r"'t' is not a number on line 3"):
         parse_csv("t,y\n0,1\nt,y\n1,2\n")
+
+
+# Texts near the plain-CSV path and across its gate: numbers, junk pieces (letters, `_`,
+# `#`, `nan`, `inf`, an Arabic-Indic digit, whitespace) and every kind of line end, where
+# `\x0c` and `\x85` end a line for the line parser but are whitespace to numpy.
+_PIECES = [*"0123456789+-.e,_tx \t\r\n\x0c\x85#", "nan", "inf", "\u0663"]
+_JUNK = st.lists(st.sampled_from(_PIECES), max_size=8).map("".join)
+_PAD = st.sampled_from(["", " ", "\t", "\r", "\x0c", "\x85"])
+_NUMBER = (st.floats(allow_nan=False, allow_infinity=False).map(repr)
+           | st.sampled_from(["0", "-1", "+.5", "2.5e-3", "1E5", "nan", "-inf"]))
+_FIELD = st.tuples(_PAD, _NUMBER, _PAD).map("".join) | _JUNK
+
+
+@st.composite
+def _csv_texts(draw):
+    width = draw(st.integers(1, 3))
+    row = st.lists(_FIELD, min_size=width, max_size=width).map(",".join)
+    lines = draw(st.lists(row | _JUNK, max_size=5))
+    if draw(st.booleans()):
+        lines.insert(0, ",".join("abc"[:width]))
+    ends = st.sampled_from(["\n", "\r\n", "\r", "\x0c", "\n\n", "\n \n", "\n# note\n"])
+    return "".join(line + draw(ends) for line in lines)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_csv_texts() | _JUNK)
+@example("t,y\n0,1\n1,2\n")  # plain
+@example("t,y\r\n0,1\r\n")  # CR LF
+@example("1\x0c,2\n")  # a form feed ends a line
+@example("0\x85,1\n")  # so does NEL, which is not ASCII
+@example("t\r0\r\n1\n")  # a lone CR inside the header line
+@example("0,1\r1,2\r")  # lone CR line ends
+@example("t,y\n0,1 # note\n")  # an inline comment
+@example("\u0663,1\n")  # an Arabic-Indic digit
+@example("t,y\n")  # header only
+@example("t,y\n0,1\n1,2,3\n")  # ragged
+@example("t,y\n0\n1\n")  # narrower than the header
+@example("t,y\n0,nan\n")  # non-finite
+def test_parse_csv_agrees_with_line_parser(text):
+    def outcome(parse):
+        try:
+            return parse(text, "t.csv")
+        except ValueError as err:
+            return str(err)
+    got, want = outcome(parse_csv), outcome(_parse_lines)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert got[0] == want[0]
+    assert got[1].shape == want[1].shape
+    assert np.array_equal(got[1].view(np.int64), want[1].view(np.int64))

@@ -144,6 +144,19 @@ def test_cli_dry_run_rejects_bad_count_with_exit_2(tmp_path, capsys):
     assert f"{p}:10: [scan] points = '2.5' is not a whole number >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed, rule", [
+    ("abc", "is not a finite number"),
+    ("2.7", "is not a whole number in [0, 2**63)"),
+    ("-3", "is not a whole number in [0, 2**63)"),
+    ("1e19", "is not a whole number in [0, 2**63)"),
+])
+def test_cli_dry_run_rejects_bad_seed_with_exit_2(tmp_path, capsys, seed, rule):
+    p = tmp_path / "fig3d.scenario"
+    p.write_text(_packaged_text("fig3d").replace("seed = 31", f"seed = {seed}"))
+    assert cli_main(["simulate", "rabi", "--scenario", str(p), "--dry-run"]) == 2
+    assert f"{p}:5: [scenario] seed = '{seed}' {rule}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("name,dropped,missing", [
     ("echo_default", "ou_sigma = 16.393 Hz\n", "ou_sigma"),
     ("figS3", "min = -3 GHz\n", "min"),
@@ -344,6 +357,30 @@ def test_cli_analyze_rabi(tmp_path, capsys):
     result = json.loads(out.read_text())
     assert result["omega_hz"] == pytest.approx(100.94e3, rel=2e-3)
     assert result["tau_s"] == pytest.approx(684e-6, rel=0.05)
+
+
+def test_cli_analyze_rabi_reads_crlf_and_comments_alike(tmp_path, capsys):
+    from fsqubit import formulas
+    from fsqubit.units import TWO_PI
+
+    t = np.arange(4096) * 0.4e-6
+    y = formulas.damped_model(t, TWO_PI * 100.94e3, 0.0, 684e-6, 0.17, 1.15e-3)
+    rows = [f"{ti:.17g},{yi:.17g}" for ti, yi in zip(t, y)]
+    texts = {
+        "plain": "t_s,value\n" + "".join(row + "\n" for row in rows),
+        "crlf": "t_s,value\r\n" + "".join(row + "\r\n" for row in rows),
+        "commented": "# trace\n\nt_s,value\n" + "".join(
+            row + ("\n\n# block\n" if k % 1000 == 999 else "\n") for k, row in enumerate(rows)),
+    }
+    printed = {}
+    for name, text in texts.items():
+        src = tmp_path / f"{name}.csv"
+        src.write_bytes(text.encode())
+        assert cli_main(["analyze", "rabi", "--input", str(src)]) == 0
+        printed[name] = capsys.readouterr().out
+    assert json.loads(printed["plain"])["omega_hz"] == pytest.approx(100.94e3, rel=2e-3)
+    assert printed["crlf"] == printed["plain"]
+    assert printed["commented"] == printed["plain"]
 
 
 def test_cli_analyze_decay(tmp_path):

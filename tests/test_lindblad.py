@@ -388,7 +388,7 @@ def test_density_matrix_validation():
     good = DensityMatrix.pure(2, 0)
     good.validate()
     bad = DensityMatrix(np.array([[0.5, 0.0], [0.0, 0.6]], dtype=complex))
-    with pytest.raises(lindblad.IntegrationError):
+    with pytest.raises(lindblad.StateError):
         bad.validate()
 
 

@@ -112,10 +112,10 @@ def test_run_rejects_zero_duration_sequence(lam, table):
 def test_run_and_evolve_reject_invalid_initial_state(matrix, message, fig3_config, lam, table):
     rho0 = DensityMatrix(np.array(matrix))
     seq = sequences.PulseSequence("up", (sequences.ConstantDrive(fig3_config, 1e-6),), ("up",))
-    with pytest.raises(lindblad.IntegrationError, match=message):
+    with pytest.raises(lindblad.StateError, match=message):
         sequences.run(seq, lam, table, n_samples=11, rho0=rho0)
     model = driven.build_effective_qubit_model(fig3_config, table)
-    with pytest.raises(lindblad.IntegrationError, match=message):
+    with pytest.raises(lindblad.StateError, match=message):
         lindblad.evolve(model, rho0, 1e-6, n_samples=11)
 
 
