@@ -275,7 +275,11 @@ def _value(rv: RawValue, quantity: str | tuple[str, ...], what: str,
     if quantity not in _WHOLE:
         return value
     low, high, rule = _WHOLE[quantity]
-    whole = round(value)
+    try:
+        # a bare integer literal converts exactly; a float rounds it past 2**53
+        whole = int(rv.text)
+    except ValueError:
+        whole = round(value)
     if not low <= whole < high or abs(value - whole) > 1e-9:
         raise ConfigError(f"{source}:{rv.line}: {what} = {rv.text!r} is not a whole number {rule}")
     return whole

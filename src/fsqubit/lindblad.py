@@ -6,6 +6,9 @@ place the program steps a state through time with a matrix exponential: the
 propagator over one grid step is computed once and applied repeatedly, which
 is exact up to roundoff and untroubled by GHz-scale rotating-frame
 diagonals.  A stack of generators steps every ensemble member at once.
+`liouvillian` builds a stack of models in one broadcast pass over their
+Hamiltonians and over every member's jumps; the members' jump lists may
+differ, and each member is bit-equal to its own build.
 
 A model's state is stepped by `model_steps` on the block of its Liouvillian
 that holds the initial state, never on the whole d^2 x d^2 generator.  The
@@ -36,6 +39,7 @@ Trace is never renormalized; its drift is a diagnostic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache, reduce
 from typing import Sequence
 
 import numpy as np
@@ -136,7 +140,7 @@ class Trajectory:
         return float(self.times[1] - self.times[0]) if len(self.times) > 1 else 0.0
 
 
-def liouvillian(model: RotatingFrameModel, index=None) -> np.ndarray:
+def liouvillian(models, index=None) -> np.ndarray:
     """Vectorized generator L with drho_vec/dt = L rho_vec (row-major vec).
 
     L[(a,b),(a',b')] = -i (H[a,a'] delta_bb' - delta_aa' H[b',b]), plus for
@@ -145,36 +149,74 @@ def liouvillian(model: RotatingFrameModel, index=None) -> np.ndarray:
     jump's terms are added in jump order, so the whole generator is
     bit-equal to the Kronecker-product build.
 
+    `models` is one RotatingFrameModel, giving its (k, k) generator, or a
+    sequence of models of one dimension (a stack), giving the (M, k, k)
+    stack of their generators.  A stack is built in one broadcast pass over
+    its Hamiltonians and every member's jumps; the members' jump lists may
+    differ, and each member is bit-equal to its own build.
+
     With `index`, only the rows and columns at those vec positions (the pair
     (a, b) sits at a * dim + b) are built, bit-equal to slicing the whole
     generator.  `index` must be sorted and hold every population, as every
     block from `invariant_block` does.
     """
-    d = model.dim
-    pos = np.arange(d * d) if index is None else index
-    a, b = np.divmod(pos, d)
-    h = model.hamiltonian
-    lv = h.take(a, 0).take(a, 1) * (b[:, None] == b)
-    lv -= (a[:, None] == a) * h.T.take(b, 0).take(b, 1)
+    one = isinstance(models, RotatingFrameModel)
+    stack = [models] if one else models
+    d = stack[0].dim
+    k = d * d if index is None else len(index)
+    left, right, same_a, same_b, touches, population = _pairs(
+        d, None if index is None else np.asarray(index, dtype=np.intp).tobytes())
+    # every member's generator, flattened over its entries
+    h = np.array([m.hamiltonian for m in stack]).reshape(len(stack), -1)
+    lv = h.take(left, 1) * same_b
+    lv -= same_a * h.take(right, 1)
     lv *= -1j
-    if model.collapse_ops:
-        ops = np.array(model.collapse_ops)
-        jump, to, frm = ops.nonzero()  # one element per jump, in jump order
+    counts = [len(m.collapse_ops) for m in stack]
+    if any(counts):
+        ops = np.array([c for m in stack for c in m.collapse_ops])
+        jump, to, frm = ops.nonzero()  # one element per jump, member-major in jump order
         amp = ops[jump, to, frm]
         rate = (amp * amp.conj()).real
-        # block positions of each jump's `to` and `from` populations
-        row, col = pos.searchsorted(to * (d + 1)), pos.searchsorted(frm * (d + 1))
-        gain = rate * (to != frm)
-        loss = -0.5 * rate[:, None] * np.add(a == frm[:, None], b == frm[:, None], dtype=float)
-        # a self-jump's gain cancels its loss on its own population
-        loss[jump, col] *= to != frm
+        member, slot = (np.arange(max(counts)) < np.array(counts)[:, None]).nonzero()
+        # losses by slot and member, padded past a member's last jump with
+        # -0.0 - 0.0j, which adds nothing, signed zeros included
+        loss = np.full((max(counts), len(stack), k), complex(-0.0, -0.0))
+        loss[slot, member] = -0.5 * rate[:, None] * touches[to, frm]
         # H's diagonal is real, so each diagonal entry's real part is the
-        # sum of the jumps' losses, added one jump at a time
-        lv.reshape(-1)[::len(pos) + 1] += loss.cumsum(axis=0)[-1]
+        # sum of its member's losses, added one jump at a time; a member
+        # with jumps adds 0.0 to the imaginary part, one without adds nothing
+        lv[:, ::k + 1] += reduce(np.add, loss)
         # a gain lands between two populations, where the Hamiltonian part
-        # is zero; add.at sums repeated entries in jump order
-        np.add.at(lv, (row, col), gain)
-    return lv
+        # is zero; add.at sums repeated entries member by member in jump order
+        gain = (rate * (to != frm)).astype(complex)
+        np.add.at(lv, (member, population[to] * k + population[frm]), gain)
+    lv = lv.reshape(len(stack), k, k)
+    return lv[0] if one else lv
+
+
+@lru_cache(maxsize=16)
+def _pairs(d: int, index: bytes | None) -> tuple[np.ndarray, ...]:
+    """The parts of a generator on the vec positions `index` (the bytes of
+    an intp array; None for all d * d) that depend on no model, read-only.
+
+    For the flattened entries (p, q), p = (a, b) and q = (a', b'): the flat
+    positions of H[a, a'] and of H[b', b], and the complex masks of
+    a == a' and of b == b'.  Then touches[to, from, p], how many of p's two
+    levels a jump from `from` to `to` drains (0.0, 1.0 or 2.0, and 0.0 on a
+    self-jump's own population), and the position of each population.
+    """
+    pos = np.arange(d * d) if index is None else np.frombuffer(index, dtype=np.intp)
+    a, b = np.divmod(pos, d)
+    levels = np.arange(d)
+    population = pos.searchsorted(levels * (d + 1))
+    touches = np.tile(np.add(a == levels[:, None], b == levels[:, None], dtype=float), (d, 1, 1))
+    touches[levels, levels, population] = 0.0
+    parts = ((a[:, None] * d + a).ravel(), (b * d + b[:, None]).ravel(),
+             (a[:, None] == a).astype(complex).ravel(), (b[:, None] == b).astype(complex).ravel(),
+             touches, population)
+    for x in parts:
+        x.setflags(write=False)
+    return parts
 
 
 def invariant_block(models, rho0) -> np.ndarray | None:
@@ -226,9 +268,9 @@ def evolve(
     """Integrate the master equation and sample populations on a uniform grid.
 
     engine "expm" propagates with the exact one-step matrix exponential
-    (constant generator only); "rk" uses adaptive RK45 on the vectorized
-    equation; "auto" picks expm unless a ramp is present.  `rho0` must be a
-    valid density matrix of the model's dimension.
+    (constant generator only: a ramp raises ValueError); "rk" uses adaptive
+    RK45 on the vectorized equation; "auto" picks expm unless a ramp is
+    present.  `rho0` must be a valid density matrix of the model's dimension.
     """
     if duration <= 0.0:
         raise ValueError("duration must be positive")
@@ -238,7 +280,7 @@ def evolve(
     if engine == "auto":
         engine = "rk" if ramp is not None else "expm"
     if engine == "expm" and ramp is not None:
-        raise IntegrationError("the expm engine cannot integrate a detuning ramp")
+        raise ValueError("the expm engine cannot integrate a detuning ramp")
     times = np.linspace(0.0, duration, n_samples)
     if engine == "expm":
         vecs = np.array(list(model_steps(model, rho0.matrix, times)))
@@ -300,12 +342,8 @@ def model_steps(models, rho0, times):
     outside the block is exactly zero.
     """
     index = invariant_block(models, rho0)
-    vec0 = rho0.reshape(-1)
-    if isinstance(models, RotatingFrameModel):
-        lv = liouvillian(models, index)
-    else:
-        lv = np.stack([liouvillian(m, index) for m in models])
-        vec0 = np.broadcast_to(vec0, (len(models), vec0.size))
+    lv = liouvillian(models, index)
+    vec0 = np.broadcast_to(rho0.reshape(-1), (*lv.shape[:-2], rho0.size))
     if index is None:
         yield from steps(lv, vec0, times)
         return

@@ -578,7 +578,7 @@ def _two_pulse_scan(dark_time, phases, config, table, ensemble, ou, echo: bool) 
     models, delta = _member_models(config, table, draws)
     # each member's axis broadcasts against the dark-time axes
     grid = (len(draws), *(1,) * dark_time.ndim)
-    u_half = expm(np.stack([liouvillian(m) for m in models]) * t_half)
+    u_half = expm(liouvillian(models) * t_half)
     u_half = u_half.reshape(*grid, *u_half.shape[1:])
     delta = delta.reshape(grid)
     # OU phase of each member over the dark time, or over each echo half

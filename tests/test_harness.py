@@ -157,6 +157,22 @@ def test_cli_dry_run_rejects_bad_seed_with_exit_2(tmp_path, capsys, seed, rule):
     assert f"{p}:5: [scenario] seed = '{seed}' {rule}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", [str(2**53 + 1), str(2**63 - 1)])
+def test_cli_dry_run_prints_a_large_seed_exactly(tmp_path, capsys, seed):
+    p = tmp_path / "fig3d.scenario"
+    p.write_text(_packaged_text("fig3d").replace("seed = 31", f"seed = {seed}"))
+    assert cli_main(["simulate", "rabi", "--scenario", str(p), "--dry-run"]) == 0
+    assert f"\nseed = {seed}\n" in capsys.readouterr().out
+
+
+def test_cli_dry_run_rejects_seed_2_to_the_63(tmp_path, capsys):
+    p = tmp_path / "fig3d.scenario"
+    p.write_text(_packaged_text("fig3d").replace("seed = 31", f"seed = {2**63}"))
+    assert cli_main(["simulate", "rabi", "--scenario", str(p), "--dry-run"]) == 2
+    err = capsys.readouterr().err
+    assert f"{p}:5: [scenario] seed = '{2**63}' is not a whole number in [0, 2**63)" in err
+
+
 @pytest.mark.parametrize("name,dropped,missing", [
     ("echo_default", "ou_sigma = 16.393 Hz\n", "ou_sigma"),
     ("figS3", "min = -3 GHz\n", "min"),

@@ -310,6 +310,37 @@ def stacks_and_states(draw):
     return models, DensityMatrix.from_state(psi).matrix
 
 
+@st.composite
+def wide_stacks_and_states(draw):
+    """Up to six sparse models of one dimension, whose jump lists differ
+    (none, self-jumps, repeated jumps) and whose Hamiltonian diagonals may
+    carry a -0.0 imaginary part, and a state to block them on."""
+    dim = draw(st.integers(2, 5))
+    models = draw(st.lists(sparse_models(dim), min_size=1, max_size=6))
+    for m, model in enumerate(models):
+        h = model.hamiltonian.copy()
+        signs = st.lists(st.sampled_from([0.0, -0.0]), min_size=dim, max_size=dim)
+        h.imag[np.diag_indices(dim)] = draw(signs)
+        models[m] = driven.RotatingFrameModel(h, model.collapse_ops, model.labels, None)
+    psi = np.array([complex(draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)))
+                    for _ in range(dim)])
+    if np.linalg.norm(psi) < 1e-3:
+        return models, DensityMatrix.pure(dim, 0).matrix
+    return models, DensityMatrix.from_state(psi).matrix
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_stacks_and_states())
+def test_stacked_liouvillian_bit_equal_to_member_builds(case):
+    models, rho0 = case
+    for index in (None, lindblad.invariant_block(models, rho0)):
+        want = np.stack([lindblad.liouvillian(m, index) for m in models])
+        got = lindblad.liouvillian(models, index)
+        assert got.shape == want.shape
+        # signed zeros included
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 @settings(max_examples=60, deadline=None)
 @given(stacks_and_states(), st.sampled_from(sorted(GRIDS)))
 def test_block_propagation_equals_full_propagation(case, grid):
@@ -394,6 +425,6 @@ def test_density_matrix_validation():
 
 def test_expm_rejects_ramp():
     model = two_level_model(TWO_PI * 100.0)
-    with pytest.raises(lindblad.IntegrationError):
+    with pytest.raises(ValueError, match="the expm engine cannot integrate a detuning ramp"):
         evolve(model, DensityMatrix.pure(2, 0), 1e-3, engine="expm",
                ramp=lindblad.DetuningRamp(level=1, start=0.0, stop=1.0))

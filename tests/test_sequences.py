@@ -566,6 +566,19 @@ def test_streamed_rabi_ensemble_matches_member_loop(fig3_config, table, spread):
         assert np.abs(traj.populations[label] - want[:, i]).max() < 1e-12
 
 
+def test_rabi_ensemble_with_and_without_scattering_matches_member_loop(fig3_config, table):
+    """A member whose Rabi scale clips to 0 drops its scattering jumps, so a
+    wide spread stacks members with 0 and with 6 jumps."""
+    spec = sequences.EnsembleSpec(rabi_spread=1.5, samples=40, seed=1)
+    draws, _ = sequences._draws_and_weights(spec)
+    models, _ = sequences._member_models(fig3_config, table, draws)
+    assert {len(m.collapse_ops) for m in models} == {0, 6}
+    traj = sequences.run_rabi_ensemble(fig3_config, table, 60e-6, 301, spec)
+    want = reference_rabi_ensemble(fig3_config, table, 60e-6, 301, spec)
+    for i, label in enumerate(("up", "down", "lost")):
+        assert np.abs(traj.populations[label] - want[:, i]).max() < 1e-12
+
+
 @pytest.mark.parametrize("echo", [False, True])
 @pytest.mark.parametrize("with_ou", [False, True])
 def test_batched_coherence_scans_match_member_loop(fig3_config, table, echo, with_ou):
