@@ -3,14 +3,18 @@
 Levels are identified by (manifold, m_J).  Energies are angular frequencies
 (rad/s) measured from the midpoint of the two metastable qubit states, so
 detunings entering rotating-frame models stay numerically small.
+
+The 88Sr constants below (`MANIFOLDS`, `_ENERGY_THZ`, `TAU_3P1`,
+`GAMMA_S_DEFAULT`, `_BRANCH_*`) are the only copy of the level structure:
+schemes, Zeeman shifts and decay tables all read them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .config import ConfigError, RawValue, convert, parse_config
+from .config import ConfigError
 from .units import MU_B_MHZ_PER_G, TWO_PI, angular
 
 
@@ -151,9 +155,6 @@ def two_level_scheme() -> LevelScheme:
 @dataclass(frozen=True)
 class MagneticEnvironment:
     b_gauss: float = 20.0
-    g_j: dict[str, float] = field(
-        default_factory=lambda: {m: g for m, (_, g) in MANIFOLDS.items()}
-    )
 
     def __post_init__(self):
         if self.b_gauss < 0:
@@ -161,10 +162,8 @@ class MagneticEnvironment:
 
 
 def zeeman_shift(level: Sublevel, env: MagneticEnvironment) -> float:
-    """Linear Zeeman shift of a sublevel, rad/s."""
-    if level.manifold not in env.g_j:
-        raise ConfigError(f"no g_J defined for manifold {level.manifold!r}")
-    g = env.g_j[level.manifold]
+    """Linear Zeeman shift of a sublevel, rad/s, with g_J from `MANIFOLDS`."""
+    g = MANIFOLDS[level.manifold][1]
     return TWO_PI * MU_B_MHZ_PER_G * 1e6 * g * level.m_j * env.b_gauss
 
 
@@ -228,20 +227,21 @@ DecayChannel = tuple[tuple[str, int], tuple[str, int], float]
 class DecayTable:
     """Spontaneous-decay channels with per-source branching fractions.
 
-    `gamma_s` is the total 3S1 decay rate; `gamma_3p1` the 3P1 rate for the
-    sequential cascade back to the ground state.  Channel fractions are
-    branches of the source manifold's total rate.
+    `gamma_s` is the total 3S1 decay rate; the 3P1 rate of the sequential
+    cascade back to the ground state is 1 / `TAU_3P1`.  Channel fractions
+    are branches of the source manifold's total rate.  The 3P1 lifetime and
+    the energies `validate` checks downhill decays against are the module
+    constants, the only copy of the level data.
     """
 
     gamma_s: float = GAMMA_S_DEFAULT
-    gamma_3p1: float = 1.0 / TAU_3P1
     channels: tuple[DecayChannel, ...] = ()
 
     def rate_of(self, manifold: str) -> float:
         if manifold == "3S1":
             return self.gamma_s
         if manifold == "3P1":
-            return self.gamma_3p1
+            return 1.0 / TAU_3P1
         raise ConfigError(f"no decay rate defined for source manifold {manifold!r}")
 
     def validate(self) -> None:
@@ -301,90 +301,3 @@ def decay_rates(scheme: LevelScheme, table: DecayTable) -> list[tuple[int, int, 
         if scheme.has(*src) and scheme.has(*dst):
             rates.append((scheme.index(*src), scheme.index(*dst), frac * table.rate_of(src[0])))
     return rates
-
-
-def load_scheme_config(text: str, source: str = "<config>") -> tuple[LevelScheme, DecayTable]:
-    """Build a scheme and decay table from sectioned config text.
-
-    Sections: one `[manifold X]` per manifold with `j`, `g_j`, `energy`;
-    `[decay X]` sections give `linewidth` (or `lifetime`) plus `to_Y`
-    manifold branching fractions, split over m_J by dipole weights.  J and
-    g_J must match `MANIFOLDS`, which Zeeman shifts read.
-    """
-    sections = parse_config(text, source)
-    manifolds: dict[str, float] = {}
-    decays: dict[str, tuple[float, dict[str, float]]] = {}
-    for name, body in sections.items():
-        if name.startswith("manifold "):
-            label = name.split(None, 1)[1]
-            j = int(convert(_req(body, "j", name, source), "dimensionless", source))
-            g_raw = _req(body, "g_j", name, source)
-            g = convert(g_raw, "dimensionless", source)
-            energy = convert(_req(body, "energy", name, source), "frequency", source)
-            _reject_unknown(body, {"j", "g_j", "energy"}, name, source)
-            if label not in MANIFOLDS:
-                raise ConfigError(f"{source}: manifold {label!r} is not supported")
-            if MANIFOLDS[label][0] != j:
-                raise ConfigError(f"{source}: manifold {label} must have J={MANIFOLDS[label][0]}")
-            if MANIFOLDS[label][1] != g:
-                raise ConfigError(f"{source}:{g_raw.line}: manifold {label} must have g_j = {MANIFOLDS[label][1]}")
-            manifolds[label] = energy
-        elif name.startswith("decay "):
-            label = name.split(None, 1)[1]
-            if "linewidth" in body:
-                rate = convert(body["linewidth"], "frequency", source)
-            elif "lifetime" in body:
-                rate = 1.0 / convert(body["lifetime"], "time", source)
-            else:
-                raise ConfigError(f"{source}: [{name}] needs `linewidth` or `lifetime`")
-            branches = {}
-            for key, rv in body.items():
-                if key in ("linewidth", "lifetime"):
-                    continue
-                if not key.startswith("to_"):
-                    raise ConfigError(f"{source}:{rv.line}: unknown key {key!r} in [{name}]")
-                branches[key[3:]] = convert(rv, "dimensionless", source)
-            decays[label] = (rate, branches)
-        else:
-            raise ConfigError(f"{source}: unknown section [{name}]")
-    if not manifolds:
-        raise ConfigError(f"{source}: no [manifold ...] sections")
-
-    levels = []
-    for label, energy in manifolds.items():
-        j = MANIFOLDS[label][0]
-        for m in range(-j, j + 1):
-            levels.append(Sublevel(label, m, energy))
-    scheme = LevelScheme(tuple(levels))
-
-    channels: list[DecayChannel] = []
-    gamma_s = GAMMA_S_DEFAULT
-    gamma_3p1 = 1.0 / TAU_3P1
-    for src_label, (rate, branches) in decays.items():
-        if src_label == "3S1":
-            gamma_s = rate
-        elif src_label == "3P1":
-            gamma_3p1 = rate
-        else:
-            raise ConfigError(f"{source}: decay from {src_label!r} is not supported")
-        j_e = MANIFOLDS[src_label][0]
-        for m_e in range(-j_e, j_e + 1):
-            for dst_label, branch in branches.items():
-                j_g = MANIFOLDS[dst_label][0]
-                for m_g, w in emission_weights(j_e, m_e, j_g).items():
-                    channels.append(((src_label, m_e), (dst_label, m_g), branch * w))
-    table = DecayTable(gamma_s=gamma_s, gamma_3p1=gamma_3p1, channels=tuple(channels))
-    table.validate()
-    return scheme, table
-
-
-def _req(body: dict[str, RawValue], key: str, section: str, source: str) -> RawValue:
-    if key not in body:
-        raise ConfigError(f"{source}: [{section}] is missing key {key!r}")
-    return body[key]
-
-
-def _reject_unknown(body: dict[str, RawValue], allowed: set[str], section: str, source: str):
-    for key, rv in body.items():
-        if key not in allowed:
-            raise ConfigError(f"{source}:{rv.line}: unknown key {key!r} in [{section}]")

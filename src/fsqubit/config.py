@@ -1,8 +1,8 @@
 """The package's text formats: sectioned key = value configs and numeric CSV.
 
-Configs (harness scenario files, level-scheme / decay-table configs) carry a
-unit token on every numeric value; dimensionless quantities use an
-empty-unit declaration on the consumer side.  Parsing is strict: unknown
+Configs (harness scenario files, the only sectioned format) carry a unit
+token on every numeric value; dimensionless quantities use an empty-unit
+declaration on the consumer side.  Parsing is strict: unknown
 keys, missing units, and malformed lines raise ConfigError with the
 offending line number.  Numeric CSV is written repr-exact by `format_csv`
 and read back bit-exact by `parse_csv`.  Plain numeric text, which is what

@@ -110,9 +110,7 @@ class EffectiveTwoLevel:
     """Adiabatically eliminated qubit parameters for one Raman configuration.
 
     Frequencies are rad/s, scattering rates 1/s.  `stark_up/down` are the
-    one-photon light shifts entering the effective Hamiltonian diagonal;
-    `loss_amp` and `tau_loss` parameterize the slow population loss of
-    `damped_model` and are fitted from data, not predicted.
+    one-photon light shifts entering the effective Hamiltonian diagonal.
     """
 
     rabi: float
@@ -120,14 +118,10 @@ class EffectiveTwoLevel:
     stark_down: float
     scatter_up: float
     scatter_down: float
-    loss_amp: float = 0.0
-    tau_loss: float = np.inf
 
     def __post_init__(self):
         if self.rabi < 0 or self.scatter_up < 0 or self.scatter_down < 0:
             raise ValueError("rates must be >= 0")
-        if not 0.0 <= self.loss_amp <= 0.5:
-            raise ValueError("loss amplitude must lie in [0, 0.5]")
 
     @property
     def differential_shift(self) -> float:

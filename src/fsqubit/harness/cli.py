@@ -25,14 +25,8 @@ from ..config import ConfigError
 from ..driven import ModelError
 from ..dsp import FitError, PipelineError
 from ..lindblad import DegenerateSteadyStateError, IntegrationError
-from ..units import TWO_PI
-from .presets import (
-    FIGURE_PRESETS,
-    default_scenario_for_kind,
-    packaged_scenario_path,
-    reproduce,
-    run_scenario,
-)
+from ..units import SR88_MASS_U, TWO_PI
+from .presets import default_scenario_for_kind, load_preset, run_scenario
 from .scenario import load_scenario
 
 _SIMULATE_KINDS = {"rabi": "rabi", "lz": "lz", "ramsey": "ramsey",
@@ -70,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_trap.add_argument("what", choices=["magic", "recoil", "slope"])
     p_trap.add_argument("--wavelength", type=float, required=True, help="nm")
     p_trap.add_argument("--angle", type=float, default=90.0, help="polarization angle (deg)")
-    p_trap.add_argument("--mass-u", type=float, default=87.9056)
+    p_trap.add_argument("--mass-u", type=float, default=SR88_MASS_U)
     p_trap.add_argument("--table", type=Path, default=None, help="polarizability CSV")
     p_trap.add_argument("--dry-run", action="store_true")
 
@@ -189,16 +183,12 @@ def main(argv=None) -> int:
         if args.command == "trap":
             return _cmd_trap(args)
         if args.command == "reproduce":
-            if args.figure not in FIGURE_PRESETS:
-                raise ConfigError(
-                    f"unknown figure {args.figure!r}; presets: {', '.join(FIGURE_PRESETS)}"
-                )
+            sc = load_preset(args.figure)
             if args.dry_run:
-                sc = load_scenario(packaged_scenario_path(args.figure))
                 for line in sc.resolved_lines():
                     print(line)
                 return 0
-            ok = reproduce(args.figure, args.out / args.figure)
+            ok = run_scenario(sc, args.out / args.figure)
             summary = json.loads((args.out / args.figure / "summary.json").read_text())
             for check in summary["checks"]:
                 mark = "pass" if check["pass"] else "FAIL"

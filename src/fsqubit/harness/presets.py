@@ -524,11 +524,15 @@ def run_scenario(sc: Scenario, outdir: Path) -> bool:
     return writer.finish()
 
 
-def reproduce(figure: str, outdir: Path) -> bool:
-    """Run one figure preset; returns True when all summary checks pass."""
+def load_preset(figure: str) -> Scenario:
+    """The packaged scenario of one figure preset; ConfigError for any other name."""
     if figure not in FIGURE_PRESETS:
         raise ConfigError(
             f"unknown figure {figure!r}; presets: {', '.join(FIGURE_PRESETS)}"
         )
-    sc = load_scenario(packaged_scenario_path(figure))
-    return run_scenario(sc, Path(outdir))
+    return load_scenario(packaged_scenario_path(figure))
+
+
+def reproduce(figure: str, outdir: Path) -> bool:
+    """Run one figure preset; returns True when all summary checks pass."""
+    return run_scenario(load_preset(figure), Path(outdir))

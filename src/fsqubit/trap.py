@@ -89,30 +89,6 @@ class PolarizabilityTable:
         except TableError as exc:
             raise TableError(f"{source}: {exc}") from None
 
-    def to_csv(self) -> str:
-        out = [_CSV_HEADER]
-        for state, arr in self.rows.items():
-            for lam, a_s, s_s, a_t, s_t in arr:
-                out.append(f"{state},{lam:.17g},{a_s:.17g},{s_s:.17g},{a_t:.17g},{s_t:.17g}")
-        return "\n".join(out) + "\n"
-
-
-@dataclass(frozen=True)
-class LatticeConfig:
-    wavelength_nm: float
-    depth: float
-    depth_unit: str  # "E_rec" or "uK"
-    beta: float      # rad, in [0, pi/2]
-    axis: str = "horizontal"
-
-    def __post_init__(self):
-        if self.depth < 0:
-            raise ValueError("depth must be >= 0")
-        if not 0.0 <= self.beta <= math.pi / 2 + 1e-12:
-            raise ValueError("beta must lie in [0, pi/2]")
-        if self.depth_unit not in ("E_rec", "uK"):
-            raise ValueError("depth unit must be E_rec or uK")
-
 
 def tensor_weight(beta: float) -> float:
     return (3.0 * math.cos(beta) ** 2 - 1.0) / 2.0
@@ -200,16 +176,6 @@ def recoil_energy(wavelength_nm: float, mass_u: float = SR88_MASS_U) -> RecoilEn
     return RecoilEnergy(frequency_hz=freq, temperature_uk=temp_uk)
 
 
-def depth_to_hz(depth: float, unit: str, wavelength_nm: float) -> float:
-    """Trap depth in Hz from recoil or temperature units."""
-    rec = recoil_energy(wavelength_nm)
-    if unit == "E_rec":
-        return depth * rec.frequency_hz
-    if unit == "uK":
-        return depth * K_BOLTZMANN * 1e-6 / H_PLANCK
-    raise ValueError(f"unknown depth unit {unit!r}")
-
-
 # depth expressed in uK -> Hz, independent of wavelength
 _HZ_PER_UK = K_BOLTZMANN * 1e-6 / H_PLANCK
 
@@ -230,23 +196,3 @@ def shift_slope(
     # d slope/d a_up = f * a_dn / a_up^2 ; d slope/d a_dn = -f / a_up
     sigma = _HZ_PER_UK * math.hypot(s_up * a_dn / a_up**2, s_dn / a_up)
     return slope, sigma
-
-
-def thermal_shift_spread(t_atoms_uk: float, slope_hz_per_uk: float, depth_uk: float) -> float:
-    """Thermal spread of the differential shift, Hz (order-of-magnitude model).
-
-    Atoms at temperature T sample the trap light with a depth deficit of
-    about T/2 by equipartition in one dimension, so the shift spread is
-    slope * T/2.  The trap depth only bounds the validity (T well below
-    depth); the linear-slope model has no explicit depth dependence."""
-    if t_atoms_uk < 0 or slope_hz_per_uk < 0 or depth_uk < 0:
-        raise ValueError("inputs must be >= 0")
-    return slope_hz_per_uk * t_atoms_uk / 2.0
-
-
-def gaussian_t2_star(sigma_f_hz: float) -> float:
-    """1/e Gaussian dephasing time sqrt(2)/(2 pi sigma_f) for a static
-    Gaussian frequency spread."""
-    if sigma_f_hz <= 0:
-        return math.inf
-    return math.sqrt(2.0) / (2.0 * math.pi * sigma_f_hz)

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from fsqubit import atom
 from fsqubit.config import ConfigError
-from fsqubit.units import TWO_PI
+from fsqubit.units import MU_B_MHZ_PER_G, TWO_PI
 
 
 def test_full_scheme_has_13_sublevels(full_scheme):
@@ -45,6 +45,12 @@ def test_sublevel_rejects_bad_mj():
         atom.Sublevel("3P0", 1, 0.0)
 
 
+def test_sublevel_rejects_unknown_manifold():
+    # the guard zeeman_shift relies on when it indexes MANIFOLDS
+    with pytest.raises(ConfigError, match="unknown manifold '3D1'"):
+        atom.Sublevel("3D1", 0, 0.0)
+
+
 def test_zeeman_42mhz_point(env):
     lvl = atom.Sublevel("3P2", 1, 0.0)
     shift = atom.zeeman_shift(lvl, env)
@@ -58,13 +64,6 @@ def test_zeeman_zero_field():
 
 def test_zeeman_j0_has_no_shift(env):
     assert atom.zeeman_shift(atom.Sublevel("3P0", 0, 0.0), env) == 0.0
-
-
-def test_zeeman_unknown_manifold(env):
-    lvl = atom.Sublevel("3P1", 0, 0.0)
-    bad_env = atom.MagneticEnvironment(b_gauss=5.0, g_j={"3P2": 1.5})
-    with pytest.raises(ConfigError):
-        atom.zeeman_shift(lvl, bad_env)
 
 
 @given(
@@ -81,11 +80,16 @@ def test_zeeman_odd_in_mj_and_linear_in_b(m, b):
 
 
 def test_lande_factors():
+    assert atom.MANIFOLDS["3P2"][1] == 1.5
+    assert atom.MANIFOLDS["3S1"][1] == 2.0
+    assert atom.MANIFOLDS["3P1"][1] == 1.5
+    assert atom.MANIFOLDS["1S0"][1] == 0.0 and atom.MANIFOLDS["3P0"][1] == 0.0
+    # zeeman_shift reads g_J from MANIFOLDS, the only copy
     env = atom.MagneticEnvironment()
-    assert env.g_j["3P2"] == 1.5
-    assert env.g_j["3S1"] == 2.0
-    assert env.g_j["3P1"] == 1.5
-    assert env.g_j["1S0"] == 0.0 and env.g_j["3P0"] == 0.0
+    for manifold, m in (("3S1", 1), ("3P2", 2), ("3P1", -1)):
+        g = atom.MANIFOLDS[manifold][1]
+        expected = TWO_PI * MU_B_MHZ_PER_G * 1e6 * g * m * env.b_gauss
+        assert atom.zeeman_shift(atom.Sublevel(manifold, m, 0.0), env) == expected
 
 
 def test_decay_fraction_times_linewidth(table):
@@ -166,79 +170,6 @@ def test_emission_weights_normalized(m_e, j_g):
     if w:
         assert math.isclose(sum(w.values()), 1.0, rel_tol=1e-12)
         assert all(v >= 0 for v in w.values())
-
-
-SCHEME_CFG = """
-[manifold 1S0]
-j = 0
-g_j = 0
-energy = -437.9375 THz
-
-[manifold 3P0]
-j = 0
-g_j = 0
-energy = -8.7095 THz
-
-[manifold 3P1]
-j = 1
-g_j = 1.5
-energy = -3.1085 THz
-
-[manifold 3P2]
-j = 2
-g_j = 1.5
-energy = 8.7095 THz
-
-[manifold 3S1]
-j = 1
-g_j = 2
-energy = 432.6235 THz
-
-[decay 3S1]
-linewidth = 11 MHz
-to_3P2 = 0.543
-to_3P1 = 0.340
-to_3P0 = 0.116
-
-[decay 3P1]
-lifetime = 21.4 us
-to_1S0 = 1.0
-"""
-
-
-def test_scheme_config_roundtrip():
-    scheme, table = atom.load_scheme_config(SCHEME_CFG)
-    assert scheme.n == 13
-    assert math.isclose(table.gamma_s, TWO_PI * 11e6, rel_tol=1e-12)
-    branch = table.branching(("3S1", 0))
-    assert math.isclose(branch[("3P2", 0)], 0.543 * 0.4, rel_tol=1e-9)
-    reference = atom.default_decay_table()
-    assert set(table.channels) == set(reference.channels)
-
-
-def test_packaged_level_config_matches_builtin():
-    import importlib.resources
-
-    text = (importlib.resources.files("fsqubit") / "data" / "sr88_levels.cfg").read_text()
-    scheme, table = atom.load_scheme_config(text, source="sr88_levels.cfg")
-    builtin_scheme = atom.sr88_scheme()
-    assert [l.key() for l in scheme.levels] == [l.key() for l in builtin_scheme.levels]
-    assert set(table.channels) == set(atom.default_decay_table().channels)
-
-
-def test_scheme_config_rejects_unknown_key():
-    bad = SCHEME_CFG.replace("g_j = 1.5", "g_j = 1.5\nbogus = 1")
-    with pytest.raises(ConfigError) as err:
-        atom.load_scheme_config(bad)
-    assert "bogus" in str(err.value)
-
-
-def test_scheme_config_rejects_g_j_that_zeeman_shifts_ignore():
-    # Zeeman shifts read MANIFOLDS, so an edited g_j would silently change nothing
-    bad = SCHEME_CFG.replace("g_j = 2", "g_j = 2.0023")
-    line = bad.splitlines().index("g_j = 2.0023") + 1
-    with pytest.raises(ConfigError, match=rf"<config>:{line}: manifold 3S1 must have g_j = 2\.0"):
-        atom.load_scheme_config(bad)
 
 
 def test_immutability(full_scheme, table):

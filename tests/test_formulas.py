@@ -120,9 +120,9 @@ def test_effective_two_level_fields(fig3_config, table):
     assert eff.rabi == pytest.approx(TWO_PI * 108e3, rel=1e-12)
     assert eff.differential_shift == pytest.approx(0.0, abs=1e-9)
     assert eff.scatter_up == pytest.approx(622.0, rel=2e-3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="rates must be >= 0"):
         formulas.EffectiveTwoLevel(rabi=1.0, stark_up=0, stark_down=0,
-                                   scatter_up=1.0, scatter_down=1.0, loss_amp=0.7)
+                                   scatter_up=-1.0, scatter_down=1.0)
 
 
 def test_generalized_rabi():

@@ -326,9 +326,11 @@ def test_cli_trap_recoil(capsys):
 
 
 def test_cli_unknown_figure_exit_code(capsys):
-    assert cli_main(["reproduce", "fig99"]) == 2
-    err = capsys.readouterr().err
-    assert "fig3d" in err  # lists the available presets
+    for extra in ([], ["--dry-run"]):
+        assert cli_main(["reproduce", "fig99", *extra]) == 2
+        err = capsys.readouterr().err
+        assert "unknown figure 'fig99'" in err
+        assert "fig3d" in err  # lists the available presets
 
 
 def test_cli_missing_scenario_file():

@@ -30,12 +30,6 @@ def test_csv_field_count_line_numbered():
     assert "t.csv:2" in str(err.value)
 
 
-def test_csv_roundtrip(sample_table):
-    back = trap.PolarizabilityTable.from_csv(sample_table.to_csv())
-    for state in sample_table.states():
-        np.testing.assert_allclose(back.rows[state], sample_table.rows[state])
-
-
 def test_wavelengths_must_increase():
     with pytest.raises(trap.TableError):
         trap.PolarizabilityTable(rows={"3P0": np.array([[914.0, 1, 0, 0, 0],
@@ -144,15 +138,6 @@ def test_recoil_scaling_with_wavelength():
     assert one / two == pytest.approx(4.0, rel=1e-12)
 
 
-def test_depth_unit_roundtrip():
-    depth_rec = 150.0
-    hz_from_rec = trap.depth_to_hz(depth_rec, "E_rec", 914.0)
-    rec = trap.recoil_energy(914.0)
-    depth_uk = depth_rec * rec.temperature_uk
-    hz_from_uk = trap.depth_to_hz(depth_uk, "uK", 914.0)
-    assert hz_from_rec == pytest.approx(hz_from_uk, rel=1e-12)
-
-
 def test_shift_slope_zero_at_magic(sample_table):
     res = trap.magic_angle(sample_table, 914.0, tol=1e-9)
     slope, _ = trap.shift_slope(sample_table, 914.0, res.beta)
@@ -175,25 +160,3 @@ def test_shift_slope_tuned_table(sample_table):
     slope, sigma = trap.shift_slope(sample_table, 1064.0, math.pi / 2)
     assert slope == pytest.approx(192.0, abs=0.01)
     assert sigma > 0
-
-
-def test_thermal_spread_values():
-    assert trap.thermal_shift_spread(0.0, 192.0, 21.0) == 0.0
-    spread = trap.thermal_shift_spread(2.5, 192.0, 21.0)
-    assert spread == pytest.approx(240.0, rel=1e-12)
-    t2 = trap.gaussian_t2_star(spread)
-    assert t2 == pytest.approx(0.94e-3, rel=0.01)
-
-
-def test_thermal_spread_scaling():
-    t2_a = trap.gaussian_t2_star(trap.thermal_shift_spread(2.5, 192.0, 21.0))
-    t2_b = trap.gaussian_t2_star(trap.thermal_shift_spread(2.5, 384.0, 21.0))
-    assert t2_a / t2_b == pytest.approx(2.0, rel=1e-12)
-
-
-def test_lattice_config_validation():
-    trap.LatticeConfig(wavelength_nm=914.0, depth=150.0, depth_unit="E_rec", beta=0.5)
-    with pytest.raises(ValueError):
-        trap.LatticeConfig(wavelength_nm=914.0, depth=-1.0, depth_unit="E_rec", beta=0.5)
-    with pytest.raises(ValueError):
-        trap.LatticeConfig(wavelength_nm=914.0, depth=1.0, depth_unit="E_rec", beta=2.0)
