@@ -1,12 +1,12 @@
-"""Rotating-frame Hamiltonians and collapse operators for Raman drives.
+"""Rotating-frame Hamiltonians and decay jumps for Raman drives.
 
 Builders return immutable RotatingFrameModel instances.  The Hamiltonian is
 assembled from one entry per coupled pair, mirrored as its conjugate, so
 Hermiticity holds exactly.  Every drive coupling is written as
 H[lower, upper] = (rabi / 2) e^{i phase}, with lower and upper the field's
-endpoints ordered by energy, whatever their order in the basis.  Collapse
-operators are single-element jump matrices with the rate folded in as a
-square root, one per decay channel, which keeps branching auditable.
+endpoints ordered by energy, whatever their order in the basis.  Each decay
+channel is one jump (from, to, amplitude), the collapse operator
+amplitude |to><from| of rate amplitude**2, which keeps branching auditable.
 
 `pi_lines` alone decides which Zeeman lines a pi-polarized field drives and
 how strongly.  `build_single_drive_model` sets them on the Zeeman-shifted
@@ -16,7 +16,8 @@ not address; the full Raman model and `rates.pump_rates` read that model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,28 +92,27 @@ def raman_config(
 
 @dataclass(frozen=True)
 class RotatingFrameModel:
-    """Hermitian rotating-frame Hamiltonian plus pure jump operators."""
+    """Hermitian rotating-frame Hamiltonian plus decay jumps.
+
+    A jump (from, to, amplitude) is the collapse operator amplitude |to><from|
+    of rate amplitude**2: one pair of levels by construction, which the
+    invariant-block reduction in `lindblad` relies on.
+    """
 
     hamiltonian: np.ndarray
-    collapse_ops: tuple[np.ndarray, ...]
+    jumps: tuple[tuple[int, int, float], ...]
     labels: tuple[str, ...]
-    scheme: LevelScheme | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         h = np.asarray(self.hamiltonian, dtype=complex)
         h.setflags(write=False)
         object.__setattr__(self, "hamiltonian", h)
-        ops = []
-        for c in self.collapse_ops:
-            c = np.asarray(c, dtype=complex)
-            c.setflags(write=False)
-            ops.append(c)
-        object.__setattr__(self, "collapse_ops", tuple(ops))
+        object.__setattr__(self, "jumps", tuple(self.jumps))
         if not np.array_equal(h, h.conj().T):
             raise ModelError("Hamiltonian must be Hermitian")
-        for c in ops:
-            if np.count_nonzero(c) != 1:
-                raise ModelError("collapse operators must be single-element jumps")
+        for frm, to, _ in self.jumps:
+            if not (0 <= frm < len(h) and 0 <= to < len(h)):
+                raise ModelError(f"jump ({frm}, {to}) has an endpoint outside the model's {len(h)} levels")
 
     @property
     def dim(self) -> int:
@@ -124,7 +124,7 @@ class RotatingFrameModel:
     def shifted(self, offset: float) -> "RotatingFrameModel":
         """Same model with a constant added to the Hamiltonian diagonal."""
         h = self.hamiltonian + offset * np.eye(self.dim)
-        return RotatingFrameModel(h, self.collapse_ops, self.labels, self.scheme)
+        return RotatingFrameModel(h, self.jumps, self.labels)
 
 
 def _hermitian(dim: int, entries: dict[tuple[int, int], complex]) -> np.ndarray:
@@ -138,12 +138,6 @@ def _hermitian(dim: int, entries: dict[tuple[int, int], complex]) -> np.ndarray:
             h[i, j] = v
             h[j, i] = np.conj(v)
     return h
-
-
-def _jump(dim: int, to: int, frm: int, rate: float) -> np.ndarray:
-    c = np.zeros((dim, dim), dtype=complex)
-    c[to, frm] = np.sqrt(rate)
-    return c
 
 
 def build_lambda_model(
@@ -181,21 +175,22 @@ def build_lambda_model(
     b_up = branch.get(("3P2", 0), 0.0)
     b_down = branch.get(("3P0", 0), 0.0)
     if mode == "closed":
-        h = _hermitian(3, entries)
         norm = b_up + b_down
-        ops = (
-            _jump(3, 0, 1, table.gamma_s * b_up / norm),
-            _jump(3, 2, 1, table.gamma_s * b_down / norm),
+        if norm == 0.0:
+            raise ModelError("the closed model needs a (3S1,0) decay branch into "
+                             "(3P2,0) or (3P0,0); the table has neither")
+        jumps = (
+            (1, 0, math.sqrt(table.gamma_s * b_up / norm)),
+            (1, 2, math.sqrt(table.gamma_s * b_down / norm)),
         )
-        return RotatingFrameModel(h, ops, ("up", "s", "down"), scheme)
-    h = _hermitian(4, entries)
+        return RotatingFrameModel(_hermitian(3, entries), jumps, ("up", "s", "down"))
     b_lost = sum(branch.values()) - b_up - b_down
-    ops = tuple(
-        _jump(4, to, 1, table.gamma_s * b)
+    jumps = tuple(
+        (1, to, math.sqrt(table.gamma_s * b))
         for to, b in ((0, b_up), (2, b_down), (3, b_lost))
         if b > 0.0
     )
-    return RotatingFrameModel(h, ops, ("up", "s", "down", "lost"), scheme)
+    return RotatingFrameModel(_hermitian(4, entries), jumps, ("up", "s", "down", "lost"))
 
 
 def _pi_coupling_ratio(j_low: int, j_high: int, m: int) -> float:
@@ -252,7 +247,7 @@ def _full_model(
     h[scheme.down, scheme.down] = -config.delta_two
     h[scheme.down, scheme.s] = config.down.rabi / 2.0 * np.exp(1j * config.down.phase)
     h[scheme.s, scheme.down] = np.conj(h[scheme.down, scheme.s])
-    return RotatingFrameModel(h, up.collapse_ops, up.labels, scheme)
+    return RotatingFrameModel(h, up.jumps, up.labels)
 
 
 def build_single_drive_model(
@@ -265,9 +260,10 @@ def build_single_drive_model(
 
     On the full scheme the pi-polarized field addresses every Zeeman line of
     its manifold pair with Clebsch-Gordan-scaled amplitude and the
-    Zeeman-shifted detuning; decay channels come from the table.  On a
-    scheme without decay sources (e.g. the 1S0-3P2 pair) this reduces to a
-    bare two-level model for sweep simulations.
+    Zeeman-shifted detuning; its jumps are the table's channels in the
+    order of `atom.decay_rates`.  On a scheme without decay sources (e.g.
+    the 1S0-3P2 pair) this reduces to a bare two-level model for sweep
+    simulations.
     """
     low_lvl, high_lvl, lines = pi_lines(field_, scheme)
     n = scheme.n
@@ -283,12 +279,10 @@ def build_single_drive_model(
             entries[(i, i)] = zeeman_shift(lvl, env) - z_ref_low
     for a, b, ratio in lines:
         entries[(a, b)] = field_.rabi * ratio / 2.0 * np.exp(1j * field_.phase)
-    h = _hermitian(n, entries)
-    ops: tuple[np.ndarray, ...] = ()
-    if table is not None:
-        ops = tuple(_jump(n, j, i, rate) for i, j, rate in decay_rates(scheme, table))
+    rates = decay_rates(scheme, table) if table is not None else []
+    jumps = tuple((i, j, math.sqrt(rate)) for i, j, rate in rates)
     labels = tuple(scheme.label(i) for i in range(n))
-    return RotatingFrameModel(h, ops, labels, scheme)
+    return RotatingFrameModel(_hermitian(n, entries), jumps, labels)
 
 
 def build_effective_qubit_model(
@@ -314,14 +308,14 @@ def build_effective_qubit_model(
     b_up = branch.get(("3P2", 0), 0.0)
     b_down = branch.get(("3P0", 0), 0.0)
     b_lost = sum(branch.values()) - b_up - b_down
-    ops = []
-    for src, rate in ((0, eff.scatter_up), (1, eff.scatter_down)):
-        if rate == 0.0:
-            continue
-        for to, b in ((0, b_up), (1, b_down), (2, b_lost)):
-            if b > 0.0:
-                ops.append(_jump(3, to, src, rate * b))
-    return RotatingFrameModel(h, tuple(ops), ("up", "down", "lost"), None)
+    jumps = tuple(
+        (src, to, math.sqrt(rate * b))
+        for src, rate in ((0, eff.scatter_up), (1, eff.scatter_down))
+        if rate != 0.0
+        for to, b in ((0, b_up), (1, b_down), (2, b_lost))
+        if b > 0.0
+    )
+    return RotatingFrameModel(h, jumps, ("up", "down", "lost"))
 
 
 def _signed_eff_coupling(config: RamanConfig) -> float:

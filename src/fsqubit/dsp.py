@@ -20,6 +20,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.special import exprel
 
+from . import formulas
 from .config import parse_csv
 
 
@@ -499,7 +500,7 @@ def extract_rabi(trace: Trace) -> RabiExtraction:
     if env_fit.meta["tau_unbounded"] or not math.isfinite(tau):
         n_cycles = math.inf
     else:
-        n_cycles = omega * tau / (2.0 * math.pi)
+        n_cycles = formulas.cycles(omega, tau)
     flags = dict(env_fit.meta)
     # carrier center uncertainty in angular units
     omega_sigma = 2.0 * math.pi * carrier.sigma("center")

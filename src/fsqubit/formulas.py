@@ -54,12 +54,6 @@ def scattering_rate(rabi: float, detuning: float, gamma: float) -> float:
     return gamma * rabi**2 / (4.0 * detuning**2)
 
 
-def max_decay_time(rabi: float, detuning: float, gamma: float) -> float:
-    """Scattering-limited envelope decay time 1 / Gamma_sc, s."""
-    rate = scattering_rate(rabi, detuning, gamma)
-    return np.inf if rate == 0.0 else 1.0 / rate
-
-
 def lz_probability(rabi: float, ramp: float) -> float:
     """Adiabatic transfer probability 1 - exp(-pi Omega^2 / (2 ramp)).
 
@@ -122,10 +116,6 @@ class EffectiveTwoLevel:
     def __post_init__(self):
         if self.rabi < 0 or self.scatter_up < 0 or self.scatter_down < 0:
             raise ValueError("rates must be >= 0")
-
-    @property
-    def differential_shift(self) -> float:
-        return self.stark_up - self.stark_down
 
 
 def effective_two_level(

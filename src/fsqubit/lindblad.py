@@ -18,14 +18,15 @@ coherence between them; the block is every pair (a, b) of levels in one
 connected component, so it holds all populations, the coherences inside each
 coupled component, and a cross-component coherence such as the up/down one a
 Ramsey dark segment carries.  The generator maps that block into itself
-because every collapse operator is a single-element jump C = c|to><from|:
-C rho C^dagger moves only the `from` population onto the `to` population and
-C^dagger C is diagonal, so the dissipator keeps each pair of Hamiltonian
-components apart and the populations among themselves, and the Hamiltonian
-mixes a coherence only within its own pair of components.  Propagating the
-block is therefore exact, and every entry outside it stays exactly zero (the
-weak-symmetry block reduction of a Lindblad generator; Buca & Prosen, New J.
-Phys. 14, 073007 (2012); Albert & Jiang, Phys. Rev. A 89, 022118 (2014)).
+because a jump (from, to, c) is one pair of levels by construction: its
+collapse operator C = c|to><from| moves through C rho C^dagger only the
+`from` population onto the `to` population, and C^dagger C is diagonal, so
+the dissipator keeps each pair of Hamiltonian components apart and the
+populations among themselves, and the Hamiltonian mixes a coherence only
+within its own pair of components.  Propagating the block is therefore
+exact, and every entry outside it stays exactly zero (the weak-symmetry
+block reduction of a Lindblad generator; Buca & Prosen, New J. Phys. 14,
+073007 (2012); Albert & Jiang, Phys. Rev. A 89, 022118 (2014)).
 `liouvillian` builds the generator straight on the block's pairs.
 
 Time-dependent detuning schedules (frequency ramps) fall back to an
@@ -144,10 +145,10 @@ def liouvillian(models, index=None) -> np.ndarray:
     """Vectorized generator L with drho_vec/dt = L rho_vec (row-major vec).
 
     L[(a,b),(a',b')] = -i (H[a,a'] delta_bb' - delta_aa' H[b',b]), plus for
-    each jump c|to><from| |c|^2 from the `from` onto the `to` population and
-    -|c|^2/2 on a pair for each of its two levels that is `from`.  Each
-    jump's terms are added in jump order, so the whole generator is
-    bit-equal to the Kronecker-product build.
+    each jump (from, to, c) the rate c*c from the `from` onto the `to`
+    population and -c*c/2 on a pair for each of its two levels that is
+    `from`.  Each jump's terms are added in jump order, so the whole
+    generator is bit-equal to the Kronecker-product build.
 
     `models` is one RotatingFrameModel, giving its (k, k) generator, or a
     sequence of models of one dimension (a stack), giving the (M, k, k)
@@ -171,12 +172,11 @@ def liouvillian(models, index=None) -> np.ndarray:
     lv = h.take(left, 1) * same_b
     lv -= same_a * h.take(right, 1)
     lv *= -1j
-    counts = [len(m.collapse_ops) for m in stack]
+    counts = [len(m.jumps) for m in stack]
     if any(counts):
-        ops = np.array([c for m in stack for c in m.collapse_ops])
-        jump, to, frm = ops.nonzero()  # one element per jump, member-major in jump order
-        amp = ops[jump, to, frm]
-        rate = (amp * amp.conj()).real
+        # every member's jumps, member-major in jump order
+        frm, to, amp = np.array([j for m in stack for j in m.jumps]).T
+        frm, to, rate = frm.astype(np.intp), to.astype(np.intp), amp * amp
         member, slot = (np.arange(max(counts)) < np.array(counts)[:, None]).nonzero()
         # losses by slot and member, padded past a member's last jump with
         # -0.0 - 0.0j, which adds nothing, signed zeros included
@@ -383,8 +383,7 @@ def _integrate_rk(model, rho0, times, rtol, atol, ramp) -> np.ndarray:
         atol=atol,
     )
     if not sol.success:
-        rates = [np.abs(c).max() ** 2 for c in model.collapse_ops]
-        scales = [r for r in rates if r > 0]
+        scales = [r for r in (amp * amp for *_, amp in model.jumps) if r > 0]
         scales += [abs(x) for x in np.diag(model.hamiltonian).real if x != 0]
         ratio = max(scales) / min(scales) if len(scales) > 1 else 1.0
         raise IntegrationError(

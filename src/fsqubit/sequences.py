@@ -306,7 +306,7 @@ def run(
         frame = _frame_delta(seq)
         if basis == "effective":
             h = np.diag([0.0, -frame, 0.0]).astype(complex)
-            return RotatingFrameModel(h, (), ("up", "down", "lost"), None)
+            return RotatingFrameModel(h, (), ("up", "down", "lost"))
         if basis == "lossy":
             cfg = raman_config(scheme, 0.0, 0.0, 0.0, frame)
             return build_lambda_model(cfg, scheme, table, env, mode="lossy")

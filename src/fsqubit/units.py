@@ -11,7 +11,6 @@ TWO_PI = 2.0 * math.pi
 
 # CODATA values
 H_PLANCK = 6.62607015e-34        # J s
-HBAR = H_PLANCK / TWO_PI         # J s
 K_BOLTZMANN = 1.380649e-23       # J/K
 ATOMIC_MASS_KG = 1.66053906660e-27  # kg
 

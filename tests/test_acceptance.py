@@ -47,13 +47,11 @@ def test_criterion_01_master_equation_correctness(table):
         total = sum(traj.populations[k][-1] for k in eff.labels)
         drift = max(drift, abs(total - 1.0))
 
-    c = np.zeros((2, 2), complex)
-    c[0, 1] = math.sqrt(TWO_PI * 1e6)
     damped = driven.RotatingFrameModel(
         driven.build_single_drive_model(
             driven.DriveField((0, 1), TWO_PI * 2e6, TWO_PI * 0.5e6), scheme, None
         ).hamiltonian,
-        (c,), ("g", "up"), scheme)
+        ((1, 0, math.sqrt(TWO_PI * 1e6)),), ("g", "up"))
     rho_ss = steady_state(damped)
     horizon = 50.0 / (TWO_PI * 1e6)
     long = evolve(damped, DensityMatrix.pure(2, 0), horizon, n_samples=3, store_states=True)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fsqubit import atom, driven
+from fsqubit import atom, driven, lindblad
 from fsqubit.units import TWO_PI
 
 
@@ -65,21 +65,20 @@ def test_zero_drive_is_diagonal(lam, table):
     assert np.count_nonzero(m.hamiltonian - np.diag(np.diag(m.hamiltonian))) == 0
 
 
-def test_collapse_ops_single_element(lam, full_scheme, table, env):
-    cfg = driven.raman_config(lam, TWO_PI * 1e6, TWO_PI * 1e6, 0.0)
-    m = driven.build_lambda_model(cfg, lam, table, mode="lossy")
-    for c in m.collapse_ops:
-        assert np.count_nonzero(c) == 1
-    cfg_full = driven.raman_config(full_scheme, TWO_PI * 1e6, TWO_PI * 1e6, 0.0)
-    m_full = driven.build_lambda_model(cfg_full, full_scheme, table, env, mode="full")
-    for c in m_full.collapse_ops:
-        assert np.count_nonzero(c) == 1
+def test_jump_endpoints_must_be_model_levels():
+    h = np.zeros((3, 3))
+    labels = ("a", "b", "c")
+    assert driven.RotatingFrameModel(h, ((2, 0, 1.0), (1, 1, 0.5)), labels).jumps == (
+        (2, 0, 1.0), (1, 1, 0.5))
+    for jump in ((0, 3, 1.0), (3, 0, 1.0), (-1, 0, 1.0), (0, -1, 1.0)):
+        with pytest.raises(driven.ModelError, match="outside the model's 3 levels"):
+            driven.RotatingFrameModel(h, (jump,), labels)
 
 
 def test_lossy_branching_rates(lam, table):
     cfg = driven.raman_config(lam, TWO_PI * 1e6, TWO_PI * 1e6, 0.0)
     m = driven.build_lambda_model(cfg, lam, table, mode="lossy")
-    rates = sorted(float(np.abs(c).max()) ** 2 for c in m.collapse_ops)
+    rates = sorted(amp ** 2 for _, _, amp in m.jumps)
     branch = table.branching(("3S1", 0))
     b_up = branch[("3P2", 0)]
     b_down = branch[("3P0", 0)]
@@ -89,6 +88,27 @@ def test_lossy_branching_rates(lam, table):
     # the reference branching aggregates hold at their stated precision
     np.testing.assert_allclose(sorted((b_up, b_down, b_lost)),
                                sorted((0.217, 0.116, 0.666)), atol=5e-4)
+
+
+def test_zero_linewidth_table_with_default_channels_adds_nothing(lam, table, no_decay):
+    """gamma_s = 0 with the default channels gives jumps of amplitude 0,
+    whose generator equals the one built without channels."""
+    silent = atom.DecayTable(gamma_s=0.0, channels=table.channels)
+    cfg = driven.raman_config(lam, TWO_PI * 1e6, TWO_PI * 2e6, -TWO_PI * 3e6, TWO_PI * 1e5)
+    for build in (lambda t: driven.build_lambda_model(cfg, lam, t, mode="lossy"),
+                  lambda t: driven.build_single_drive_model(cfg.up, lam, t)):
+        model = build(silent)
+        assert model.jumps and all(amp == 0.0 for *_, amp in model.jumps)
+        assert np.array_equal(lindblad.liouvillian(model), lindblad.liouvillian(build(no_decay)))
+    closed = driven.build_lambda_model(cfg, lam, silent, mode="closed")
+    undamped = driven.RotatingFrameModel(closed.hamiltonian, (), closed.labels)
+    assert np.array_equal(lindblad.liouvillian(closed), lindblad.liouvillian(undamped))
+
+
+def test_closed_model_names_a_missing_decay_branch(lam, no_decay):
+    cfg = driven.raman_config(lam, TWO_PI * 1e6, TWO_PI * 1e6, 0.0)
+    with pytest.raises(driven.ModelError, match=r"\(3S1,0\) decay branch into \(3P2,0\) or \(3P0,0\)"):
+        driven.build_lambda_model(cfg, lam, no_decay, mode="closed")
 
 
 def test_forbidden_transition_rejected(full_scheme, table):
@@ -111,7 +131,8 @@ def test_zero_amplitude_field_is_pure_decay(full_scheme, table, env):
     m = driven.build_single_drive_model(field, full_scheme, table, env)
     off_diag = m.hamiltonian - np.diag(np.diag(m.hamiltonian))
     assert np.count_nonzero(off_diag) == 0
-    assert len(m.collapse_ops) == len(atom.decay_rates(full_scheme, table))
+    rates = atom.decay_rates(full_scheme, table)
+    assert m.jumps == tuple((i, j, math.sqrt(rate)) for i, j, rate in rates)
 
 
 def test_single_drive_full_scheme_couplings(full_scheme, table, env):

@@ -15,14 +15,13 @@ def two_level_model(rabi, detuning=0.0, gamma=0.0):
     field = driven.DriveField((0, 1), rabi, detuning)
     model = driven.build_single_drive_model(field, scheme, None)
     if gamma > 0:
-        c = np.zeros((2, 2), complex)
-        c[0, 1] = math.sqrt(gamma)
-        model = driven.RotatingFrameModel(model.hamiltonian, (c,), model.labels, scheme)
+        model = driven.RotatingFrameModel(model.hamiltonian, ((1, 0, math.sqrt(gamma)),),
+                                          model.labels)
     return model
 
 
 def test_identity_evolution():
-    model = driven.RotatingFrameModel(np.zeros((3, 3)), (), ("a", "b", "c"), None)
+    model = driven.RotatingFrameModel(np.zeros((3, 3)), (), ("a", "b", "c"))
     rho0 = DensityMatrix.from_state([0.6, 0.8j, 0.0])
     traj = evolve(model, rho0, duration=1e-3, n_samples=11, store_states=True)
     for st in traj.states:
@@ -204,10 +203,14 @@ def test_stacked_states_are_physical(lam, table, members):
 
 
 def kron_liouvillian(model):
-    """The Liouvillian as built with np.kron, the reference for the broadcast build."""
+    """The Liouvillian as built with np.kron, the reference for the broadcast
+    build, with each jump (from, to, amplitude) as the dense collapse operator
+    amplitude |to><from|."""
     h, eye = model.hamiltonian, np.eye(model.dim)
     lv = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-    for c in model.collapse_ops:
+    for frm, to, amp in model.jumps:
+        c = np.zeros((model.dim, model.dim), dtype=complex)
+        c[to, frm] = amp
         cdc = c.conj().T @ c
         lv += np.kron(c, c.conj()) - 0.5 * (np.kron(cdc, eye) + np.kron(eye, cdc.T))
     return lv
@@ -282,8 +285,8 @@ def test_block_liouvillian_bit_equal_to_slice(lam, full_scheme, table, env, fig3
 
 @st.composite
 def sparse_models(draw, dim):
-    """A model with random couplings on random level pairs and random
-    single-element jumps, self-jumps included."""
+    """A model with random couplings on random level pairs and random jumps,
+    self-jumps included."""
     value = st.floats(-3.0, 3.0)
     h = np.diag([draw(value) for _ in range(dim)]).astype(complex)
     pairs = st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1))
@@ -291,12 +294,9 @@ def sparse_models(draw, dim):
         if i != j:
             h[i, j] = complex(draw(value), draw(value))
             h[j, i] = np.conj(h[i, j])
-    ops = []
-    for to, frm in draw(st.lists(pairs, max_size=4)):
-        c = np.zeros((dim, dim), dtype=complex)
-        c[to, frm] = math.sqrt(draw(st.floats(0.1, 3.0)))
-        ops.append(c)
-    return driven.RotatingFrameModel(h, tuple(ops), tuple(f"l{k}" for k in range(dim)), None)
+    jumps = [(frm, to, math.sqrt(draw(st.floats(0.1, 3.0))))
+             for to, frm in draw(st.lists(pairs, max_size=4))]
+    return driven.RotatingFrameModel(h, jumps, tuple(f"l{k}" for k in range(dim)))
 
 
 @st.composite
@@ -321,7 +321,7 @@ def wide_stacks_and_states(draw):
         h = model.hamiltonian.copy()
         signs = st.lists(st.sampled_from([0.0, -0.0]), min_size=dim, max_size=dim)
         h.imag[np.diag_indices(dim)] = draw(signs)
-        models[m] = driven.RotatingFrameModel(h, model.collapse_ops, model.labels, None)
+        models[m] = driven.RotatingFrameModel(h, model.jumps, model.labels)
     psi = np.array([complex(draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)))
                     for _ in range(dim)])
     if np.linalg.norm(psi) < 1e-3:
@@ -367,7 +367,7 @@ def test_block_propagation_with_self_jumps_and_cross_coherence(lam, table, fig3_
         (driven.build_effective_qubit_model(fig3_config, table), DensityMatrix.pure(3, 0).matrix),
         (dark, DensityMatrix.from_state(psi).matrix),
     ]
-    assert any(c[0, 0] != 0 for c in cases[0][0].collapse_ops)
+    assert any(frm == to == 0 and amp != 0 for frm, to, amp in cases[0][0].jumps)
     for model, rho0 in cases:
         index = lindblad.invariant_block(model, rho0)
         assert index is not None and len(index) < model.dim ** 2
@@ -401,7 +401,7 @@ def test_steady_state_dark_state(lam, table):
 
 def test_steady_state_degenerate_rejected():
     # no coupling at all: every diagonal state is stationary
-    model = driven.RotatingFrameModel(np.zeros((2, 2)), (), ("a", "b"), None)
+    model = driven.RotatingFrameModel(np.zeros((2, 2)), (), ("a", "b"))
     with pytest.raises(lindblad.DegenerateSteadyStateError):
         steady_state(model)
 

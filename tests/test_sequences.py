@@ -572,7 +572,7 @@ def test_rabi_ensemble_with_and_without_scattering_matches_member_loop(fig3_conf
     spec = sequences.EnsembleSpec(rabi_spread=1.5, samples=40, seed=1)
     draws, _ = sequences._draws_and_weights(spec)
     models, _ = sequences._member_models(fig3_config, table, draws)
-    assert {len(m.collapse_ops) for m in models} == {0, 6}
+    assert {len(m.jumps) for m in models} == {0, 6}
     traj = sequences.run_rabi_ensemble(fig3_config, table, 60e-6, 301, spec)
     want = reference_rabi_ensemble(fig3_config, table, 60e-6, 301, spec)
     for i, label in enumerate(("up", "down", "lost")):
