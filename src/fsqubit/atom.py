@@ -232,10 +232,18 @@ class DecayTable:
     are branches of the source manifold's total rate.  The 3P1 lifetime and
     the energies `validate` checks downhill decays against are the module
     constants, the only copy of the level data.
+
+    `gamma_s` is checked when the table is made, so `validate` and every
+    model builder, including those that never call `validate`, see a finite
+    rate >= 0.
     """
 
     gamma_s: float = GAMMA_S_DEFAULT
     channels: tuple[DecayChannel, ...] = ()
+
+    def __post_init__(self):
+        if not (math.isfinite(self.gamma_s) and self.gamma_s >= 0.0):
+            raise ValidationError(f"gamma_s must be finite and >= 0, got {self.gamma_s!r}")
 
     def rate_of(self, manifold: str) -> float:
         if manifold == "3S1":

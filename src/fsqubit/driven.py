@@ -121,11 +121,6 @@ class RotatingFrameModel:
     def index(self, label: str) -> int:
         return self.labels.index(label)
 
-    def shifted(self, offset: float) -> "RotatingFrameModel":
-        """Same model with a constant added to the Hamiltonian diagonal."""
-        h = self.hamiltonian + offset * np.eye(self.dim)
-        return RotatingFrameModel(h, self.jumps, self.labels)
-
 
 def _hermitian(dim: int, entries: dict[tuple[int, int], complex]) -> np.ndarray:
     """Build a Hermitian matrix from diagonal entries plus one entry (i, j) per

@@ -27,7 +27,9 @@ within its own pair of components.  Propagating the block is therefore
 exact, and every entry outside it stays exactly zero (the weak-symmetry
 block reduction of a Lindblad generator; Buca & Prosen, New J. Phys. 14,
 073007 (2012); Albert & Jiang, Phys. Rev. A 89, 022118 (2014)).
-`liouvillian` builds the generator straight on the block's pairs.
+`liouvillian` builds the generator straight on the block's pairs, and
+`model_block` sets the block up for `model_steps` and for any caller that
+reads the block's states without scattering them back.
 
 Time-dependent detuning schedules (frequency ramps) fall back to an
 adaptive embedded Runge-Kutta integrator on the same vectorized equation.
@@ -332,23 +334,36 @@ def steps(generator: np.ndarray, vec0: np.ndarray, times):
         yield vec
 
 
+def model_block(models, rho0) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """The block of the models' generators that holds the density matrix
+    `rho0`, ready for `steps`: (index, generator, vec0).
+
+    `index` is the block's vec positions from `invariant_block` (None for the
+    whole space), `generator` the models' Liouvillian on them (a stack for a
+    sequence of models) and `vec0` the entries of `rho0` there, broadcast
+    over a stack's members.
+    """
+    index = invariant_block(models, rho0)
+    lv = liouvillian(models, index)
+    vec0 = np.broadcast_to(rho0.reshape(-1), (*lv.shape[:-2], rho0.size))
+    return index, lv, vec0 if index is None else vec0[..., index]
+
+
 def model_steps(models, rho0, times):
     """Yield the vectorized state of the master equation at every time, `rho0` first.
 
     `models` is one RotatingFrameModel or a sequence of them (a stack, see
     `steps`) that all start from the density matrix `rho0`.  Only the
-    invariant block that holds `rho0` (`invariant_block`) is stepped, and
-    each state is scattered back into the whole vec, where every entry
-    outside the block is exactly zero.
+    invariant block that holds `rho0` (`model_block`) is stepped, and each
+    state is scattered back into the whole vec, where every entry outside
+    the block is exactly zero.
     """
-    index = invariant_block(models, rho0)
-    lv = liouvillian(models, index)
-    vec0 = np.broadcast_to(rho0.reshape(-1), (*lv.shape[:-2], rho0.size))
+    index, lv, vec0 = model_block(models, rho0)
     if index is None:
         yield from steps(lv, vec0, times)
         return
-    for vec in steps(lv, vec0[..., index], times):
-        full = np.zeros(vec0.shape, dtype=vec.dtype)
+    for vec in steps(lv, vec0, times):
+        full = np.zeros((*vec.shape[:-1], rho0.size), dtype=vec.dtype)
         full[..., index] = vec
         yield full
 

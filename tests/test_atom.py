@@ -133,6 +133,15 @@ def test_decay_rates_downhill_validation(full_scheme):
         atom.decay_rates(full_scheme, uphill)
 
 
+@pytest.mark.parametrize("gamma_s", [-1.0, math.nan, math.inf, -math.inf])
+def test_bad_gamma_s_rejected(table, gamma_s):
+    """A negative or non-finite 3S1 rate is named when the table is made, so
+    no model builder reaches it (a negative one used to reach the lossy
+    Lambda builder's square root)."""
+    with pytest.raises(atom.ValidationError, match="gamma_s"):
+        atom.DecayTable(gamma_s=gamma_s, channels=table.channels)
+
+
 def test_bad_fraction_sum_rejected(full_scheme):
     bad = atom.DecayTable(channels=(
         (("3S1", 0), ("3P2", 0), 0.5),

@@ -520,6 +520,37 @@ def reference_rabi_ensemble(config, table, duration, n_samples, spec):
     return np.average(members, axis=0, weights=weights)
 
 
+def ou_phase(rng, ou, duration, delta0=None):
+    """Accumulated phase of an OU detuning path over one dark interval, one
+    scalar draw at a time.
+
+    Returns (phase, final delta) so the path stays continuous across pulses;
+    `delta0=None` starts from a stationary draw."""
+    delta = ou.sigma * rng.standard_normal() if delta0 is None else delta0
+    if duration == 0.0:
+        return 0.0, delta
+    n = max(8, int(math.ceil(duration / (ou.tau_c / 10.0))))
+    dt = duration / n
+    decay = math.exp(-dt / ou.tau_c)
+    kick = ou.sigma * math.sqrt(1.0 - decay * decay)
+    phase = 0.0
+    for _ in range(n):
+        phase += delta * dt
+        delta = delta * decay + kick * rng.standard_normal()
+    return phase, delta
+
+
+def restarted_ou_phases(spec, ou, member, dark_time, echo):
+    """Member's OU phases over the dark time (Ramsey) or over each echo half,
+    from its dark-noise stream restarted for this dark time alone."""
+    rng = sequences.member_rng(spec, member + (1 << 20))
+    if echo:
+        phi1, mid = ou_phase(rng, ou, dark_time / 2)
+        phi2, _ = ou_phase(rng, ou, dark_time / 2, delta0=mid)
+        return phi1, phi2
+    return ou_phase(rng, ou, dark_time)[0], 0.0
+
+
 def kron_rotation(index, phi):
     d = np.ones(3, dtype=complex)
     d[index] = np.exp(1j * phi)
@@ -536,12 +567,7 @@ def reference_two_pulse(dark_time, phases, config, table, spec, ou, echo):
         u = expm(lindblad.liouvillian(driven.build_effective_qubit_model(cfg, table)) * t_half)
         phi1 = phi2 = 0.0
         if ou is not None:
-            rng = sequences.member_rng(spec, i + (1 << 20))
-            if echo:
-                phi1, mid = sequences._ou_phase(rng, ou, dark_time / 2)
-                phi2, _ = sequences._ou_phase(rng, ou, dark_time / 2, delta0=mid)
-            else:
-                phi1, _ = sequences._ou_phase(rng, ou, dark_time)
+            phi1, phi2 = restarted_ou_phases(spec, ou, i, dark_time, echo)
         vec = u @ DensityMatrix.pure(3, 0).matrix.reshape(-1)
         if echo:
             vec = kron_rotation(1, cfg.delta_two * dark_time / 2 + phi1) * vec
@@ -598,6 +624,28 @@ def test_batched_coherence_scans_match_member_loop(fig3_config, table, echo, wit
         assert np.array_equal(row, scan(t, PHASES, fig3_config, table, ensemble=spec, ou=ou))
 
 
+@pytest.mark.parametrize("echo", [False, True])
+def test_ou_noise_matches_restarted_streams(echo):
+    """Every member's phases at every dark time, bit for bit, on a 2-D
+    dark-time grid: dark time 0, the 8-step floor (1 ms; an echo half of
+    20 ms) and unequal step counts (15, 16, 24 and 60 steps over a whole
+    dark time, 12 and 30 over an echo half)."""
+    ou = sequences.OUNoise(sigma=103.0, tau_c=25e-3)
+    spec = sequences.EnsembleSpec(delta_sigma=150.0, samples=9, seed=8)
+    dark = np.array([[0.0, 1e-3, 40e-3], [60e-3, 37.5e-3, 150e-3]])
+    got = sequences._ou_noise(spec, ou, spec.samples, dark, echo)
+    assert got.shape == (2, spec.samples, *dark.shape)
+    want = np.zeros_like(got)
+    for i in range(spec.samples):
+        for j in np.ndindex(dark.shape):
+            want[(slice(None), i, *j)] = restarted_ou_phases(spec, ou, i, dark[j], echo)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    # a scalar dark time reads the same prefix of each member's stream
+    for j in np.ndindex(dark.shape):
+        one = sequences._ou_noise(spec, ou, spec.samples, dark[j], echo)
+        assert np.array_equal(one.view(np.int64), got[(slice(None), slice(None), *j)].view(np.int64))
+
+
 def test_batched_ramsey_time_scan_matches_member_loop(fig3_config, lam, table):
     cfg = driven.raman_config(lam, fig3_config.up.rabi, fig3_config.down.rabi,
                               fig3_config.delta_one, TWO_PI * 10e3)
@@ -606,6 +654,21 @@ def test_batched_ramsey_time_scan_matches_member_loop(fig3_config, lam, table):
     got = sequences.ramsey_time_scan(dark, cfg, table, ensemble=spec)
     want = [reference_two_pulse(t, [0.0], cfg, table, spec, None, echo=False)[0] for t in dark]
     assert np.abs(got - np.array(want)).max() < 1e-12
+
+
+@pytest.mark.parametrize("n_samples", [2, 127, 128, 129, 257])
+def test_chunked_rabi_ensemble_is_the_per_sample_average(fig3_config, table, n_samples):
+    """Averaging a chunk of samples at a time is bit-equal to averaging each
+    sample's member populations on its own, across the chunk edges."""
+    spec = sequences.EnsembleSpec(rabi_spread=0.004, delta_sigma=50.0, samples=13, seed=6)
+    traj = sequences.run_rabi_ensemble(fig3_config, table, 60e-6, n_samples, spec)
+    draws, weights = sequences._draws_and_weights(spec)
+    models, _ = sequences._member_models(fig3_config, table, draws)
+    times = np.linspace(0.0, 60e-6, n_samples)
+    want = np.array([sequences.member_average(vec[:, ::4].real, weights)
+                     for vec in lindblad.model_steps(models, DensityMatrix.pure(3, 0).matrix, times)])
+    got = np.column_stack([traj.populations[k] for k in ("up", "down", "lost")])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_rabi_ensemble_memory_stays_streamed(fig3_config, table):
