@@ -8,6 +8,13 @@ endpoints ordered by energy, whatever their order in the basis.  Each decay
 channel is one jump (from, to, amplitude), the collapse operator
 amplitude |to><from| of rate amplitude**2, which keeps branching auditable.
 
+The closed and lossy Lambda builders and the eliminated-qubit builder
+broadcast over array-valued drive parameters (the rabi, detuning and phase
+of each field): arrays of shape (M,) give a stack, one model with a leading
+member axis, built in one numpy pass and bit-equal member by member to the
+scalar builds; scalars run the same code without a member axis.  The full
+model and the single-drive model take scalars.
+
 `pi_lines` alone decides which Zeeman lines a pi-polarized field drives and
 how strongly.  `build_single_drive_model` sets them on the Zeeman-shifted
 diagonal of the field's two manifolds, with 0 on every level the field does
@@ -43,7 +50,10 @@ class ModelError(Exception):
 
 @dataclass(frozen=True)
 class DriveField:
-    """One laser field coupling a pair of scheme sublevels (pi polarized)."""
+    """One laser field coupling a pair of scheme sublevels (pi polarized).
+
+    `rabi`, `detuning` and `phase` are floats, or arrays over a stack's
+    member axis that broadcast together."""
 
     transition: tuple[int, int]  # (lower index, upper index) within a scheme
     rabi: float                  # rad/s, >= 0
@@ -51,7 +61,7 @@ class DriveField:
     phase: float = 0.0           # rad
 
     def __post_init__(self):
-        if self.rabi < 0:
+        if np.any(self.rabi < 0):
             raise ModelError("Rabi frequency must be >= 0")
         if self.transition[0] == self.transition[1]:
             raise ModelError("transition endpoints must be distinct")
@@ -96,7 +106,12 @@ class RotatingFrameModel:
 
     A jump (from, to, amplitude) is the collapse operator amplitude |to><from|
     of rate amplitude**2: one pair of levels by construction, which the
-    invariant-block reduction in `lindblad` relies on.
+    invariant-block reduction in `lindblad` relies on.  An amplitude of 0
+    means no such jump.
+
+    A stack of models is one model with a leading member axis: `hamiltonian`
+    is (M, d, d), and each jump's amplitude is a float that every member
+    shares or an (M,) array, 0 for a member without that jump.
     """
 
     hamiltonian: np.ndarray
@@ -107,16 +122,25 @@ class RotatingFrameModel:
         h = np.asarray(self.hamiltonian, dtype=complex)
         h.setflags(write=False)
         object.__setattr__(self, "hamiltonian", h)
-        object.__setattr__(self, "jumps", tuple(self.jumps))
-        if not np.array_equal(h, h.conj().T):
+        if not np.array_equal(h, h.conj().swapaxes(-1, -2)):
             raise ModelError("Hamiltonian must be Hermitian")
-        for frm, to, _ in self.jumps:
-            if not (0 <= frm < len(h) and 0 <= to < len(h)):
-                raise ModelError(f"jump ({frm}, {to}) has an endpoint outside the model's {len(h)} levels")
+        d = h.shape[-1]
+        jumps = []
+        for frm, to, amp in self.jumps:
+            if not (0 <= frm < d and 0 <= to < d):
+                raise ModelError(f"jump ({frm}, {to}) has an endpoint outside the model's {d} levels")
+            if np.ndim(amp):
+                if np.shape(amp) != h.shape[:-2] or h.ndim != 3:
+                    raise ModelError(f"jump ({frm}, {to}) has amplitudes of shape {np.shape(amp)} "
+                                     f"for Hamiltonians of shape {h.shape}")
+                amp = np.array(amp, dtype=float)
+                amp.setflags(write=False)
+            jumps.append((frm, to, amp))
+        object.__setattr__(self, "jumps", tuple(jumps))
 
     @property
     def dim(self) -> int:
-        return self.hamiltonian.shape[0]
+        return self.hamiltonian.shape[-1]
 
     def index(self, label: str) -> int:
         return self.labels.index(label)
@@ -124,14 +148,16 @@ class RotatingFrameModel:
 
 def _hermitian(dim: int, entries: dict[tuple[int, int], complex]) -> np.ndarray:
     """Build a Hermitian matrix from diagonal entries plus one entry (i, j) per
-    coupled pair, mirrored as its conjugate into (j, i)."""
-    h = np.zeros((dim, dim), dtype=complex)
+    coupled pair, mirrored as its conjugate into (j, i).  Array-valued
+    entries broadcast together into a stack (M, dim, dim)."""
+    shape = np.broadcast_shapes(*(np.shape(v) for v in entries.values()))
+    h = np.zeros((*shape, dim, dim), dtype=complex)
     for (i, j), v in entries.items():
         if i == j:
-            h[i, i] = v.real
+            h[..., i, i] = np.real(v)
         else:
-            h[i, j] = v
-            h[j, i] = np.conj(v)
+            h[..., i, j] = v
+            h[..., j, i] = np.conj(v)
     return h
 
 
@@ -148,7 +174,9 @@ def build_lambda_model(
     the Lambda so the model is trace-preserving on its own (CPT spectra,
     steady states).  mode "lossy": a fourth `lost` state collects decay out
     of the Lambda.  mode "full": all 13 sublevels with their Zeeman and
-    detuning diagonal entries (requires `env`).
+    detuning diagonal entries (requires `env`).  The closed and lossy modes
+    broadcast over array-valued drive parameters into a stack; their jumps
+    depend on the table alone, so every member shares them.
     """
     for name, fld, lower in (("up", config.up, "3P2"), ("down", config.down, "3P0")):
         if sorted(fld.transition) != sorted((scheme.index(lower, 0), scheme.s)):
@@ -235,6 +263,7 @@ def _full_model(
     """The up field's single-drive model plus the down coupling and -delta on 3P0."""
     if env is None:
         raise ModelError("the full model needs a MagneticEnvironment")
+    _require_scalar(config.down)
     if scheme.n != 13:
         raise ModelError("full mode expects the 13-sublevel scheme")
     up = build_single_drive_model(config.up, scheme, table, env)
@@ -243,6 +272,11 @@ def _full_model(
     h[scheme.down, scheme.s] = config.down.rabi / 2.0 * np.exp(1j * config.down.phase)
     h[scheme.s, scheme.down] = np.conj(h[scheme.down, scheme.s])
     return RotatingFrameModel(h, up.jumps, up.labels)
+
+
+def _require_scalar(field_: DriveField) -> None:
+    if np.ndim(field_.rabi) or np.ndim(field_.detuning) or np.ndim(field_.phase):
+        raise ModelError("the full and single-drive models take scalar drive parameters")
 
 
 def build_single_drive_model(
@@ -260,6 +294,7 @@ def build_single_drive_model(
     the 1S0-3P2 pair) this reduces to a bare two-level model for sweep
     simulations.
     """
+    _require_scalar(field_)
     low_lvl, high_lvl, lines = pi_lines(field_, scheme)
     n = scheme.n
     entries: dict[tuple[int, int], complex] = {}
@@ -287,7 +322,9 @@ def build_effective_qubit_model(
 
     Uses the closed-form effective parameters: two-photon coupling, one-photon
     light shifts on the diagonal, and per-state scattering with the table's
-    branching back into the qubit or out to `lost`.
+    branching back into the qubit or out to `lost`.  Broadcasts over
+    array-valued drive parameters into a stack; a state that does not
+    scatter (a field of Rabi frequency 0) has jumps of amplitude 0.
     """
     eff = formulas.effective_two_level(
         config.up.rabi, config.down.rabi, config.delta_one, table.gamma_s
@@ -304,9 +341,8 @@ def build_effective_qubit_model(
     b_down = branch.get(("3P0", 0), 0.0)
     b_lost = sum(branch.values()) - b_up - b_down
     jumps = tuple(
-        (src, to, math.sqrt(rate * b))
+        (src, to, np.sqrt(rate * b))
         for src, rate in ((0, eff.scatter_up), (1, eff.scatter_down))
-        if rate != 0.0
         for to, b in ((0, b_up), (1, b_down), (2, b_lost))
         if b > 0.0
     )

@@ -179,17 +179,18 @@ def nlls(
         names = tuple(sig_params[: len(p)])
     w = np.ones_like(y) if sigma is None else 1.0 / np.asarray(sigma, dtype=float)
 
-    def residual(params):
-        return (y - model_fn(x, *params)) * w
-
-    r = residual(p)
+    # each parameter vector is evaluated once: f0 is the model at p, kept
+    # from the accepted trial, and jac is taken at p_jac
+    f0 = model_fn(x, *p)
+    r = (y - f0) * w
     cost = float(r @ r)
     lam = 1e-3
     iterations = 0
     converged = False
+    p_jac = None
     for iterations in range(1, 201):
-        f0 = model_fn(x, *p)
         jac = _numeric_jacobian(model_fn, x, p, f0) * w[:, None]
+        p_jac = p
         jtj = jac.T @ jac
         grad = jac.T @ r
         if float(np.abs(grad).max(initial=0.0)) < 1e-12:
@@ -206,11 +207,12 @@ def nlls(
                 lam *= 10.0
                 continue
             trial = p + step
-            r_trial = residual(trial)
+            f_trial = model_fn(x, *trial)
+            r_trial = (y - f_trial) * w
             cost_trial = float(r_trial @ r_trial)
             if np.isfinite(cost_trial) and cost_trial <= cost:
                 rel_drop = (cost - cost_trial) / max(cost, 1e-300)
-                p, r, cost = trial, r_trial, cost_trial
+                p, f0, r, cost = trial, f_trial, r_trial, cost_trial
                 lam = max(lam / 3.0, 1e-12)
                 accepted = True
                 if rel_drop < 1e-10:
@@ -224,9 +226,9 @@ def nlls(
                 converged = True  # no downhill direction left at machine resolution
             break
 
-    f0 = model_fn(x, *p)
-    jac = _numeric_jacobian(model_fn, x, p, f0) * w[:, None]
-    jtj = jac.T @ jac
+    if p is not p_jac:
+        jac = _numeric_jacobian(model_fn, x, p, f0) * w[:, None]
+        jtj = jac.T @ jac
     cov = _covariance(jtj, names)
     if sigma is None:
         dof = len(y) - len(p)

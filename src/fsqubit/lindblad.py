@@ -6,9 +6,10 @@ place the program steps a state through time with a matrix exponential: the
 propagator over one grid step is computed once and applied repeatedly, which
 is exact up to roundoff and untroubled by GHz-scale rotating-frame
 diagonals.  A stack of generators steps every ensemble member at once.
-`liouvillian` builds a stack of models in one broadcast pass over their
-Hamiltonians and over every member's jumps; the members' jump lists may
-differ, and each member is bit-equal to its own build.
+A stack of models is one RotatingFrameModel with a leading member axis
+(see `driven`); a jump amplitude of 0 means that member has no such jump.
+Every function here that takes a model takes a stack too, and treats it in
+one broadcast pass, each member bit-equal to its own model.
 
 A model's state is stepped by `model_steps` on the block of its Liouvillian
 that holds the initial state, never on the whole d^2 x d^2 generator.  The
@@ -88,13 +89,14 @@ class DensityMatrix:
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
     def population(self, index: int) -> float:
         return float(self.matrix[index, index].real)
 
     def populations(self) -> np.ndarray:
-        return np.diag(self.matrix).real.copy()
+        """The diagonal, (d,), or (M, d) for the steady states of a stack."""
+        return np.diagonal(self.matrix, axis1=-2, axis2=-1).real.copy()
 
     def hermiticity_defect(self) -> float:
         return float(np.linalg.norm(self.matrix - self.matrix.conj().T))
@@ -143,57 +145,57 @@ class Trajectory:
         return float(self.times[1] - self.times[0]) if len(self.times) > 1 else 0.0
 
 
-def liouvillian(models, index=None) -> np.ndarray:
+def liouvillian(model: RotatingFrameModel, index=None) -> np.ndarray:
     """Vectorized generator L with drho_vec/dt = L rho_vec (row-major vec).
 
     L[(a,b),(a',b')] = -i (H[a,a'] delta_bb' - delta_aa' H[b',b]), plus for
     each jump (from, to, c) the rate c*c from the `from` onto the `to`
     population and -c*c/2 on a pair for each of its two levels that is
     `from`.  Each jump's terms are added in jump order, so the whole
-    generator is bit-equal to the Kronecker-product build.
+    generator is bit-equal to the Kronecker-product build.  A jump of
+    amplitude 0 is no jump: it adds nothing, signed zeros included.
 
-    `models` is one RotatingFrameModel, giving its (k, k) generator, or a
-    sequence of models of one dimension (a stack), giving the (M, k, k)
-    stack of their generators.  A stack is built in one broadcast pass over
-    its Hamiltonians and every member's jumps; the members' jump lists may
-    differ, and each member is bit-equal to its own build.
+    A model gives its (k, k) generator, a stack of M models (a leading
+    member axis) the (M, k, k) stack of its members' generators, built in
+    one broadcast pass; each member is bit-equal to its own build, whatever
+    jumps it lacks.
 
     With `index`, only the rows and columns at those vec positions (the pair
     (a, b) sits at a * dim + b) are built, bit-equal to slicing the whole
     generator.  `index` must be sorted and hold every population, as every
     block from `invariant_block` does.
     """
-    one = isinstance(models, RotatingFrameModel)
-    stack = [models] if one else models
-    d = stack[0].dim
+    d = model.dim
     k = d * d if index is None else len(index)
     left, right, same_a, same_b, touches, population = _pairs(
         d, None if index is None else np.asarray(index, dtype=np.intp).tobytes())
     # every member's generator, flattened over its entries
-    h = np.array([m.hamiltonian for m in stack]).reshape(len(stack), -1)
+    h = model.hamiltonian.reshape(-1, d * d)
     lv = h.take(left, 1) * same_b
     lv -= same_a * h.take(right, 1)
     lv *= -1j
-    counts = [len(m.jumps) for m in stack]
-    if any(counts):
-        # every member's jumps, member-major in jump order
-        frm, to, amp = np.array([j for m in stack for j in m.jumps]).T
-        frm, to, rate = frm.astype(np.intp), to.astype(np.intp), amp * amp
-        member, slot = (np.arange(max(counts)) < np.array(counts)[:, None]).nonzero()
-        # losses by slot and member, padded past a member's last jump with
-        # -0.0 - 0.0j, which adds nothing, signed zeros included
-        loss = np.full((max(counts), len(stack), k), complex(-0.0, -0.0))
-        loss[slot, member] = -0.5 * rate[:, None] * touches[to, frm]
+    if model.jumps:
+        frm, to, amp = zip(*model.jumps)
+        frm, to = np.array(frm, dtype=np.intp), np.array(to, dtype=np.intp)
+        # amplitudes by jump slot and member
+        amp = np.broadcast_to(np.array(np.broadcast_arrays(*amp)).reshape(len(frm), -1),
+                              (len(frm), len(h)))
+        rate, present = amp * amp, amp != 0
+        # each slot's losses, the padding -0.0 - 0.0j where a member lacks
+        # the jump, which adds nothing, signed zeros included
+        loss = np.where(present[..., None], -0.5 * rate[..., None] * touches[to, frm][:, None],
+                        complex(-0.0, -0.0))
         # H's diagonal is real, so each diagonal entry's real part is the
         # sum of its member's losses, added one jump at a time; a member
         # with jumps adds 0.0 to the imaginary part, one without adds nothing
         lv[:, ::k + 1] += reduce(np.add, loss)
         # a gain lands between two populations, where the Hamiltonian part
-        # is zero; add.at sums repeated entries member by member in jump order
-        gain = (rate * (to != frm)).astype(complex)
-        np.add.at(lv, (member, population[to] * k + population[frm]), gain)
-    lv = lv.reshape(len(stack), k, k)
-    return lv[0] if one else lv
+        # is zero; add.at sums repeated entries of a member in jump order
+        slot, member = present.nonzero()
+        gain = (rate[slot, member] * (to != frm)[slot]).astype(complex)
+        np.add.at(lv, (member, population[to[slot]] * k + population[frm[slot]]), gain)
+    lv = lv.reshape(-1, k, k)
+    return lv if model.hamiltonian.ndim == 3 else lv[0]
 
 
 @lru_cache(maxsize=16)
@@ -221,21 +223,18 @@ def _pairs(d: int, index: bytes | None) -> tuple[np.ndarray, ...]:
     return parts
 
 
-def invariant_block(models, rho0) -> np.ndarray | None:
-    """Vec positions of a block of the models' generators that holds the
-    density matrix `rho0` and that they map into itself, in row-major order;
+def invariant_block(model: RotatingFrameModel, rho0) -> np.ndarray | None:
+    """Vec positions of a block of the model's generator that holds the
+    density matrix `rho0` and that it maps into itself, in row-major order;
     None when that is the whole space.
 
     The block is every pair (a, b) inside one connected component of the
     graph that joins two levels when the Hamiltonian couples them or `rho0`
-    holds a coherence between them.  `models` is one RotatingFrameModel or a
-    sequence of them (a stack) that all start from `rho0`; a stack joins the
-    levels that any member couples.
+    holds a coherence between them.  A stack's members all start from
+    `rho0`, and a stack joins the levels that any member couples.
     """
-    linked = rho0 != 0
-    for m in [models] if isinstance(models, RotatingFrameModel) else models:
-        linked |= m.hamiltonian != 0
-    d = len(linked)
+    d = model.dim
+    linked = (rho0 != 0) | (model.hamiltonian != 0).reshape(-1, d, d).any(axis=0)
     linked.reshape(-1)[::d + 1] = True
     # k squarings join levels up to 2**k links apart; d - 1 links suffice
     for _ in range(max(d - 2, 0).bit_length()):
@@ -334,31 +333,31 @@ def steps(generator: np.ndarray, vec0: np.ndarray, times):
         yield vec
 
 
-def model_block(models, rho0) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
-    """The block of the models' generators that holds the density matrix
+def model_block(model: RotatingFrameModel,
+                rho0) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """The block of the model's generator that holds the density matrix
     `rho0`, ready for `steps`: (index, generator, vec0).
 
     `index` is the block's vec positions from `invariant_block` (None for the
-    whole space), `generator` the models' Liouvillian on them (a stack for a
-    sequence of models) and `vec0` the entries of `rho0` there, broadcast
-    over a stack's members.
+    whole space), `generator` the model's Liouvillian on them (a stack for a
+    stacked model) and `vec0` the entries of `rho0` there, broadcast over a
+    stack's members.
     """
-    index = invariant_block(models, rho0)
-    lv = liouvillian(models, index)
+    index = invariant_block(model, rho0)
+    lv = liouvillian(model, index)
     vec0 = np.broadcast_to(rho0.reshape(-1), (*lv.shape[:-2], rho0.size))
     return index, lv, vec0 if index is None else vec0[..., index]
 
 
-def model_steps(models, rho0, times):
+def model_steps(model: RotatingFrameModel, rho0, times):
     """Yield the vectorized state of the master equation at every time, `rho0` first.
 
-    `models` is one RotatingFrameModel or a sequence of them (a stack, see
-    `steps`) that all start from the density matrix `rho0`.  Only the
-    invariant block that holds `rho0` (`model_block`) is stepped, and each
-    state is scattered back into the whole vec, where every entry outside
-    the block is exactly zero.
+    Every member of a stacked model starts from the density matrix `rho0`
+    and steps at once (see `steps`).  Only the invariant block that holds
+    `rho0` (`model_block`) is stepped, and each state is scattered back into
+    the whole vec, where every entry outside the block is exactly zero.
     """
-    index, lv, vec0 = model_block(models, rho0)
+    index, lv, vec0 = model_block(model, rho0)
     if index is None:
         yield from steps(lv, vec0, times)
         return
@@ -410,21 +409,26 @@ def _integrate_rk(model, rho0, times, rtol, atol, ramp) -> np.ndarray:
 def steady_state(model: RotatingFrameModel) -> DensityMatrix:
     """Null-space steady state of the vectorized Liouvillian.
 
-    Raises DegenerateSteadyStateError when the null space is not unique at
-    numerical resolution.
+    A stacked model gives the (M, d, d) steady states of its members from
+    one batched SVD.  Raises DegenerateSteadyStateError, naming a stack's
+    first such member, when the null space is not unique at numerical
+    resolution.
     """
     lv = liouvillian(model)
     _, svals, vh = np.linalg.svd(lv)
-    smax = svals[0] if svals[0] > 0 else 1.0
-    tiny = max(1e-12 * smax, np.finfo(float).eps * smax * lv.shape[0])
-    if svals[-2] < tiny:
+    smax = np.where(svals[..., 0] > 0, svals[..., 0], 1.0)
+    tiny = np.maximum(1e-12 * smax, np.finfo(float).eps * smax * lv.shape[-1])
+    _reject(svals[..., -2] < tiny, "Liouvillian null space is degenerate; add a small dephasing")
+    rho = vh[..., -1, :].conj().reshape(*lv.shape[:-2], model.dim, model.dim)
+    rho = 0.5 * (rho + rho.conj().swapaxes(-1, -2))
+    tr = np.trace(rho, axis1=-2, axis2=-1).real
+    _reject(np.abs(tr) < 1e-14, "null vector is traceless; no physical steady state")
+    return DensityMatrix(rho / tr[..., None, None])
+
+
+def _reject(bad: np.ndarray, message: str) -> None:
+    """Raise DegenerateSteadyStateError when `bad` holds; a stack's message
+    names its first bad member."""
+    if bad.any():
         raise DegenerateSteadyStateError(
-            "Liouvillian null space is degenerate; add a small dephasing"
-        )
-    rho = vh[-1].conj().reshape(model.dim, model.dim)
-    rho = 0.5 * (rho + rho.conj().T)
-    tr = np.trace(rho).real
-    if abs(tr) < 1e-14:
-        raise DegenerateSteadyStateError("null vector is traceless; no physical steady state")
-    rho = rho / tr
-    return DensityMatrix(rho)
+            message if bad.ndim == 0 else f"member {bad.nonzero()[0][0]}: {message}")

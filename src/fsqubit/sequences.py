@@ -6,15 +6,17 @@ detuning inhomogeneity on top.  Far-detuned Raman segments run on the
 adiabatically eliminated qubit model unless full integration is forced.
 
 Every scan steps its points as one stack: the coherence scans take all dark
-times and ensemble members at once, and the Autler-Townes scan steps one
-stack of models per power column.
+times and ensemble members at once, the Autler-Townes scan steps one stack
+of models per power column, and the CPT scan solves one stack for its
+steady states.  Each stack is one model with a member axis, built in one
+broadcast pass from array-valued drive parameters (see `driven`).
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import expm
@@ -152,10 +154,24 @@ class OUNoise:
             raise ValueError("need sigma >= 0 and tau_c > 0")
 
 
-def member_rng(spec: EnsembleSpec, member: int) -> np.random.Generator:
-    """Independent per-member stream; reproducible for any execution order."""
-    key = np.array([spec.seed & 0xFFFFFFFFFFFFFFFF, member], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _member_normals(spec: EnsembleSpec, first: int, members: int, n: int) -> np.ndarray:
+    """(members, n) standard normals; row i is the first n draws of member
+    `first + i`'s stream, a Philox generator keyed (seed, member), so each
+    member's draws are reproducible for any execution order.
+
+    One bit generator serves every member: its state is set to the member's
+    key with counter 0 and an empty buffer, which is the state a new
+    generator of that key starts from."""
+    bits = np.random.Philox(key=0)
+    gen = np.random.Generator(bits)
+    state = bits.state
+    out = np.empty((members, n))
+    for i in range(members):
+        state["state"]["key"] = np.array([spec.seed & 0xFFFFFFFFFFFFFFFF, first + i],
+                                         dtype=np.uint64)
+        bits.state = state
+        out[i] = gen.standard_normal(n)
+    return out
 
 
 def member_average(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -176,11 +192,9 @@ def _draws_and_weights(spec: EnsembleSpec, collapse: bool = True) -> tuple[np.nd
         draws = np.tile([1.0, 0.0], (spec.samples, 1))
         return draws, np.full(spec.samples, 1.0 / spec.samples)
     if spec.sampling == "gaussian":
-        draws = np.empty((spec.samples, 2))
-        for i in range(spec.samples):
-            rng = member_rng(spec, i)
-            draws[i, 0] = 1.0 + spec.rabi_spread * rng.standard_normal()
-            draws[i, 1] = spec.delta_sigma * rng.standard_normal()
+        normals = _member_normals(spec, 0, spec.samples, 2)
+        draws = np.column_stack([1.0 + spec.rabi_spread * normals[:, 0],
+                                 spec.delta_sigma * normals[:, 1]])
         return draws, np.full(spec.samples, 1.0 / spec.samples)
     nodes, w = np.polynomial.hermite_e.hermegauss(spec.samples)
     w = w / w.sum()
@@ -190,22 +204,6 @@ def _draws_and_weights(spec: EnsembleSpec, collapse: bool = True) -> tuple[np.nd
     off_v, off_w = (spec.delta_sigma * nodes, w) if spec.delta_sigma > 0 else (np.zeros(1), one)
     sg, og = np.meshgrid(scale_v, off_v, indexing="ij")
     return np.column_stack([sg.ravel(), og.ravel()]), np.outer(scale_w, off_w).ravel()
-
-
-def scaled_config(config: RamanConfig, scale: float, delta_offset: float) -> RamanConfig:
-    """Apply a two-photon Rabi scale and a detuning offset to a drive config.
-
-    The scale multiplies the two-photon Rabi frequency, so each one-photon
-    amplitude carries sqrt(scale); the offset shifts the down detuning."""
-    root = math.sqrt(max(scale, 0.0))
-    up = DriveField(config.up.transition, config.up.rabi * root, config.up.detuning, config.up.phase)
-    down = DriveField(
-        config.down.transition,
-        config.down.rabi * root,
-        config.down.detuning - delta_offset,
-        config.down.phase,
-    )
-    return RamanConfig(up=up, down=down)
 
 
 def _ou_noise(spec: EnsembleSpec, ou: OUNoise, members: int, dark_time: np.ndarray,
@@ -226,8 +224,7 @@ def _ou_noise(spec: EnsembleSpec, ou: OUNoise, members: int, dark_time: np.ndarr
     counts = [[0 if s == 0.0 else max(8, int(math.ceil(s / (ou.tau_c / 10.0)))) for s in spans]
               for spans in intervals]
     longest = 1 + max((sum(c) for c in counts), default=0)
-    normals = np.array([member_rng(spec, i + (1 << 20)).standard_normal(longest)
-                        for i in range(members)])
+    normals = _member_normals(spec, 1 << 20, members, longest)
     noise = np.zeros((2, members, len(intervals)))
     for j, (spans, ns) in enumerate(zip(intervals, counts)):
         draws = iter(normals.T)
@@ -526,12 +523,18 @@ def _phase_rotation_vec(dim: int, index: int, phi) -> np.ndarray:
 
 
 def _member_models(config: RamanConfig, table: DecayTable,
-                   draws: np.ndarray) -> tuple[list[RotatingFrameModel], np.ndarray]:
-    """The eliminated qubit model of each (scale, offset) draw, and each
-    member's two-photon detuning (M,)."""
-    cfgs = [scaled_config(config, scale, offset) for scale, offset in draws]
-    models = [build_effective_qubit_model(c, table) for c in cfgs]
-    return models, np.array([c.delta_two for c in cfgs])
+                   draws: np.ndarray) -> tuple[RotatingFrameModel, np.ndarray]:
+    """The stack of eliminated qubit models of the (scale, offset) draws, and
+    each member's two-photon detuning (M,).
+
+    The scale multiplies the two-photon Rabi frequency, so each one-photon
+    amplitude carries sqrt(scale), clipped at 0; the offset shifts the down
+    detuning."""
+    root = np.sqrt(np.maximum(draws[:, 0], 0.0))
+    members = RamanConfig(up=replace(config.up, rabi=config.up.rabi * root),
+                          down=replace(config.down, rabi=config.down.rabi * root,
+                                       detuning=config.down.detuning - draws[:, 1]))
+    return build_effective_qubit_model(members, table), members.delta_two
 
 
 def _apply(ops: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -595,10 +598,10 @@ def _two_pulse_scan(dark_time, phases, config, table, ensemble, ou, echo: bool) 
     spec = ensemble or EnsembleSpec()
     t_half = pulse_duration(config, "pi/2")
     draws, weights = _draws_and_weights(spec, collapse=(ou is None))
-    models, delta = _member_models(config, table, draws)
+    model, delta = _member_models(config, table, draws)
     # each member's axis broadcasts against the dark-time axes
     grid = (len(draws), *(1,) * dark_time.ndim)
-    u_half = expm(liouvillian(models) * t_half)
+    u_half = expm(liouvillian(model) * t_half)
     u_half = u_half.reshape(*grid, *u_half.shape[1:])
     delta = delta.reshape(grid)
     noise = (np.zeros((2, len(draws), *dark_time.shape)) if ou is None
@@ -657,8 +660,8 @@ def autler_townes_scan(
     rad/s per sqrt(mW).  The probe is weak, and the signal is the
     population that decayed out of the Lambda system (the atoms detected
     in the ground state).  Each power column spans +-1.6 max(dressing Rabi,
-    linewidth) unless `detunings` is given, and its models step as one
-    stack.  Per power column the two dressed resonances are fitted and their
+    linewidth) unless `detunings` is given, and its models are built and
+    stepped as one stack.  Per power column the two dressed resonances are fitted and their
     separation reported; below the natural linewidth the doublet is
     unresolved and the splitting is None.
     """
@@ -675,15 +678,16 @@ def autler_townes_scan(
     for rabi_s in rabis:
         span = 1.6 * max(rabi_s, table.gamma_s)
         dets = detunings if detunings is not None else np.linspace(-span, span, n_detunings)
+        dets = np.asarray(dets, dtype=float)
         if strong == "down":
-            cfgs = [raman_config(scheme, probe_rabi, rabi_s, det, det) for det in dets]
+            cfg = raman_config(scheme, probe_rabi, rabi_s, dets, dets)
         else:
-            cfgs = [raman_config(scheme, rabi_s, probe_rabi, 0.0, det) for det in dets]
-        models = [build_lambda_model(c, scheme, table, mode="lossy") for c in cfgs]
-        dim = models[0].dim
-        rho0 = DensityMatrix.pure(dim, models[0].index("up" if strong == "down" else "down"))
-        *_, final = model_steps(models, rho0.matrix, [0.0, t_probe])
-        signal = final[:, models[0].index("lost") * (dim + 1)].real
+            cfg = raman_config(scheme, rabi_s, probe_rabi, 0.0, dets)
+        model = build_lambda_model(cfg, scheme, table, mode="lossy")
+        dim = model.dim
+        rho0 = DensityMatrix.pure(dim, model.index("up" if strong == "down" else "down"))
+        *_, final = model_steps(model, rho0.matrix, [0.0, t_probe])
+        signal = final[:, model.index("lost") * (dim + 1)].real
         axes.append(dets)
         spectra.append(signal)
         if rabi_s < table.gamma_s:
@@ -734,16 +738,13 @@ def cpt_scan(
     """Steady-state excited population vs two-photon detuning.
 
     With the up laser resonant and weak fields, the spectrum shows the
-    dark-resonance dip reaching zero at delta = 0."""
+    dark-resonance dip reaching zero at delta = 0.  Every detuning's closed
+    model is one member of a stack, solved in one batched steady state."""
     if max(rabi_up, rabi_down) > table.gamma_s / 5.0:
         warnings.warn("CPT scan assumes weak fields", formulas.RegimeWarning, stacklevel=2)
-
-    def one(delta: float) -> float:
-        cfg = raman_config(scheme, rabi_up, rabi_down, 0.0, delta)
-        model = build_lambda_model(cfg, scheme, table, mode="closed")
-        return steady_state(model).population(model.index("s"))
-
-    return np.array([one(delta) for delta in delta_grid])
+    cfg = raman_config(scheme, rabi_up, rabi_down, 0.0, np.asarray(delta_grid, dtype=float))
+    model = build_lambda_model(cfg, scheme, table, mode="closed")
+    return steady_state(model).populations()[:, model.index("s")]
 
 
 # -------------------------------------------------------- one-photon decay
@@ -793,15 +794,15 @@ def run_rabi_ensemble(
     sample by sample; only the mean populations are kept."""
     times = np.linspace(0.0, duration, n_samples)
     draws, weights = _draws_and_weights(ensemble)
-    models, _ = _member_models(config, table, draws)
-    index, lv, vec0 = model_block(models, _RHO_UP.reshape(_DIM, _DIM))
+    model, _ = _member_models(config, table, draws)
+    index, lv, vec0 = model_block(model, _RHO_UP.reshape(_DIM, _DIM))
     # each population's position among the block's entries
     block = np.arange(_DIM * _DIM) if index is None else index
     populations = block.searchsorted(np.arange(_DIM) * (_DIM + 1))
     mean = np.empty((n_samples, _DIM))
     # member-major, so each sample's sum over the members runs in member
     # order, as it does for one sample's (members, levels) array
-    chunk = np.empty((len(models), _RABI_CHUNK, _DIM))
+    chunk = np.empty((len(draws), _RABI_CHUNK, _DIM))
     for k, vec in enumerate(steps(lv, vec0, times)):
         c = k % _RABI_CHUNK
         chunk[:, c] = vec[:, populations].real

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fsqubit import atom, driven, lindblad
 from fsqubit.units import TWO_PI
@@ -255,3 +255,124 @@ def test_pi_lines_reject_wrong_polarization_and_range(full_scheme):
                         full_scheme)
     with pytest.raises(driven.ModelError, match="out of range"):
         driven.pi_lines(driven.DriveField((0, full_scheme.n), 1.0, 0.0), full_scheme)
+
+
+# ------------------------------------------------ stacks from array parameters
+
+# Drive values keep every product clear of underflow: where a nonzero
+# product underflows to zero, numpy's vectorized complex multiply and its
+# scalar one may round it to zeros of opposite sign.
+SIGNED_ZEROS = st.sampled_from([0.0, -0.0])
+RABIS = st.one_of(SIGNED_ZEROS, st.floats(1e-3, TWO_PI * 1e8))
+DETUNINGS = st.one_of(SIGNED_ZEROS, st.floats(-TWO_PI * 1e8, TWO_PI * 1e8))
+FAR_DETUNINGS = st.floats(TWO_PI * 1e8, TWO_PI * 1e10) | st.floats(-TWO_PI * 1e10, -TWO_PI * 1e8)
+PHASES = st.one_of(SIGNED_ZEROS, st.floats(1e-6, 4.0), st.floats(-4.0, -1e-6))
+
+
+@st.composite
+def raman_arguments(draw, layouts=("generic", "strong down", "strong up"), delta_ones=DETUNINGS):
+    """`raman_config` arguments after the scheme for a stack of 1 to 5
+    members, and the member count: the two-photon detuning an array, every
+    other argument a float that the members share or an array.  The layout
+    is a generic one or one of the Autler-Townes scan's two."""
+    members = draw(st.integers(1, 5))
+
+    def array(values):
+        return np.array(draw(st.lists(values, min_size=members, max_size=members)))
+
+    def shared_or_array(values):
+        return array(values) if draw(st.booleans()) else draw(values)
+
+    dets = array(DETUNINGS)
+    layout = draw(st.sampled_from(layouts))
+    if layout == "strong down":
+        return (draw(RABIS), shared_or_array(RABIS), dets, dets), members
+    if layout == "strong up":
+        return (shared_or_array(RABIS), draw(RABIS), 0.0, dets), members
+    return (shared_or_array(RABIS), shared_or_array(RABIS), shared_or_array(delta_ones), dets,
+            shared_or_array(PHASES), shared_or_array(PHASES)), members
+
+
+def member_arguments(args, m):
+    return tuple(a[m] if np.ndim(a) else a for a in args)
+
+
+def assert_stack_bit_equal(stack, members):
+    """Each member of the stack against its own scalar build, by int64 views:
+    the Hamiltonian, the jump amplitudes, and the generator, whole and on the
+    stack's invariant block from the pure `up` state, which is also the
+    generator of the member without its jumps of amplitude 0."""
+    assert stack.hamiltonian.shape == (len(members), stack.dim, stack.dim)
+    rho0 = lindblad.DensityMatrix.pure(stack.dim, stack.index("up")).matrix
+    for m, member in enumerate(members):
+        assert np.array_equal(stack.hamiltonian[m].view(np.int64), member.hamiltonian.view(np.int64))
+        assert [(f, t) for f, t, _ in stack.jumps] == [(f, t) for f, t, _ in member.jumps]
+        amps = np.array([a[m] if np.ndim(a) else a for *_, a in stack.jumps], dtype=float)
+        assert np.array_equal(amps.view(np.int64),
+                              np.array([a for *_, a in member.jumps], dtype=float).view(np.int64))
+    for index in (None, lindblad.invariant_block(stack, rho0)):
+        got = lindblad.liouvillian(stack, index)
+        for m, member in enumerate(members):
+            bare = driven.RotatingFrameModel(
+                member.hamiltonian, [j for j in member.jumps if j[2] != 0.0], member.labels)
+            for want in (lindblad.liouvillian(member, index), lindblad.liouvillian(bare, index)):
+                assert np.array_equal(got[m].view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("mode", ["closed", "lossy"])
+@settings(max_examples=40, deadline=None)
+@given(case=raman_arguments())
+def test_lambda_stack_bit_equal_to_member_builds(lam, table, mode, case):
+    args, members = case
+    stack = driven.build_lambda_model(driven.raman_config(lam, *args), lam, table, mode=mode)
+    assert_stack_bit_equal(stack, [
+        driven.build_lambda_model(driven.raman_config(lam, *member_arguments(args, m)),
+                                  lam, table, mode=mode)
+        for m in range(members)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=raman_arguments(layouts=("generic",), delta_ones=FAR_DETUNINGS))
+def test_effective_stack_bit_equal_to_member_builds(lam, table, case):
+    """Members with a field of Rabi frequency 0 do not scatter: amplitude 0
+    on their jump slots, bit-equal to a build without those jumps."""
+    args, members = case
+    stack = driven.build_effective_qubit_model(driven.raman_config(lam, *args), table)
+    assert_stack_bit_equal(stack, [
+        driven.build_effective_qubit_model(driven.raman_config(lam, *member_arguments(args, m)),
+                                           table)
+        for m in range(members)])
+
+
+def test_effective_stack_squares_as_the_scalar_build_does(lam, table):
+    """A float's x**2 calls pow, which for some x differs in the last bit
+    from the x * x that an array's x**2 computes; the stack squares each
+    member's Rabi frequencies as its scalar build does."""
+    rabis = (TWO_PI * 1e6 * np.linspace(1.0, 40.0, 4001)).tolist()
+    # the values where they differ first (4 of these 4001 with glibc's pow)
+    odd = ([r for r in rabis if r**2 != r * r] + rabis)[:4]
+    args = (np.array(odd), np.array(odd[::-1]), -TWO_PI * 6e9, np.zeros(4))
+    stack = driven.build_effective_qubit_model(driven.raman_config(lam, *args), table)
+    assert_stack_bit_equal(stack, [
+        driven.build_effective_qubit_model(driven.raman_config(lam, up, down, -TWO_PI * 6e9), table)
+        for up, down in zip(odd, odd[::-1])])
+
+
+def test_single_drive_and_full_models_take_scalars(lam, full_scheme, table, env):
+    stacked = driven.raman_config(full_scheme, TWO_PI * 36e6, TWO_PI * 36e6, -TWO_PI * 6e9,
+                                  np.array([0.0, TWO_PI * 5e3]))
+    with pytest.raises(driven.ModelError, match="scalar drive parameters"):
+        driven.build_lambda_model(stacked, full_scheme, table, env, mode="full")
+    with pytest.raises(driven.ModelError, match="scalar drive parameters"):
+        driven.build_single_drive_model(stacked.down, full_scheme, table, env)
+
+
+def test_stacked_amplitudes_must_match_the_member_axis():
+    h = np.zeros((2, 3, 3))
+    labels = ("a", "b", "c")
+    model = driven.RotatingFrameModel(h, ((1, 0, np.array([0.5, 0.0])), (1, 2, 0.3)), labels)
+    with pytest.raises(ValueError):
+        model.jumps[0][2][0] = 1.0
+    for amps, hamiltonian in ((np.ones(3), h), (np.ones(2), h[0])):
+        with pytest.raises(driven.ModelError, match="amplitudes of shape"):
+            driven.RotatingFrameModel(hamiltonian, ((1, 0, amps),), labels)

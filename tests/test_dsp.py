@@ -52,6 +52,39 @@ def test_nlls_rejects_nonfinite_start():
         dsp.nlls(lambda x, a: a * x, (np.arange(3.0), np.arange(3.0)), [np.nan])
 
 
+def recording(fn):
+    """`fn` wrapped to record every parameter vector it is called with."""
+    seen = []
+
+    def model(x, *params):
+        seen.append(tuple(params))
+        return fn(x, *params)
+
+    return model, seen
+
+
+@pytest.mark.parametrize("case", ["lorentzian", "exponential", "gradient exit"])
+def test_nlls_evaluates_each_parameter_vector_once(case):
+    x = np.linspace(-1.0, 1.0, 81)
+    noise = np.random.default_rng(5).normal(0.0, 0.01, x.size)
+    if case == "lorentzian":
+        model, seen = recording(dsp._lorentzian)
+        y, p0 = dsp._lorentzian(x, 0.1, 0.5, 1.0, 0.2) + noise, [0.0, 0.4, 0.8, 0.1]
+    elif case == "exponential":
+        model, seen = recording(dsp._exp_rate)
+        y, p0 = dsp._exp_rate(x + 1.0, 2.0, 3.0) + noise, [1.5, 2.0]
+        x = x + 1.0
+    else:
+        # noise-free data at the start: the first gradient test ends the fit
+        model, seen = recording(dsp._exp_rate)
+        y, p0 = dsp._exp_rate(x, 2.0, 3.0), [2.0, 3.0]
+    fit = dsp.nlls(model, (x, y), p0)
+    assert fit.converged
+    if case == "gradient exit":
+        assert fit.iterations == 0
+    assert len(seen) == len(set(seen))
+
+
 def test_nlls_degenerate_pair_named():
     def model(x, a, b, c):
         return (a + b) * x + c  # a and b are perfectly degenerate

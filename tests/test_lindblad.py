@@ -301,6 +301,19 @@ def sparse_models(draw, dim):
     return driven.RotatingFrameModel(h, jumps, tuple(f"l{k}" for k in range(dim)))
 
 
+def stack_models(models):
+    """One stacked model of models of one dimension: each member's jumps in
+    their own slots, with amplitude 0 for every other member."""
+    slots = []
+    for m, model in enumerate(models):
+        for frm, to, amp in model.jumps:
+            amps = np.zeros(len(models))
+            amps[m] = amp
+            slots.append((frm, to, amps))
+    return driven.RotatingFrameModel(np.array([m.hamiltonian for m in models]), slots,
+                                     models[0].labels)
+
+
 @st.composite
 def stacks_and_states(draw):
     dim = draw(st.integers(2, 5))
@@ -335,9 +348,10 @@ def wide_stacks_and_states(draw):
 @given(wide_stacks_and_states())
 def test_stacked_liouvillian_bit_equal_to_member_builds(case):
     models, rho0 = case
-    for index in (None, lindblad.invariant_block(models, rho0)):
+    stack = stack_models(models)
+    for index in (None, lindblad.invariant_block(stack, rho0)):
         want = np.stack([lindblad.liouvillian(m, index) for m in models])
-        got = lindblad.liouvillian(models, index)
+        got = lindblad.liouvillian(stack, index)
         assert got.shape == want.shape
         # signed zeros included
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
@@ -348,9 +362,10 @@ def test_stacked_liouvillian_bit_equal_to_member_builds(case):
 def test_block_propagation_equals_full_propagation(case, grid):
     models, rho0 = case
     times = GRIDS[grid] * 1e6  # the sparse models' rates are of order 1
-    index = block_or_all(models, rho0)
+    stack = stack_models(models)
+    index = block_or_all(stack, rho0)
     outside = np.setdiff1d(np.arange(rho0.size), index)
-    stacked = np.array(list(lindblad.model_steps(models, rho0, times)))
+    stacked = np.array(list(lindblad.model_steps(stack, rho0, times)))
     for m, model in enumerate(models):
         want = lindblad.propagate(lindblad.liouvillian(model), rho0.reshape(-1), times)
         alone = np.array(list(lindblad.model_steps(model, rho0, times)))
@@ -406,6 +421,27 @@ def test_steady_state_degenerate_rejected():
     model = driven.RotatingFrameModel(np.zeros((2, 2)), (), ("a", "b"))
     with pytest.raises(lindblad.DegenerateSteadyStateError):
         steady_state(model)
+
+
+def test_stacked_steady_state_bit_equal_to_member_solves(lam, table):
+    cfg = driven.raman_config(lam, TWO_PI * 50e3, TWO_PI * 80e3, 0.0,
+                              np.linspace(-TWO_PI * 3e3, TWO_PI * 3e3, 31))
+    stack = driven.build_lambda_model(cfg, lam, table, mode="closed")
+    got = steady_state(stack)
+    assert got.matrix.shape == (31, 3, 3)
+    assert got.dim == 3
+    for m, delta in enumerate(cfg.delta_two):
+        member = driven.raman_config(lam, TWO_PI * 50e3, TWO_PI * 80e3, 0.0, delta)
+        want = steady_state(driven.build_lambda_model(member, lam, table, mode="closed"))
+        assert np.array_equal(got.matrix[m].view(np.int64), want.matrix.view(np.int64))
+        assert np.array_equal(got.populations()[m], want.populations())
+
+
+def test_stacked_steady_state_names_a_degenerate_member():
+    damped = two_level_model(TWO_PI * 2e6, gamma=TWO_PI * 1e6)
+    undriven = driven.RotatingFrameModel(np.zeros((2, 2)), (), damped.labels)
+    with pytest.raises(lindblad.DegenerateSteadyStateError, match="^member 1: .*degenerate"):
+        steady_state(stack_models([damped, undriven, damped]))
 
 
 def test_steady_state_matches_long_time_evolution():

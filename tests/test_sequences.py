@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from fsqubit import atom, driven, dsp, formulas, lindblad, sequences
@@ -384,6 +385,19 @@ def test_cpt_dark_at_zero_detuning(lam, table):
     assert exc[0] > 1e-6 and exc[2] > 1e-6
 
 
+def test_stacked_cpt_scan_matches_point_loop(lam, table):
+    """fig2c's scan: every point bit-equal to its own steady state, the
+    dark resonance at delta = 0 included."""
+    grid = np.linspace(-TWO_PI * 3e3, TWO_PI * 3e3, 241)
+    exc = sequences.cpt_scan(TWO_PI * 76.8e3, TWO_PI * 61e3, grid, lam, table)
+    want = []
+    for delta in grid:
+        cfg = driven.raman_config(lam, TWO_PI * 76.8e3, TWO_PI * 61e3, 0.0, delta)
+        model = driven.build_lambda_model(cfg, lam, table, mode="closed")
+        want.append(lindblad.steady_state(model).population(model.index("s")))
+    assert np.array_equal(exc.view(np.int64), np.array(want).view(np.int64))
+
+
 def test_cpt_width_grows_with_power(lam, table):
     grid = np.linspace(-TWO_PI * 6e3, TWO_PI * 6e3, 161)
 
@@ -491,6 +505,20 @@ def test_hermite_draws_and_weights_pinned(rabi_spread, delta_sigma, samples):
         assert np.array_equal(got.view(np.int64), ref.view(np.int64))
 
 
+def test_gaussian_draws_read_each_members_own_stream():
+    """Every member's (scale, offset) draw, bit for bit, from a new Philox
+    generator of its own key, one scalar draw at a time."""
+    spec = sequences.EnsembleSpec(rabi_spread=0.004, delta_sigma=150.0, samples=200, seed=2**64 - 3)
+    draws, weights = sequences._draws_and_weights(spec)
+    want = np.empty((spec.samples, 2))
+    for i in range(spec.samples):
+        rng = member_rng(spec, i)
+        want[i, 0] = 1.0 + spec.rabi_spread * rng.standard_normal()
+        want[i, 1] = spec.delta_sigma * rng.standard_normal()
+    assert np.array_equal(draws.view(np.int64), want.view(np.int64))
+    assert np.array_equal(weights, np.full(spec.samples, 1.0 / spec.samples))
+
+
 def test_member_average_hermite_weights():
     spec = sequences.EnsembleSpec(delta_sigma=2.0, samples=41, sampling="hermite")
     draws, weights = sequences._draws_and_weights(spec)
@@ -507,13 +535,61 @@ def test_member_average_is_np_average_over_members():
 
 # ------------------------------------- stacked members against a member loop
 
+def member_rng(spec: sequences.EnsembleSpec, member: int) -> np.random.Generator:
+    """Independent per-member stream; reproducible for any execution order."""
+    key = np.array([spec.seed & 0xFFFFFFFFFFFFFFFF, member], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def scaled_config(config: driven.RamanConfig, scale: float, delta_offset: float) -> driven.RamanConfig:
+    """Apply a two-photon Rabi scale and a detuning offset to a drive config.
+
+    The scale multiplies the two-photon Rabi frequency, so each one-photon
+    amplitude carries sqrt(scale); the offset shifts the down detuning."""
+    root = math.sqrt(max(scale, 0.0))
+    up = driven.DriveField(config.up.transition, config.up.rabi * root, config.up.detuning,
+                           config.up.phase)
+    down = driven.DriveField(
+        config.down.transition,
+        config.down.rabi * root,
+        config.down.detuning - delta_offset,
+        config.down.phase,
+    )
+    return driven.RamanConfig(up=up, down=down)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([0.0, -0.0, -0.4]) | st.floats(-1.0, 2.0),
+                          st.sampled_from([0.0, -0.0]) | st.floats(-1e3, 1e3)),
+                min_size=1, max_size=6))
+def test_member_model_stack_bit_equal_to_scaled_member_builds(fig3_config, table, draws):
+    """A scale at or below 0 clips the member's Rabi frequencies to 0, so it
+    does not scatter: amplitude 0 on its jump slots, bit-equal to the scalar
+    build and to a model without those jumps."""
+    draws = np.array(draws, dtype=float)
+    model, delta = sequences._member_models(fig3_config, table, draws)
+    rho0 = DensityMatrix.pure(3, 0).matrix
+    for index in (None, lindblad.invariant_block(model, rho0)):
+        got = lindblad.liouvillian(model, index)
+        for m, (scale, offset) in enumerate(draws):
+            cfg = scaled_config(fig3_config, scale, offset)
+            member = driven.build_effective_qubit_model(cfg, table)
+            bare = driven.RotatingFrameModel(
+                member.hamiltonian, [j for j in member.jumps if j[2] != 0.0], member.labels)
+            assert np.array_equal(model.hamiltonian[m].view(np.int64),
+                                  member.hamiltonian.view(np.int64))
+            assert np.float64(delta[m]).view(np.int64) == np.float64(cfg.delta_two).view(np.int64)
+            for want in (lindblad.liouvillian(member, index), lindblad.liouvillian(bare, index)):
+                assert np.array_equal(got[m].view(np.int64), want.view(np.int64))
+
+
 def reference_rabi_ensemble(config, table, duration, n_samples, spec):
     """Mean populations with every member propagated on its own."""
     times = np.linspace(0.0, duration, n_samples)
     draws, weights = sequences._draws_and_weights(spec)
     members = []
     for scale, offset in draws:
-        model = driven.build_effective_qubit_model(sequences.scaled_config(config, scale, offset),
+        model = driven.build_effective_qubit_model(scaled_config(config, scale, offset),
                                                    table)
         vec0 = DensityMatrix.pure(3, 0).matrix.reshape(-1)
         members.append(lindblad.propagate(lindblad.liouvillian(model), vec0, times)[:, ::4].real)
@@ -543,7 +619,7 @@ def ou_phase(rng, ou, duration, delta0=None):
 def restarted_ou_phases(spec, ou, member, dark_time, echo):
     """Member's OU phases over the dark time (Ramsey) or over each echo half,
     from its dark-noise stream restarted for this dark time alone."""
-    rng = sequences.member_rng(spec, member + (1 << 20))
+    rng = member_rng(spec, member + (1 << 20))
     if echo:
         phi1, mid = ou_phase(rng, ou, dark_time / 2)
         phi2, _ = ou_phase(rng, ou, dark_time / 2, delta0=mid)
@@ -563,7 +639,7 @@ def reference_two_pulse(dark_time, phases, config, table, spec, ou, echo):
     t_half = sequences.pulse_duration(config, "pi/2")
     members = []
     for i, (scale, offset) in enumerate(draws):
-        cfg = sequences.scaled_config(config, scale, offset)
+        cfg = scaled_config(config, scale, offset)
         u = expm(lindblad.liouvillian(driven.build_effective_qubit_model(cfg, table)) * t_half)
         phi1 = phi2 = 0.0
         if ou is not None:
@@ -593,12 +669,15 @@ def test_streamed_rabi_ensemble_matches_member_loop(fig3_config, table, spread):
 
 
 def test_rabi_ensemble_with_and_without_scattering_matches_member_loop(fig3_config, table):
-    """A member whose Rabi scale clips to 0 drops its scattering jumps, so a
-    wide spread stacks members with 0 and with 6 jumps."""
+    """A member whose Rabi scale clips to 0 has amplitude 0 on all 6 jump
+    slots of the stack, so a wide spread stacks members without jumps beside
+    members with 6."""
     spec = sequences.EnsembleSpec(rabi_spread=1.5, samples=40, seed=1)
     draws, _ = sequences._draws_and_weights(spec)
-    models, _ = sequences._member_models(fig3_config, table, draws)
-    assert {len(m.jumps) for m in models} == {0, 6}
+    model, _ = sequences._member_models(fig3_config, table, draws)
+    amps = np.array([amp for *_, amp in model.jumps])
+    assert amps.shape == (6, spec.samples)
+    assert set(np.count_nonzero(amps, axis=0)) == {0, 6}
     traj = sequences.run_rabi_ensemble(fig3_config, table, 60e-6, 301, spec)
     want = reference_rabi_ensemble(fig3_config, table, 60e-6, 301, spec)
     for i, label in enumerate(("up", "down", "lost")):
@@ -663,10 +742,10 @@ def test_chunked_rabi_ensemble_is_the_per_sample_average(fig3_config, table, n_s
     spec = sequences.EnsembleSpec(rabi_spread=0.004, delta_sigma=50.0, samples=13, seed=6)
     traj = sequences.run_rabi_ensemble(fig3_config, table, 60e-6, n_samples, spec)
     draws, weights = sequences._draws_and_weights(spec)
-    models, _ = sequences._member_models(fig3_config, table, draws)
+    model, _ = sequences._member_models(fig3_config, table, draws)
     times = np.linspace(0.0, 60e-6, n_samples)
     want = np.array([sequences.member_average(vec[:, ::4].real, weights)
-                     for vec in lindblad.model_steps(models, DensityMatrix.pure(3, 0).matrix, times)])
+                     for vec in lindblad.model_steps(model, DensityMatrix.pure(3, 0).matrix, times)])
     got = np.column_stack([traj.populations[k] for k in ("up", "down", "lost")])
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
