@@ -24,7 +24,7 @@ from .. import dsp, trap
 from ..config import ConfigError
 from ..driven import ModelError
 from ..dsp import FitError, PipelineError
-from ..lindblad import DegenerateSteadyStateError, IntegrationError
+from ..lindblad import DegenerateSteadyStateError
 from ..units import SR88_MASS_U, TWO_PI
 from .presets import default_scenario_for_kind, load_preset, run_scenario
 from .scenario import load_scenario
@@ -198,8 +198,8 @@ def main(argv=None) -> int:
     except (ConfigError, ModelError, trap.TableError, FileNotFoundError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (IntegrationError, DegenerateSteadyStateError, FitError, PipelineError,
-            ValueError, ZeroDivisionError) as exc:
+    except (DegenerateSteadyStateError, FitError, PipelineError, ValueError,
+            ZeroDivisionError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

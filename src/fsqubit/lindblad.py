@@ -32,11 +32,6 @@ block reduction of a Lindblad generator; Buca & Prosen, New J. Phys. 14,
 `model_block` sets the block up for `model_steps` and for any caller that
 reads the block's states without scattering them back.
 
-Time-dependent detuning schedules (frequency ramps) fall back to an
-adaptive embedded Runge-Kutta integrator on the same vectorized equation.
-`scipy.integrate` is imported inside that integrator: only
-`evolve(engine="rk")` reaches it, and a module-level import would add a
-quarter second to the start-up of every command.
 Trace is never renormalized; its drift is a diagnostic.
 """
 
@@ -50,10 +45,6 @@ import numpy as np
 from scipy.linalg import expm
 
 from .driven import RotatingFrameModel
-
-
-class IntegrationError(Exception):
-    pass
 
 
 class StateError(ValueError):
@@ -242,53 +233,27 @@ def invariant_block(model: RotatingFrameModel, rho0) -> np.ndarray | None:
     return None if linked.all() else linked.ravel().nonzero()[0]
 
 
-@dataclass(frozen=True)
-class DetuningRamp:
-    """Linear sweep added to one diagonal Hamiltonian entry.
-
-    The swept entry is -detuning(t) with detuning running linearly from
-    `start` to `stop` over the segment duration.
-    """
-
-    level: int
-    start: float  # rad/s
-    stop: float   # rad/s
-
-
 def evolve(
     model: RotatingFrameModel,
     rho0: DensityMatrix,
     duration: float,
     n_samples: int = 201,
-    engine: str = "auto",
-    rtol: float = 1e-9,
-    atol: float = 1e-12,
     store_states: bool = False,
-    ramp: DetuningRamp | None = None,
 ) -> Trajectory:
-    """Integrate the master equation and sample populations on a uniform grid.
+    """Step the master equation (`model_steps`) and sample populations on a
+    uniform grid of `n_samples` >= 1 times from 0 to `duration`.
 
-    engine "expm" propagates with the exact one-step matrix exponential
-    (constant generator only: a ramp raises ValueError); "rk" uses adaptive
-    RK45 on the vectorized equation; "auto" picks expm unless a ramp is
-    present.  `rho0` must be a valid density matrix of the model's dimension.
+    `rho0` must be a valid density matrix of the model's dimension.
     """
     if duration <= 0.0:
         raise ValueError("duration must be positive")
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     rho0.validate()
     if model.dim != rho0.dim:
         raise ValueError(f"initial state has dimension {rho0.dim}; the model has {model.dim}")
-    if engine == "auto":
-        engine = "rk" if ramp is not None else "expm"
-    if engine == "expm" and ramp is not None:
-        raise ValueError("the expm engine cannot integrate a detuning ramp")
     times = np.linspace(0.0, duration, n_samples)
-    if engine == "expm":
-        vecs = np.array(list(model_steps(model, rho0.matrix, times)))
-    elif engine == "rk":
-        vecs = _integrate_rk(model, rho0.matrix, times, rtol, atol, ramp)
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
+    vecs = np.array(list(model_steps(model, rho0.matrix, times)))
     states = vecs.reshape(len(times), model.dim, model.dim)
     pops = {label: states[:, i, i].real.copy() for i, label in enumerate(model.labels)}
     stored = tuple(DensityMatrix(st) for st in states) if store_states else None
@@ -365,45 +330,6 @@ def model_steps(model: RotatingFrameModel, rho0, times):
         full = np.zeros((*vec.shape[:-1], rho0.size), dtype=vec.dtype)
         full[..., index] = vec
         yield full
-
-
-def _integrate_rk(model, rho0, times, rtol, atol, ramp) -> np.ndarray:
-    from scipy.integrate import solve_ivp
-
-    n = model.dim
-    lv = liouvillian(model)
-    duration = times[-1]
-    if ramp is not None:
-        # -det(t) on H[level, level] adds -i * -det(t) * (delta_a,level - delta_b,level)
-        on_level = (np.arange(n) == ramp.level).astype(float)
-        lv_ramp = -1j * (np.repeat(on_level, n) - np.tile(on_level, n))
-        slope = (ramp.stop - ramp.start) / duration
-
-        def rhs(t, y):
-            det = ramp.start + slope * t
-            return lv @ y + (-det) * (lv_ramp * y)
-    else:
-
-        def rhs(t, y):
-            return lv @ y
-
-    sol = solve_ivp(
-        rhs,
-        (0.0, duration),
-        rho0.reshape(-1).astype(complex),
-        t_eval=times,
-        method="RK45",
-        rtol=rtol,
-        atol=atol,
-    )
-    if not sol.success:
-        scales = [r for r in (amp * amp for *_, amp in model.jumps) if r > 0]
-        scales += [abs(x) for x in np.diag(model.hamiltonian).real if x != 0]
-        ratio = max(scales) / min(scales) if len(scales) > 1 else 1.0
-        raise IntegrationError(
-            f"integrator failed ({sol.message}); stiffest rate ratio in the model is {ratio:.3g}"
-        )
-    return sol.y.T
 
 
 def steady_state(model: RotatingFrameModel) -> DensityMatrix:

@@ -1,9 +1,10 @@
 """Pulse sequences and canonical experiment protocols.
 
-Declarative segments (drive, dark, phase jump, frequency ramp) run on the
-master-equation engine, with an ensemble layer for quasi-static Rabi and
-detuning inhomogeneity on top.  Far-detuned Raman segments run on the
-adiabatically eliminated qubit model unless full integration is forced.
+Declarative segments (constant drive, dark, phase jump) each hold one
+constant model, stepped by `lindblad.model_steps`, with an ensemble layer
+for quasi-static Rabi and detuning inhomogeneity on top.  Far-detuned Raman
+segments run on the adiabatically eliminated qubit model.  A linear
+detuning sweep is `landau_zener`, a product of closed-form two-level steps.
 
 Every scan steps its points as one stack: the coherence scans take all dark
 times and ensemble members at once, the Autler-Townes scan steps one stack
@@ -36,9 +37,7 @@ from .driven import (
 )
 from .lindblad import (
     DensityMatrix,
-    DetuningRamp,
     Trajectory,
-    evolve,
     liouvillian,
     model_block,
     model_steps,
@@ -61,18 +60,6 @@ class ConstantDrive:
 
 
 @dataclass(frozen=True)
-class FrequencyRamp:
-    field: DriveField
-    detuning_start: float
-    detuning_stop: float
-    duration: float
-
-    def __post_init__(self):
-        if self.duration < 0:
-            raise ValueError("segment durations must be >= 0")
-
-
-@dataclass(frozen=True)
 class Dark:
     duration: float
 
@@ -86,12 +73,16 @@ class PhaseJump:
     field_id: str  # "up" or "down"
     dphase: float
 
+    def __post_init__(self):
+        if self.field_id not in ("up", "down"):
+            raise ValueError(f"field_id must be 'up' or 'down', got {self.field_id!r}")
+
     @property
     def duration(self) -> float:
         return 0.0
 
 
-Segment = ConstantDrive | FrequencyRamp | Dark | PhaseJump
+Segment = ConstantDrive | Dark | PhaseJump
 
 
 @dataclass(frozen=True)
@@ -272,12 +263,7 @@ def _with_phase_offsets(config: RamanConfig, phases: dict[str, float]) -> RamanC
 
 
 def _choose_basis(seq: PulseSequence, table: DecayTable) -> str:
-    has_ramp = any(isinstance(s, FrequencyRamp) for s in seq.segments)
     drives = [s.drive for s in seq.segments if isinstance(s, ConstantDrive)]
-    if has_ramp:
-        if drives:
-            raise ModelError("frequency ramps cannot be mixed with drive segments")
-        return "ramp"
     if any(isinstance(d, DriveField) for d in drives):
         return "single"
     raman = [d for d in drives if isinstance(d, RamanConfig)]
@@ -294,20 +280,23 @@ def run(
     n_samples: int = 201,
     rho0: DensityMatrix | None = None,
 ) -> RunResult:
-    """Run a pulse sequence, sampling populations on a uniform global grid.
+    """Run a pulse sequence, sampling populations on a uniform global grid of
+    `n_samples` >= 1 times.
 
-    The working basis is fixed for the whole sequence: the eliminated qubit
+    The working basis is fixed for the whole sequence: the scheme's levels
+    when a segment drives a single transition, the eliminated qubit
     basis when every Raman segment is deep in the far-detuned regime,
-    otherwise the Lambda basis with an explicit loss state.  The state is
+    otherwise the Lambda basis with an explicit loss state.  Each segment's
+    model is constant and stepped by `lindblad.model_steps`.  The state is
     carried across segment boundaries exactly; grid points falling inside a
     segment are reached with exact partial-step propagators.  A given `rho0`
     must be a valid density matrix of the working basis's dimension.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     if rho0 is not None:
         rho0.validate()
     basis = _choose_basis(seq, table)
-    if basis == "ramp":
-        return _run_ramp(seq, scheme, table, env, n_samples, rho0)
 
     def drive_model(segment, phases):
         if isinstance(segment.drive, RamanConfig):
@@ -353,8 +342,6 @@ def run(
     next_idx = 1
     for k, seg in enumerate(seq.segments):
         if isinstance(seg, PhaseJump):
-            if seg.field_id not in phases:
-                raise ModelError(f"unknown field id {seg.field_id!r}")
             phases[seg.field_id] += seg.dphase
             continue
         if seg.duration == 0.0:
@@ -396,29 +383,6 @@ def _advance(model, state, t_start, duration, times, next_idx, sampled):
     vecs = np.array(list(model_steps(model, state, grid)))
     sampled[next_idx:idx] = vecs[1:1 + idx - next_idx, ::dim + 1].real
     return vecs[-1].reshape(dim, dim), idx
-
-
-def _run_ramp(seq, scheme, table, env, n_samples, rho0):
-    if len(seq.segments) != 1:
-        raise ModelError("ramp sequences must consist of exactly one FrequencyRamp segment")
-    ramp_seg = seq.segments[0]
-    field = DriveField(ramp_seg.field.transition, ramp_seg.field.rabi, 0.0, ramp_seg.field.phase)
-    model = build_single_drive_model(field, scheme, table, env)
-    upper = max(ramp_seg.field.transition, key=lambda i: scheme.levels[i].energy)
-    state = rho0 if rho0 is not None else DensityMatrix.pure(model.dim, model.index(seq.initial_state))
-    traj = evolve(
-        model,
-        state,
-        ramp_seg.duration,
-        n_samples=n_samples,
-        engine="rk",
-        store_states=True,
-        ramp=DetuningRamp(level=model.labels.index(scheme.label(upper)),
-                          start=ramp_seg.detuning_start, stop=ramp_seg.detuning_stop),
-    )
-    final = traj.states[-1]
-    slim = Trajectory(times=traj.times, populations=traj.populations)
-    return RunResult(trajectory=slim, final_state=final)
 
 
 # ----------------------------------------------------------- Landau-Zener
@@ -761,8 +725,8 @@ def scattering_decay(
     Includes optical pumping among the Zeeman sublevels and recycling via
     the intermediate manifold back to the ground state."""
     times = np.asarray(times, dtype=float)
-    if times[0] != 0.0 or np.any(np.diff(times) <= 0):
-        raise ValueError("times must start at 0 and increase")
+    if times.size == 0 or times[0] != 0.0 or np.any(np.diff(times) <= 0):
+        raise ValueError("times must be non-empty, start at 0 and increase")
     env = env or MagneticEnvironment()
     model = build_single_drive_model(field, scheme, table, env)
     i_up = model.index("up")

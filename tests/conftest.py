@@ -49,3 +49,20 @@ def _quiet_regime_warnings():
 
 def assert_close(a, b, rtol=0.0, atol=0.0):
     np.testing.assert_allclose(a, b, rtol=rtol, atol=atol)
+
+
+@pytest.fixture(scope="session")
+def rk45():
+    """Oracle: the states of dv/dt = L v at every time, (len(times), n), by
+    scipy's adaptive RK45.  `generator` is L, or a function of t giving L(t)."""
+    from scipy.integrate import solve_ivp
+
+    def integrate(generator, vec0, times, rtol, atol):
+        at = generator if callable(generator) else (lambda t: generator)
+        sol = solve_ivp(lambda t, v: at(t) @ v, (times[0], times[-1]),
+                        np.asarray(vec0, dtype=complex), t_eval=times, method="RK45",
+                        rtol=rtol, atol=atol)
+        assert sol.success, sol.message
+        return sol.y.T
+
+    return integrate

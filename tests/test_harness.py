@@ -345,7 +345,8 @@ def test_cli_model_error_is_a_configuration_error(tmp_path, capsys):
 
 
 def test_cli_import_skips_signal_and_integrate():
-    # only the filters and the RK engine need these, and each costs start-up time
+    # scipy.signal is imported only by the filters, and each module costs start-up time;
+    # nothing in the program imports scipy.integrate
     code = ("import sys, fsqubit.harness.cli; "
             "print(*(m for m in ('scipy.signal', 'scipy.integrate') if m in sys.modules))")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}

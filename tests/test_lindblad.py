@@ -28,12 +28,11 @@ def test_identity_evolution():
         assert trace_distance(st, rho0) < 1e-12
 
 
-@pytest.mark.parametrize("engine", ["expm", "rk"])
-def test_resonant_rabi_formula(engine):
+def test_resonant_rabi_formula():
     rabi = TWO_PI * 1e5
     model = two_level_model(rabi)
     duration = 2 * math.pi / rabi  # one full cycle; passes through the pi point
-    traj = evolve(model, DensityMatrix.pure(2, 0), duration, n_samples=81, engine=engine)
+    traj = evolve(model, DensityMatrix.pure(2, 0), duration, n_samples=81)
     expected = np.sin(rabi * traj.times / 2.0) ** 2
     assert np.abs(traj.populations["up"] - expected).max() < 1e-6
 
@@ -56,47 +55,25 @@ def test_trace_preservation_and_positivity(fig3_config, table):
         assert st.hermiticity_defect() < 1e-9
 
 
-def test_rk_trace_drift_per_ms(fig3_config, table):
-    model = driven.build_effective_qubit_model(fig3_config, table)
-    traj = evolve(model, DensityMatrix.pure(3, 0), duration=1e-3, n_samples=8, engine="rk")
-    pops = np.array([traj.populations[k] for k in model.labels]).sum(axis=0)
-    assert abs(pops[-1] - 1.0) < 1e-8
-
-
 def test_gauge_invariance(fig3_config, table):
     model = driven.build_effective_qubit_model(fig3_config, table)
     # the same model with a constant added to the Hamiltonian diagonal
     shifted = driven.RotatingFrameModel(model.hamiltonian + TWO_PI * 123e6 * np.eye(model.dim),
                                         model.jumps, model.labels)
-    for engine in ("expm", "rk"):
-        a = evolve(model, DensityMatrix.pure(3, 0), 20e-6, n_samples=21, engine=engine)
-        b = evolve(shifted, DensityMatrix.pure(3, 0), 20e-6, n_samples=21, engine=engine)
-        for k in model.labels:
-            assert np.abs(a.populations[k] - b.populations[k]).max() < 1e-9
-
-
-def test_convergence_with_tolerance():
-    # adaptive integrator error scales with the requested tolerance
-    model = two_level_model(TWO_PI * 1e5, detuning=TWO_PI * 3e4, gamma=2e4)
-    rho0 = DensityMatrix.pure(2, 0)
-    duration = 50e-6
-    ref = evolve(model, rho0, duration, n_samples=11, engine="rk", rtol=1e-12, atol=1e-14)
-    errors = []
-    tols = np.array([1e-5, 1e-6, 1e-7, 1e-8])
-    for tol in tols:
-        t = evolve(model, rho0, duration, n_samples=11, engine="rk", rtol=tol, atol=1e-14)
-        errors.append(np.abs(t.populations["up"] - ref.populations["up"]).max())
-    slope = np.polyfit(np.log10(tols), np.log10(errors), 1)[0]
-    assert 0.5 <= slope <= 1.5
-
-
-def test_expm_matches_rk(fig3_config, table):
-    model = driven.build_effective_qubit_model(fig3_config, table)
-    a = evolve(model, DensityMatrix.pure(3, 0), 50e-6, n_samples=26, engine="expm")
-    b = evolve(model, DensityMatrix.pure(3, 0), 50e-6, n_samples=26, engine="rk",
-               rtol=1e-11, atol=1e-13)
+    a = evolve(model, DensityMatrix.pure(3, 0), 20e-6, n_samples=21)
+    b = evolve(shifted, DensityMatrix.pure(3, 0), 20e-6, n_samples=21)
     for k in model.labels:
-        assert np.abs(a.populations[k] - b.populations[k]).max() < 1e-8
+        assert np.abs(a.populations[k] - b.populations[k]).max() < 1e-9
+
+
+def test_expm_matches_rk(fig3_config, table, rk45):
+    model = driven.build_effective_qubit_model(fig3_config, table)
+    rho0 = DensityMatrix.pure(3, 0)
+    a = evolve(model, rho0, 50e-6, n_samples=26)
+    b = rk45(lindblad.liouvillian(model), rho0.matrix.reshape(-1), a.times,
+             rtol=1e-11, atol=1e-13)
+    for i, k in enumerate(model.labels):
+        assert np.abs(a.populations[k] - b[:, i * (model.dim + 1)].real).max() < 1e-8
 
 
 # ------------------------------------------------------------- propagate
@@ -121,14 +98,12 @@ AMPLITUDES = st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8)
 
 @settings(max_examples=10, deadline=None)
 @given(LAMBDA_MODELS, AMPLITUDES)
-def test_propagate_matches_rk_on_lossy_lambda(lam, table, params, amplitudes):
-    model = lossy_lambda(lam, table, *params)
-    rho0 = random_state(amplitudes)
-    duration = 0.5e-6
-    ref = evolve(model, rho0, duration, n_samples=11, engine="rk", rtol=1e-10, atol=1e-12,
-                 store_states=True)
-    got = lindblad.propagate(lindblad.liouvillian(model), rho0.matrix.reshape(-1), ref.times)
-    want = np.array([s.matrix.reshape(-1) for s in ref.states])
+def test_propagate_matches_rk_on_lossy_lambda(lam, table, rk45, params, amplitudes):
+    lv = lindblad.liouvillian(lossy_lambda(lam, table, *params))
+    vec0 = random_state(amplitudes).matrix.reshape(-1)
+    times = np.linspace(0.0, 0.5e-6, 11)
+    got = lindblad.propagate(lv, vec0, times)
+    want = rk45(lv, vec0, times, rtol=1e-10, atol=1e-12)
     assert np.abs(got - want).max() < 1e-9
 
 
@@ -460,9 +435,3 @@ def test_density_matrix_validation():
     with pytest.raises(lindblad.StateError):
         bad.validate()
 
-
-def test_expm_rejects_ramp():
-    model = two_level_model(TWO_PI * 100.0)
-    with pytest.raises(ValueError, match="the expm engine cannot integrate a detuning ramp"):
-        evolve(model, DensityMatrix.pure(2, 0), 1e-3, engine="expm",
-               ramp=lindblad.DetuningRamp(level=1, start=0.0, stop=1.0))
