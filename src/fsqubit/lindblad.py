@@ -11,6 +11,18 @@ A stack of models is one RotatingFrameModel with a leading member axis
 Every function here that takes a model takes a stack too, and treats it in
 one broadcast pass, each member bit-equal to its own model.
 
+`expm` is the program's one matrix exponential, bit-equal to
+`scipy.linalg.expm` on every slice.  The GHz-scale one-photon detunings give
+generators of large norm, so scaling and squaring needs many squarings per
+slice; `expm` keeps scipy's own Pade step per slice (imported from the
+private `scipy.linalg._matfuncs_expm`) and does the squarings of a whole
+stack as stacked matmuls, which run the same BLAS gemm per slice as scipy's
+2-D ones.  `steps` builds the propagators of every gap of a grid that needs
+one in one `expm` call per chunk.  The bit-equality is pinned by
+tests/test_lindblad.py (`test_expm_bit_equal_to_scipy` and
+`test_steps_bit_equal_to_per_gap_loop`), under one BLAS thread and, in CI,
+under the default threading.
+
 A model's state is stepped by `model_steps` on the block of its Liouvillian
 that holds the initial state, never on the whole d^2 x d^2 generator.  The
 block comes from the model and the initial state (`invariant_block`): join
@@ -42,7 +54,8 @@ from functools import lru_cache, reduce
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import expm as _scipy_expm
+from scipy.linalg._matfuncs_expm import pade_UV_calc, pick_pade_structure
 
 from .driven import RotatingFrameModel
 
@@ -264,9 +277,10 @@ def propagate(generator: np.ndarray, vec0: np.ndarray, times) -> np.ndarray:
     """States of dv/dt = generator @ v at every time, shape (len(times), *vec0.shape).
 
     `vec0` is the state at `times[0]`.  The generator may stack independent
-    members, shape (..., n, n) with `vec0` of shape (..., n); see `steps`.
-    A real generator and a real state (a rate matrix and populations) give
-    real states.
+    members, shape (..., n, n) with `vec0` of shape (..., n).  The states
+    are those `steps` yields, each bit-equal to stepping the grid gap by gap
+    with `scipy.linalg.expm`.  A real generator and a real state (a rate
+    matrix and populations) give real states.
     """
     vec0 = np.asarray(vec0)
     out = np.empty((len(times), *vec0.shape), dtype=np.result_type(generator, vec0))
@@ -275,27 +289,93 @@ def propagate(generator: np.ndarray, vec0: np.ndarray, times) -> np.ndarray:
     return out
 
 
+# bytes of propagators `steps` builds in one `expm` call
+_STEP_BYTES = 4 << 20
+
+
 def steps(generator: np.ndarray, vec0: np.ndarray, times):
     """Yield the state of dv/dt = generator @ v at every time, `vec0` first.
 
     Each gap between consecutive times is stepped with expm(generator * gap);
     the propagator is reused while the next gap matches the one it was built
     for within a relative 1e-9, so a uniform grid costs one matrix
-    exponential.  A stacked generator (..., n, n) steps states (..., n) of
-    every member at once: one batched expm per distinct gap and one matmul
-    per time, each member bit-equal to stepping it alone.  Yielding instead
-    of collecting lets a caller reduce the members per time without ever
-    holding the (members, times, n) stack.
+    exponential.  The propagators of the gaps that need one are built
+    together, one `expm` call per chunk of about `_STEP_BYTES` (4 MB) of
+    them, so a long non-uniform grid over a large stack holds a bounded
+    amount; each is bit-equal to scipy's expm of its own generator * gap.
+    A stacked generator (..., n, n) steps states (..., n) of every member at
+    once, one matmul per time, each member bit-equal to stepping it alone.
+    Yielding instead of collecting lets a caller reduce the members per time
+    without ever holding the (members, times, n) stack.
     """
+    generator = np.asarray(generator)
     times = np.asarray(times, dtype=float)
     vec = np.asarray(vec0)
     yield vec
-    step, built_for = None, 0.0
-    for gap in np.diff(times):
-        if step is None or abs(gap - built_for) > 1e-9 * built_for:
-            step, built_for = expm(generator * gap), gap
-        vec = (step @ vec[..., None])[..., 0]
-        yield vec
+    gaps = np.diff(times)
+    built, built_for = [], None
+    for k, gap in enumerate(gaps.tolist()):
+        if built_for is None or abs(gap - built_for) > 1e-9 * built_for:
+            built.append(k)
+            built_for = gap
+    ends = built[1:] + [len(gaps)]
+    chunk = max(1, _STEP_BYTES // max(generator.nbytes, 1))
+    for first in range(0, len(built), chunk):
+        starts = built[first:first + chunk]
+        scaled = generator * gaps[starts].reshape(-1, *(1,) * generator.ndim)
+        for step, start, stop in zip(expm(scaled), starts, ends[first:first + chunk]):
+            for _ in range(start, stop):
+                vec = (step @ vec[..., None])[..., 0]
+                yield vec
+
+
+def expm(a) -> np.ndarray:
+    """scipy.linalg.expm of every (n, n) slice of `a`, bit for bit.
+
+    scipy (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970 (2009))
+    runs a stack one slice at a time: a bandwidth check, a Pade step and s
+    squarings, each a 2-D matmul.  Here each generic slice goes through the
+    same Pade step (`pick_pade_structure` and `pade_UV_calc` from scipy's
+    private `scipy.linalg._matfuncs_expm`, the functions `scipy.linalg.expm`
+    calls), then the slices are sorted by their squaring count s and each
+    round squares every slice that still needs one in a single stacked
+    matmul, which runs the same BLAS gemm per slice as scipy's 2-D one.
+    Triangular (and diagonal) slices, for which scipy has its own branch,
+    go to `scipy.linalg.expm` itself, as does input that is not float64 or
+    complex128 or whose slices are smaller than 2 x 2.
+    `test_expm_bit_equal_to_scipy` pins the bit-equality.
+    """
+    a = np.asarray(a)
+    if (a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 2 or a.size == 0
+            or a.dtype not in (np.float64, np.complex128)):
+        return _scipy_expm(a)
+    n = a.shape[-1]
+    flat = a.reshape(-1, n, n)
+    rows, cols = np.tril_indices(n, -1)
+    triangular = ~flat[:, rows, cols].any(axis=1) | ~flat[:, cols, rows].any(axis=1)
+    out = np.empty_like(flat)
+    if triangular.any():
+        out[triangular] = _scipy_expm(flat[triangular])
+    generic = (~triangular).nonzero()[0]
+    if len(generic):
+        pade = np.empty((5, n, n), dtype=a.dtype)
+        powers = np.empty((len(generic), n, n), dtype=a.dtype)
+        squarings = np.empty(len(generic), dtype=np.intp)
+        for k, member in enumerate(generic):
+            pade[0] = flat[member]
+            m, squarings[k] = pick_pade_structure(pade)
+            info = pade_UV_calc(pade, m) if m >= 0 else m
+            if info != 0:
+                raise RuntimeError(f"expm: the Pade step of slice {member} failed (code {info})")
+            powers[k] = pade[0]
+        order = np.argsort(-squarings, kind="stable")
+        powers, squarings = powers[order], squarings[order]
+        # the slices that need more than r squarings lead the sorted stack
+        for r in range(squarings[0]):
+            needing = np.count_nonzero(squarings > r)
+            powers[:needing] = powers[:needing] @ powers[:needing]
+        out[generic[order]] = powers
+    return out.reshape(a.shape)
 
 
 def model_block(model: RotatingFrameModel,

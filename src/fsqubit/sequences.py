@@ -20,7 +20,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import dsp, formulas
 from .atom import DecayTable, LevelScheme, MagneticEnvironment
@@ -38,6 +37,7 @@ from .driven import (
 from .lindblad import (
     DensityMatrix,
     Trajectory,
+    expm,
     liouvillian,
     model_block,
     model_steps,
@@ -551,9 +551,10 @@ def spin_echo_scan(
 
 def _two_pulse_scan(dark_time, phases, config, table, ensemble, ou, echo: bool) -> np.ndarray:
     """Every member and dark time in one stack: members on axis 0, dark
-    times on the next axes and phases last, averaged over the members.  The
-    OU noise steps every member at once, one dark time after the other
-    (`_ou_noise`)."""
+    times on the next axes and phases last, averaged over the members.  All
+    members' pi/2-pulse propagators come from one `lindblad.expm` call on
+    the stacked Liouvillians.  The OU noise steps every member at once, one
+    dark time after the other (`_ou_noise`)."""
     if not elimination_applies(config, table):
         warnings.warn("coherence scans assume the far-detuned regime",
                       formulas.RegimeWarning, stacklevel=3)
@@ -755,7 +756,12 @@ def run_rabi_ensemble(
     state (`lindblad.model_block`).  The members' populations are read off
     the block's states into a buffer of `_RABI_CHUNK` samples, and each full
     buffer is averaged in one `member_average` call, bit-equal to averaging
-    sample by sample; only the mean populations are kept."""
+    sample by sample; only the mean populations are kept.  `duration` must
+    be positive and `n_samples` >= 1."""
+    if duration <= 0.0:
+        raise ValueError(f"duration must be positive, got {duration}")
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     times = np.linspace(0.0, duration, n_samples)
     draws, weights = _draws_and_weights(ensemble)
     model, _ = _member_models(config, table, draws)

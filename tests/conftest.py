@@ -47,10 +47,6 @@ def _quiet_regime_warnings():
         yield
 
 
-def assert_close(a, b, rtol=0.0, atol=0.0):
-    np.testing.assert_allclose(a, b, rtol=rtol, atol=atol)
-
-
 @pytest.fixture(scope="session")
 def rk45():
     """Oracle: the states of dv/dt = L v at every time, (len(times), n), by

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
+from scipy.linalg._matfuncs_expm import pick_pade_structure
 
 from fsqubit import atom, driven, lindblad
 from fsqubit.lindblad import DensityMatrix, evolve, steady_state, trace_distance
@@ -177,6 +179,158 @@ def test_stacked_states_are_physical(lam, table, members):
     for vecs in lindblad.steps(lv, vec0, GRIDS["uniform"]):
         for vec in vecs:
             DensityMatrix(vec.reshape(4, 4)).validate(tol=1e-9)
+
+
+# ------------------------------------------------------------------ expm
+
+# a third of the slices generic, the rest through scipy's own branches
+EXPM_KINDS = ("generic", "generic", "diagonal", "upper", "lower", "zero")
+
+
+def contraction(rng, n, is_complex, norm):
+    """A skew-Hermitian matrix minus a positive semidefinite one, scaled to
+    the 1-norm `norm`, so its exponential neither overflows nor vanishes."""
+    def normal():
+        x = rng.standard_normal((n, n))
+        return x + 1j * rng.standard_normal((n, n)) if is_complex else x
+    x, p = normal(), normal()
+    a = x - x.conj().T - 0.1 * p @ p.conj().T
+    return a * (norm / max(np.abs(a).sum(axis=0).max(), 1e-300))
+
+
+def expm_slice(rng, n, is_complex, norm, kind):
+    a = contraction(rng, n, is_complex, norm)
+    return {"generic": a, "diagonal": np.diag(np.diag(a)), "upper": np.triu(a),
+            "lower": np.tril(a), "zero": 0 * a}[kind]
+
+
+def squarings(a):
+    """scipy's squaring count s for the 2-D array `a`."""
+    work = np.empty((5, *a.shape), dtype=a.dtype)
+    work[0] = a
+    return pick_pade_structure(work)[1]
+
+
+@st.composite
+def expm_stacks(draw):
+    """An (n, n), (M, n, n) or (B, M, n, n) array, n from 1 to 13, real or
+    complex, its slices of 1-norms from 1e-4 to 3e7 (s from 0 to 23) and of
+    every kind: generic, diagonal, upper and lower triangular and zero."""
+    n = draw(st.integers(1, 13))
+    batch = draw(st.sampled_from([(), (1,), (4,), (2, 3), (3, 1)]))
+    count = math.prod(batch)
+    kinds = draw(st.lists(st.sampled_from(EXPM_KINDS), min_size=count, max_size=count))
+    norms = draw(st.lists(st.floats(-4.0, 7.5), min_size=count, max_size=count))
+    is_complex = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    slices = [expm_slice(rng, n, is_complex, 10.0**e, kind) for e, kind in zip(norms, kinds)]
+    return np.array(slices).reshape(*batch, n, n)
+
+
+def assert_bit_equal(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(expm_stacks())
+def test_expm_bit_equal_to_scipy(a):
+    assert_bit_equal(lindblad.expm(a), expm(a))
+
+
+@pytest.mark.parametrize("is_complex", [False, True])
+def test_expm_bit_equal_across_squaring_counts(is_complex):
+    """One stack whose slices need every squaring count from 0 to 21, in
+    shuffled order, with triangular, diagonal and zero slices among them."""
+    rng = np.random.default_rng(11)
+    norms = 5.0 * 2.0 ** np.arange(-4, 22)
+    kinds = ["generic"] * len(norms) + ["upper", "lower", "diagonal", "zero"] * 3
+    norms = np.concatenate([norms, np.geomspace(1e-2, 1e7, 12)])
+    order = rng.permutation(len(kinds))
+    a = np.array([expm_slice(rng, 6, is_complex, norms[k], kinds[k]) for k in order])
+    assert set(range(22)) <= {squarings(x) for x in a}
+    assert_bit_equal(lindblad.expm(a), expm(a))
+
+
+def steps_per_gap(generator, vec0, times):
+    """Oracle: the per-gap loop that `steps` replaced, one `scipy.linalg.expm`
+    per gap that needs a new propagator."""
+    times = np.asarray(times, dtype=float)
+    vec = np.asarray(vec0)
+    yield vec
+    step, built_for = None, 0.0
+    for gap in np.diff(times):
+        if step is None or abs(gap - built_for) > 1e-9 * built_for:
+            step, built_for = expm(generator * gap), gap
+        vec = (step @ vec[..., None])[..., 0]
+        yield vec
+
+
+STEP_GRIDS = {
+    "uniform": np.linspace(0.0, 2e-6, 41),
+    "figS3": np.concatenate([[0.0], np.geomspace(10e-6, 10e-3, 25)]),
+    "runs": np.concatenate([np.linspace(0.0, 1e-6, 5), np.linspace(1e-6, 4e-6, 7)[1:],
+                            np.linspace(4e-6, 5e-6, 4)[1:], [5.5e-6, 6e-6, 6.5e-6]]),
+    "near_gap": np.cumsum([0.0, 1e-6, 1e-6, 1e-6 * (1 + 5e-10), 1e-6 * (1 + 2e-9), 1e-6]),
+    "single": np.array([0.0]),
+}
+
+
+def step_generators(kind, lam, full_scheme, table, env):
+    """(generator, vec0): a 2-D or stacked Liouvillian block, or a stack of
+    real rate matrices."""
+    if kind == "figS3":
+        field = driven.DriveField((full_scheme.up, full_scheme.s), TWO_PI * 36e6, -TWO_PI * 6e9)
+        model = driven.build_single_drive_model(field, full_scheme, table, env)
+        _, lv, vec0 = lindblad.model_block(model, DensityMatrix.pure(model.dim, model.index("up")).matrix)
+        return lv, vec0
+    if kind == "stack":
+        members = [((5.0, 7.0, -3.0, 0.4), [0.3, 0.5, 0.1, 0.0, 0.2, 0.0, 0.4, 0.1]),
+                   ((36.0, 36.0, -6e3, 0.1), [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]),
+                   ((0.5, 20.0, 20.0, -2.0), [0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])]
+        return stacked_members(lam, table, members)
+    rng = np.random.default_rng(3)
+    m = rng.uniform(0.0, 1e6, (2, 5, 5))
+    m[:, np.eye(5, dtype=bool)] = 0.0
+    m[:, range(5), range(5)] = -m.sum(axis=1)
+    return m, np.broadcast_to(np.eye(5)[0], (2, 5))
+
+
+@pytest.mark.parametrize("step_bytes", [None, 1])
+@pytest.mark.parametrize("kind", ["figS3", "stack", "rates"])
+@pytest.mark.parametrize("grid", sorted(STEP_GRIDS))
+def test_steps_bit_equal_to_per_gap_loop(lam, full_scheme, table, env, monkeypatch,
+                                         grid, kind, step_bytes):
+    """Every state is bit-equal to the per-gap loop's, with the propagators
+    built in one chunk or one per chunk."""
+    if step_bytes is not None:
+        monkeypatch.setattr(lindblad, "_STEP_BYTES", step_bytes)
+    generator, vec0 = step_generators(kind, lam, full_scheme, table, env)
+    times = STEP_GRIDS[grid]
+    got = np.array(list(lindblad.steps(generator, vec0, times)))
+    want = np.array(list(steps_per_gap(generator, vec0, times)))
+    assert got.shape == (len(times), *np.shape(vec0))
+    assert_bit_equal(got, want)
+
+
+def test_steps_holds_a_bounded_set_of_propagators():
+    """5000 log-spaced times over a (200, 5, 5) stack: every gap needs its
+    own propagator, 400 MB if built at once; chunks keep the working set to
+    a few times `_STEP_BYTES` (about 50 gaps' propagators)."""
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((200, 5, 5)) + 1j * rng.standard_normal((200, 5, 5))
+    generator = 1e6 * (x - x.conj().swapaxes(-1, -2))
+    vec0 = np.broadcast_to(np.eye(5)[0], (200, 5))
+    times = np.concatenate([[0.0], np.geomspace(1e-9, 1e-3, 4999)])
+    tracemalloc.start()
+    try:
+        # three chunks of propagators
+        for _, vec in zip(range(110), lindblad.steps(generator, vec0, times)):
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * lindblad._STEP_BYTES
 
 
 def kron_liouvillian(model):

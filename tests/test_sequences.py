@@ -139,6 +139,15 @@ def test_run_and_evolve_reject_an_empty_grid(fig3_config, lam, table):
         lindblad.evolve(model, DensityMatrix.pure(3, 0), 1e-6, n_samples=0)
 
 
+def test_rabi_ensemble_rejects_an_empty_grid_and_a_nonpositive_duration(fig3_config, table):
+    spec = sequences.EnsembleSpec(rabi_spread=0.004, samples=4, seed=1)
+    with pytest.raises(ValueError, match="n_samples must be >= 1, got 0"):
+        sequences.run_rabi_ensemble(fig3_config, table, 1e-4, 0, spec)
+    for duration in (0.0, -1e-4):
+        with pytest.raises(ValueError, match="duration must be positive"):
+            sequences.run_rabi_ensemble(fig3_config, table, duration, 11, spec)
+
+
 def test_segment_validation():
     with pytest.raises(ValueError):
         sequences.Dark(-1.0)
