@@ -61,7 +61,7 @@ class DriveField:
     phase: float = 0.0           # rad
 
     def __post_init__(self):
-        if np.any(self.rabi < 0):
+        if np.count_nonzero(self.rabi < 0):
             raise ModelError("Rabi frequency must be >= 0")
         if self.transition[0] == self.transition[1]:
             raise ModelError("transition endpoints must be distinct")
@@ -150,7 +150,7 @@ def _hermitian(dim: int, entries: dict[tuple[int, int], complex]) -> np.ndarray:
     """Build a Hermitian matrix from diagonal entries plus one entry (i, j) per
     coupled pair, mirrored as its conjugate into (j, i).  Array-valued
     entries broadcast together into a stack (M, dim, dim)."""
-    shape = np.broadcast_shapes(*(np.shape(v) for v in entries.values()))
+    shape = np.broadcast(*entries.values()).shape
     h = np.zeros((*shape, dim, dim), dtype=complex)
     for (i, j), v in entries.items():
         if i == j:

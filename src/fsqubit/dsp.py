@@ -7,7 +7,8 @@ in the package.
 
 `scipy.signal` is imported inside the band-pass and the envelope, the only
 functions that use it: importing it costs about a second, more than most
-commands run, and only the Rabi extraction chain filters.
+commands run, and only the Rabi extraction chain filters.  `scipy.special`
+(about 0.3 s) is imported likewise inside `_loss_window`, for `fit_loss`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import exprel
 
 from . import formulas
 from .config import parse_csv
@@ -74,8 +74,8 @@ class Trace:
         y = np.asarray(self.samples, dtype=float)
         y.setflags(write=False)
         object.__setattr__(self, "samples", y)
-        if self.dt <= 0:
-            raise ValueError("sample interval must be positive")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"sample interval dt must be positive and finite, got {self.dt!r}")
         _require_finite(y, "samples")
         if self.sigma is not None:
             _require_finite(np.asarray(self.sigma, dtype=float), "sigma")
@@ -519,7 +519,9 @@ def extract_rabi(trace: Trace) -> RabiExtraction:
 def _loss_window(u, drop, rate_span, level):
     """level - drop (1 - exp(-k u)) / (1 - exp(-k)) with k = rate_span, on
     u in [0, 1]: `level` at u = 0, `level - drop` at u = 1, a straight line
-    at k = 0 and finite for either sign of k."""
+    at k = 0; finite for k > -709.78, below which exp(-k) overflows."""
+    from scipy.special import exprel
+
     with np.errstate(over="ignore", invalid="ignore"):
         return level - drop * u * exprel(-rate_span * u) / exprel(-rate_span)
 

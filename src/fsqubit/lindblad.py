@@ -17,8 +17,11 @@ generators of large norm, so scaling and squaring needs many squarings per
 slice; `expm` keeps scipy's own Pade step per slice (imported from the
 private `scipy.linalg._matfuncs_expm`) and does the squarings of a whole
 stack as stacked matmuls, which run the same BLAS gemm per slice as scipy's
-2-D ones.  `steps` builds the propagators of every gap of a grid that needs
-one in one `expm` call per chunk.  The bit-equality is pinned by
+2-D ones.  `scipy.linalg` is imported inside `expm`, not with this module:
+it costs about 0.3 s of start-up, and a run that never exponentiates (the
+Landau-Zener sweep, the CPT scan, a dry run) never loads it.  `steps`
+builds the propagators of every gap of a grid that needs one in one `expm`
+call per chunk.  The bit-equality is pinned by
 tests/test_lindblad.py (`test_expm_bit_equal_to_scipy` and
 `test_steps_bit_equal_to_per_gap_loop`), under one BLAS thread and, in CI,
 under the default threading.
@@ -54,8 +57,6 @@ from functools import lru_cache, reduce
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import expm as _scipy_expm
-from scipy.linalg._matfuncs_expm import pade_UV_calc, pick_pade_structure
 
 from .driven import RotatingFrameModel
 
@@ -345,17 +346,20 @@ def expm(a) -> np.ndarray:
     complex128 or whose slices are smaller than 2 x 2.
     `test_expm_bit_equal_to_scipy` pins the bit-equality.
     """
+    from scipy.linalg import expm as scipy_expm
+    from scipy.linalg._matfuncs_expm import pade_UV_calc, pick_pade_structure
+
     a = np.asarray(a)
     if (a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 2 or a.size == 0
             or a.dtype not in (np.float64, np.complex128)):
-        return _scipy_expm(a)
+        return scipy_expm(a)
     n = a.shape[-1]
     flat = a.reshape(-1, n, n)
     rows, cols = np.tril_indices(n, -1)
     triangular = ~flat[:, rows, cols].any(axis=1) | ~flat[:, cols, rows].any(axis=1)
     out = np.empty_like(flat)
     if triangular.any():
-        out[triangular] = _scipy_expm(flat[triangular])
+        out[triangular] = scipy_expm(flat[triangular])
     generic = (~triangular).nonzero()[0]
     if len(generic):
         pade = np.empty((5, n, n), dtype=a.dtype)

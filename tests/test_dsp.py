@@ -367,6 +367,27 @@ def test_extract_rabi_stage_errors_are_named():
 
 # ------------------------------------------------------------- slow loss
 
+@pytest.mark.parametrize("k", [3.0, -3.0, 40.0, -40.0])
+def test_loss_window_closed_form(k):
+    u = np.linspace(0.0, 1.0, 101)
+    want = 0.5 - 0.2 * (1 - np.exp(-k * u)) / (1 - np.exp(-k))
+    np.testing.assert_allclose(dsp._loss_window(u, 0.2, k, 0.5), want, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("k", [0.0, 1e-17, -1e-17])
+def test_loss_window_straight_line_at_vanishing_rate(k):
+    u = np.linspace(0.0, 1.0, 101)
+    assert np.array_equal(dsp._loss_window(u, 0.2, k, 0.5), 0.5 - 0.2 * u)
+
+
+def test_loss_window_finite_at_steep_decay():
+    # exp(-800) underflows, so exprel(-800) takes its -1/x branch, 1/800
+    u = np.linspace(0.0, 1.0, 101)
+    got = dsp._loss_window(u, 0.2, 800.0, 0.5)
+    assert np.all(np.isfinite(got))
+    np.testing.assert_allclose(got, 0.5 - 0.2 * (1 - np.exp(-800.0 * u)), rtol=1e-15)
+
+
 def test_fit_loss_from_raw_minus_filtered():
     omega, tau = TWO_PI * 100.94e3, 684e-6
     loss_amp, tau_loss = 0.17, 1.15e-3
@@ -553,6 +574,12 @@ def test_trace_rejects_non_finite_samples_and_sigma():
         dsp.Trace(dt=1e-6, samples=np.array([0.1, 0.2, np.inf, np.nan]))
     with pytest.raises(ValueError, match=r"non-finite trace sigma at index 1"):
         dsp.Trace(dt=1e-6, samples=np.zeros(3), sigma=np.array([0.1, np.nan, 0.1]))
+
+
+@pytest.mark.parametrize("dt", [float("nan"), float("inf"), -float("inf"), 0.0, -1e-6])
+def test_trace_rejects_bad_sample_interval(dt):
+    with pytest.raises(ValueError, match=r"\bdt\b"):
+        dsp.Trace(dt=dt, samples=np.ones(8))
 
 
 def test_trace_rejects_nonuniform():

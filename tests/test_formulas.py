@@ -123,6 +123,22 @@ def test_effective_two_level_fields(fig3_config, table):
                                    scatter_up=-1.0, scatter_down=1.0)
 
 
+def test_effective_two_level_is_the_single_formulas_checked_once(table):
+    gamma = table.gamma_s
+    up, down = TWO_PI * np.array([36e6, 1e6, 0.0]), TWO_PI * np.array([30e6, 0.0, 2e6])
+    for detuning in (-TWO_PI * 6e9, TWO_PI * np.array([6e9, -4e7, 3e6])):
+        eff = formulas.effective_two_level(up, down, detuning, gamma)
+        assert np.array_equal(eff.rabi, formulas.raman_rabi(up, down, detuning))
+        assert np.array_equal(eff.scatter_up, formulas.scattering_rate(up, detuning, gamma))
+        assert np.array_equal(eff.scatter_down, formulas.scattering_rate(down, detuning, gamma))
+    # only the scattering rates' scale, the linewidth, flags this detuning
+    with pytest.warns(formulas.RegimeWarning) as record:
+        formulas.effective_two_level(1.0, 1.0, 5.0 * gamma, gamma)
+    assert len(record) == 1
+    with pytest.raises(ZeroDivisionError, match="detuning"):
+        formulas.effective_two_level(1.0, 1.0, np.array([1e9, 0.0]), gamma)
+
+
 def test_generalized_rabi():
     assert formulas.generalized_rabi(3.0, 4.0) == pytest.approx(5.0)
     assert formulas.generalized_rabi(3.0, 0.0) == pytest.approx(3.0)

@@ -344,15 +344,38 @@ def test_cli_model_error_is_a_configuration_error(tmp_path, capsys):
     assert "Rabi frequency must be >= 0" in capsys.readouterr().err
 
 
-def test_cli_import_skips_signal_and_integrate():
-    # scipy.signal is imported only by the filters, and each module costs start-up time;
-    # nothing in the program imports scipy.integrate
-    code = ("import sys, fsqubit.harness.cli; "
-            "print(*(m for m in ('scipy.signal', 'scipy.integrate') if m in sys.modules))")
+# scipy modules the program imports only inside the functions that use them
+LAZY_SCIPY = ("scipy.linalg", "scipy.special", "scipy.signal")
+
+
+def _loaded_after(code):
+    """The LAZY_SCIPY modules (and scipy.integrate) in sys.modules after a fresh
+    process runs `code`, read from the last line it prints."""
+    code += ("\nimport sys; print(*(m for m in (*%r, 'scipy.integrate') if m in sys.modules))"
+             % (LAZY_SCIPY,))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           check=True)
-    assert proc.stdout.strip() == ""
+    return proc.stdout.splitlines()[-1].split()
+
+
+def test_cli_import_skips_signal_and_integrate():
+    # scipy.linalg, scipy.special and scipy.signal are imported only by `lindblad.expm`,
+    # `dsp._loss_window` and the filters, and each costs start-up time; nothing in the
+    # program imports scipy.integrate
+    assert _loaded_after("import fsqubit.harness.cli") == []
+
+
+def test_commands_without_exponentials_load_no_lazy_scipy(tmp_path):
+    """The Landau-Zener preset, a dry run and `trap magic` never load the scipy
+    modules imported inside functions; one `lindblad.expm` call does."""
+    for args in (["reproduce", "fig1c", "--out", str(tmp_path)],
+                 ["reproduce", "fig3d", "--dry-run"],
+                 ["trap", "magic", "--wavelength", "914"]):
+        code = f"from fsqubit.harness.cli import main\nassert main({args!r}) == 0"
+        assert _loaded_after(code) == [], args
+    code = "import numpy as np\nfrom fsqubit import lindblad\nlindblad.expm(np.eye(2))"
+    assert "scipy.linalg" in _loaded_after(code)
 
 
 def test_cli_kind_mismatch(tmp_path):
