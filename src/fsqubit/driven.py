@@ -8,12 +8,11 @@ endpoints ordered by energy, whatever their order in the basis.  Each decay
 channel is one jump (from, to, amplitude), the collapse operator
 amplitude |to><from| of rate amplitude**2, which keeps branching auditable.
 
-The closed and lossy Lambda builders and the eliminated-qubit builder
-broadcast over array-valued drive parameters (the rabi, detuning and phase
-of each field): arrays of shape (M,) give a stack, one model with a leading
-member axis, built in one numpy pass and bit-equal member by member to the
-scalar builds; scalars run the same code without a member axis.  The full
-model and the single-drive model take scalars.
+Every builder broadcasts over array-valued drive parameters (the rabi,
+detuning and phase of each field): arrays of shape (M,) give a stack, one
+model with a leading member axis, built in one numpy pass and bit-equal
+member by member to the scalar builds; scalars run the same code without a
+member axis.
 
 `pi_lines` alone decides which Zeeman lines a pi-polarized field drives and
 how strongly.  `build_single_drive_model` sets them on the Zeeman-shifted
@@ -174,9 +173,9 @@ def build_lambda_model(
     the Lambda so the model is trace-preserving on its own (CPT spectra,
     steady states).  mode "lossy": a fourth `lost` state collects decay out
     of the Lambda.  mode "full": all 13 sublevels with their Zeeman and
-    detuning diagonal entries (requires `env`).  The closed and lossy modes
-    broadcast over array-valued drive parameters into a stack; their jumps
-    depend on the table alone, so every member shares them.
+    detuning diagonal entries (requires `env`).  Every mode broadcasts over
+    array-valued drive parameters into a stack; the jumps depend on the
+    table alone, so every member shares them.
     """
     for name, fld, lower in (("up", config.up, "3P2"), ("down", config.down, "3P0")):
         if sorted(fld.transition) != sorted((scheme.index(lower, 0), scheme.s)):
@@ -260,23 +259,20 @@ def _full_model(
     table: DecayTable,
     env: MagneticEnvironment | None,
 ) -> RotatingFrameModel:
-    """The up field's single-drive model plus the down coupling and -delta on 3P0."""
+    """The up field's single-drive model plus the down coupling and -delta on
+    3P0; a stacked down field broadcasts the up model over its members."""
     if env is None:
         raise ModelError("the full model needs a MagneticEnvironment")
-    _require_scalar(config.down)
     if scheme.n != 13:
         raise ModelError("full mode expects the 13-sublevel scheme")
     up = build_single_drive_model(config.up, scheme, table, env)
-    h = np.array(up.hamiltonian)
-    h[scheme.down, scheme.down] = -config.delta_two
-    h[scheme.down, scheme.s] = config.down.rabi / 2.0 * np.exp(1j * config.down.phase)
-    h[scheme.s, scheme.down] = np.conj(h[scheme.down, scheme.s])
+    coupling = config.down.rabi / 2.0 * np.exp(1j * config.down.phase)
+    shape = np.broadcast(up.hamiltonian[..., 0, 0], config.delta_two, coupling).shape
+    h = np.broadcast_to(up.hamiltonian, (*shape, scheme.n, scheme.n)).copy()
+    h[..., scheme.down, scheme.down] = -config.delta_two
+    h[..., scheme.down, scheme.s] = coupling
+    h[..., scheme.s, scheme.down] = np.conj(coupling)
     return RotatingFrameModel(h, up.jumps, up.labels)
-
-
-def _require_scalar(field_: DriveField) -> None:
-    if np.ndim(field_.rabi) or np.ndim(field_.detuning) or np.ndim(field_.phase):
-        raise ModelError("the full and single-drive models take scalar drive parameters")
 
 
 def build_single_drive_model(
@@ -292,9 +288,8 @@ def build_single_drive_model(
     Zeeman-shifted detuning; its jumps are the table's channels in the
     order of `atom.decay_rates`.  On a scheme without decay sources (e.g.
     the 1S0-3P2 pair) this reduces to a bare two-level model for sweep
-    simulations.
+    simulations.  Array-valued drive parameters give a stack.
     """
-    _require_scalar(field_)
     low_lvl, high_lvl, lines = pi_lines(field_, scheme)
     n = scheme.n
     entries: dict[tuple[int, int], complex] = {}

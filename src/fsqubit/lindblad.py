@@ -44,8 +44,11 @@ exact, and every entry outside it stays exactly zero (the weak-symmetry
 block reduction of a Lindblad generator; Buca & Prosen, New J. Phys. 14,
 073007 (2012); Albert & Jiang, Phys. Rev. A 89, 022118 (2014)).
 `liouvillian` builds the generator straight on the block's pairs, and
-`model_block` sets the block up for `model_steps` and for any caller that
-reads the block's states without scattering them back.
+`model_block` sets the block up for `model_steps` and for the callers that
+step and read the block's states without scattering them back (the Rabi
+ensemble and the coherence scans of `sequences`), so every propagator the
+program builds from a model is the exponential of a block generator.  When
+the block is the whole space its positions are all d^2 of them.
 
 Trace is never renormalized; its drift is a diagnostic.
 """
@@ -228,10 +231,10 @@ def _pairs(d: int, index: bytes | None) -> tuple[np.ndarray, ...]:
     return parts
 
 
-def invariant_block(model: RotatingFrameModel, rho0) -> np.ndarray | None:
+def invariant_block(model: RotatingFrameModel, rho0) -> np.ndarray:
     """Vec positions of a block of the model's generator that holds the
     density matrix `rho0` and that it maps into itself, in row-major order;
-    None when that is the whole space.
+    `np.arange(d * d)` when that is the whole space.
 
     The block is every pair (a, b) inside one connected component of the
     graph that joins two levels when the Hamiltonian couples them or `rho0`
@@ -244,7 +247,7 @@ def invariant_block(model: RotatingFrameModel, rho0) -> np.ndarray | None:
     # k squarings join levels up to 2**k links apart; d - 1 links suffice
     for _ in range(max(d - 2, 0).bit_length()):
         linked = linked @ linked
-    return None if linked.all() else linked.ravel().nonzero()[0]
+    return linked.ravel().nonzero()[0]
 
 
 def evolve(
@@ -382,20 +385,19 @@ def expm(a) -> np.ndarray:
     return out.reshape(a.shape)
 
 
-def model_block(model: RotatingFrameModel,
-                rho0) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+def model_block(model: RotatingFrameModel, rho0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The block of the model's generator that holds the density matrix
     `rho0`, ready for `steps`: (index, generator, vec0).
 
-    `index` is the block's vec positions from `invariant_block` (None for the
-    whole space), `generator` the model's Liouvillian on them (a stack for a
-    stacked model) and `vec0` the entries of `rho0` there, broadcast over a
-    stack's members.
+    `index` is the block's vec positions from `invariant_block`, `generator`
+    the model's Liouvillian on them (a stack for a stacked model) and `vec0`
+    the entries of `rho0` there, broadcast over a stack's members.  The pair
+    (a, b) of levels sits at a * dim + b, so a population or a coherence is
+    found in the block by `index.searchsorted`.
     """
     index = invariant_block(model, rho0)
     lv = liouvillian(model, index)
-    vec0 = np.broadcast_to(rho0.reshape(-1), (*lv.shape[:-2], rho0.size))
-    return index, lv, vec0 if index is None else vec0[..., index]
+    return index, lv, np.broadcast_to(rho0.reshape(-1), (*lv.shape[:-2], rho0.size))[..., index]
 
 
 def model_steps(model: RotatingFrameModel, rho0, times):
@@ -407,9 +409,6 @@ def model_steps(model: RotatingFrameModel, rho0, times):
     the whole vec, where every entry outside the block is exactly zero.
     """
     index, lv, vec0 = model_block(model, rho0)
-    if index is None:
-        yield from steps(lv, vec0, times)
-        return
     for vec in steps(lv, vec0, times):
         full = np.zeros((*vec.shape[:-1], rho0.size), dtype=vec.dtype)
         full[..., index] = vec

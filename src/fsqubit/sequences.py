@@ -10,7 +10,10 @@ Every scan steps its points as one stack: the coherence scans take all dark
 times and ensemble members at once, the Autler-Townes scan steps one stack
 of models per power column, and the CPT scan solves one stack for its
 steady states.  Each stack is one model with a member axis, built in one
-broadcast pass from array-valued drive parameters (see `driven`).
+broadcast pass from array-valued drive parameters (see `driven`).  Rabi
+ensembles and coherence scans step their stack on the invariant block that
+holds the initial state (`lindblad.model_block`) and find each level and
+each pair of levels there through the model's labels.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ from .lindblad import (
     DensityMatrix,
     Trajectory,
     expm,
-    liouvillian,
     model_block,
     model_steps,
     steady_state,
@@ -471,19 +473,16 @@ def _pairwise_product(m00, m01, m10, m11):
 
 # ------------------------------------------------- coherence (Ramsey/echo)
 
-# basis of the eliminated qubit model, and the vec index of the up population
-_UP, _DOWN, _DIM = 0, 1, 3
-_UP_UP = _UP * (_DIM + 1)
-_RHO_UP = DensityMatrix.pure(_DIM, _UP).matrix.reshape(-1)
-
-
-def _phase_rotation_vec(dim: int, index: int, phi) -> np.ndarray:
-    """Diagonal of the vectorized conjugation by diag phase e^{i phi} on one
-    level; an array of phases gives one diagonal each, (*phi.shape, dim**2)."""
+def _phase_rotation_vec(dim: int, level: int, phi, block: np.ndarray) -> np.ndarray:
+    """Diagonal of the vectorized conjugation by the phase e^{i phi} on one
+    level, at the vec positions `block` (the pair (a, b) at a * dim + b gains
+    e^{i phi} per a == level and e^{-i phi} per b == level); an array of
+    phases gives one diagonal each, (*phi.shape, len(block))."""
     phi = np.asarray(phi, dtype=float)
     d = np.ones((*phi.shape, dim), dtype=complex)
-    d[..., index] = np.exp(1j * phi)
-    return (d[..., :, None] * d.conj()[..., None, :]).reshape(*phi.shape, dim * dim)
+    d[..., level] = np.exp(1j * phi)
+    a, b = np.divmod(block, dim)
+    return d[..., a] * d[..., b].conj()
 
 
 def _member_models(config: RamanConfig, table: DecayTable,
@@ -504,21 +503,6 @@ def _member_models(config: RamanConfig, table: DecayTable,
 def _apply(ops: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """Stacked matrix-vector products, (..., n, n) @ (..., n)."""
     return (ops @ vecs[..., None])[..., 0]
-
-
-def _dark(vecs: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Free evolution of each state: the down level gains phase `phi`."""
-    return _phase_rotation_vec(_DIM, _DOWN, phi) * vecs
-
-
-def _readout_up(u_half: np.ndarray, vecs: np.ndarray, phases) -> np.ndarray:
-    """Up population after a final pi/2 pulse, (M, ..., K), for states `vecs`
-    (M, ..., 9), the members' pulses `u_half` (M, ..., 9, 9) broadcasting
-    against them, and pulse phases (K,)."""
-    rot = _phase_rotation_vec(_DIM, _UP, phases)
-    # only the up-population row of each member's pulse is needed
-    pulsed = ((rot.conj() * vecs[..., None, :]) @ u_half[..., _UP_UP, :, None])[..., 0]
-    return (rot[:, _UP_UP] * pulsed).real
 
 
 def ramsey_phase_scan(
@@ -551,10 +535,17 @@ def spin_echo_scan(
 
 def _two_pulse_scan(dark_time, phases, config, table, ensemble, ou, echo: bool) -> np.ndarray:
     """Every member and dark time in one stack: members on axis 0, dark
-    times on the next axes and phases last, averaged over the members.  All
+    times on the next axes and phases last, averaged over the members.
+
+    The states live on the eliminated model's invariant block that holds the
+    `up` state (`lindblad.model_block`): the up/down populations and
+    coherences and the `lost` population, 5 of the 9 vec entries.  All
     members' pi/2-pulse propagators come from one `lindblad.expm` call on
-    the stacked Liouvillians.  The OU noise steps every member at once, one
-    dark time after the other (`_ou_noise`)."""
+    the stacked (M, 5, 5) block generators.  A dark segment gives the down
+    level a phase, and the final pulse's phase turns the up level before
+    and back after it, each a diagonal on the block's entries.  The OU
+    noise steps every member at once, one dark time after the other
+    (`_ou_noise`)."""
     if not elimination_applies(config, table):
         warnings.warn("coherence scans assume the far-detuned regime",
                       formulas.RegimeWarning, stacklevel=3)
@@ -564,21 +555,30 @@ def _two_pulse_scan(dark_time, phases, config, table, ensemble, ou, echo: bool) 
     t_half = pulse_duration(config, "pi/2")
     draws, weights = _draws_and_weights(spec, collapse=(ou is None))
     model, delta = _member_models(config, table, draws)
+    up, down = model.index("up"), model.index("down")
+    block, lv, vec = model_block(model, DensityMatrix.pure(model.dim, up).matrix)
     # each member's axis broadcasts against the dark-time axes
     grid = (len(draws), *(1,) * dark_time.ndim)
-    u_half = expm(liouvillian(model) * t_half)
-    u_half = u_half.reshape(*grid, *u_half.shape[1:])
+    u_half = expm(lv * t_half).reshape(*grid, len(block), len(block))
     delta = delta.reshape(grid)
     noise = (np.zeros((2, len(draws), *dark_time.shape)) if ou is None
              else _ou_noise(spec, ou, len(draws), dark_time, echo))
-    vec = _apply(u_half, _RHO_UP)
+    vec = _apply(u_half, vec.reshape(*grid, len(block)))
+
+    def dark(vec, phi):
+        return _phase_rotation_vec(model.dim, down, phi, block) * vec
+
     if echo:
-        vec = _dark(vec, delta * (dark_time / 2) + noise[0])
+        vec = dark(vec, delta * (dark_time / 2) + noise[0])
         vec = _apply(u_half, _apply(u_half, vec))
-        vec = _dark(vec, delta * (dark_time / 2) + noise[1])
+        vec = dark(vec, delta * (dark_time / 2) + noise[1])
     else:
-        vec = _dark(vec, delta * dark_time + noise[0])
-    return member_average(_readout_up(u_half, vec, phases), weights)
+        vec = dark(vec, delta * dark_time + noise[0])
+    # the final pulse at each phase; only its up-population row is needed
+    rot = _phase_rotation_vec(model.dim, up, phases, block)
+    row = block.searchsorted(up * (model.dim + 1))
+    pulsed = ((rot.conj() * vec[..., None, :]) @ u_half[..., row, :, None])[..., 0]
+    return member_average((rot[:, row] * pulsed).real, weights)
 
 
 def ramsey_time_scan(
@@ -739,7 +739,7 @@ def scattering_decay(
 # ------------------------------------------------------- ensemble wrapper
 
 # samples per averaging call of `run_rabi_ensemble`; its buffer holds
-# members x chunk x 3 doubles (0.6 MB for 200 members)
+# members x chunk x levels doubles (0.6 MB for 200 members of the 3-level qubit)
 _RABI_CHUNK = 128
 
 
@@ -765,18 +765,16 @@ def run_rabi_ensemble(
     times = np.linspace(0.0, duration, n_samples)
     draws, weights = _draws_and_weights(ensemble)
     model, _ = _member_models(config, table, draws)
-    index, lv, vec0 = model_block(model, _RHO_UP.reshape(_DIM, _DIM))
+    block, lv, vec0 = model_block(model, DensityMatrix.pure(model.dim, model.index("up")).matrix)
     # each population's position among the block's entries
-    block = np.arange(_DIM * _DIM) if index is None else index
-    populations = block.searchsorted(np.arange(_DIM) * (_DIM + 1))
-    mean = np.empty((n_samples, _DIM))
+    populations = block.searchsorted(np.arange(model.dim) * (model.dim + 1))
+    mean = np.empty((n_samples, model.dim))
     # member-major, so each sample's sum over the members runs in member
     # order, as it does for one sample's (members, levels) array
-    chunk = np.empty((len(draws), _RABI_CHUNK, _DIM))
+    chunk = np.empty((len(draws), _RABI_CHUNK, model.dim))
     for k, vec in enumerate(steps(lv, vec0, times)):
         c = k % _RABI_CHUNK
         chunk[:, c] = vec[:, populations].real
         if c == _RABI_CHUNK - 1 or k == n_samples - 1:
             mean[k - c:k + 1] = member_average(chunk[:, :c + 1], weights)
-    labels = ("up", "down", "lost")
-    return Trajectory(times=times, populations={lab: mean[:, i] for i, lab in enumerate(labels)})
+    return Trajectory(times=times, populations={lab: mean[:, i] for i, lab in enumerate(model.labels)})

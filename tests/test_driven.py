@@ -319,16 +319,24 @@ def assert_stack_bit_equal(stack, members):
                 assert np.array_equal(got[m].view(np.int64), want.view(np.int64))
 
 
-@pytest.mark.parametrize("mode", ["closed", "lossy"])
+@pytest.mark.parametrize("mode", ["closed", "lossy", "full", "single drive"])
 @settings(max_examples=40, deadline=None)
 @given(case=raman_arguments())
-def test_lambda_stack_bit_equal_to_member_builds(lam, table, mode, case):
+def test_lambda_stack_bit_equal_to_member_builds(lam, full_scheme, table, env, mode, case):
+    """The Lambda builds, and on all 13 sublevels the full Raman build and
+    the single-drive build of the down field, whose detuning is always an
+    array; the full build's up field may be scalar, so its model broadcasts
+    over the down field's members."""
     args, members = case
-    stack = driven.build_lambda_model(driven.raman_config(lam, *args), lam, table, mode=mode)
-    assert_stack_bit_equal(stack, [
-        driven.build_lambda_model(driven.raman_config(lam, *member_arguments(args, m)),
-                                  lam, table, mode=mode)
-        for m in range(members)])
+    scheme = full_scheme if mode in ("full", "single drive") else lam
+
+    def build(*arguments):
+        config = driven.raman_config(scheme, *arguments)
+        if mode == "single drive":
+            return driven.build_single_drive_model(config.down, scheme, table, env)
+        return driven.build_lambda_model(config, scheme, table, env, mode=mode)
+
+    assert_stack_bit_equal(build(*args), [build(*member_arguments(args, m)) for m in range(members)])
 
 
 @settings(max_examples=60, deadline=None)
@@ -356,15 +364,6 @@ def test_effective_stack_squares_as_the_scalar_build_does(lam, table):
     assert_stack_bit_equal(stack, [
         driven.build_effective_qubit_model(driven.raman_config(lam, up, down, -TWO_PI * 6e9), table)
         for up, down in zip(odd, odd[::-1])])
-
-
-def test_single_drive_and_full_models_take_scalars(lam, full_scheme, table, env):
-    stacked = driven.raman_config(full_scheme, TWO_PI * 36e6, TWO_PI * 36e6, -TWO_PI * 6e9,
-                                  np.array([0.0, TWO_PI * 5e3]))
-    with pytest.raises(driven.ModelError, match="scalar drive parameters"):
-        driven.build_lambda_model(stacked, full_scheme, table, env, mode="full")
-    with pytest.raises(driven.ModelError, match="scalar drive parameters"):
-        driven.build_single_drive_model(stacked.down, full_scheme, table, env)
 
 
 def test_stacked_amplitudes_must_match_the_member_axis():

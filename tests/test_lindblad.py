@@ -385,22 +385,22 @@ def up_and_coherent_states(model):
     return DensityMatrix.pure(model.dim, up).matrix, DensityMatrix.from_state(psi).matrix
 
 
-def block_or_all(models, rho0):
-    index = lindblad.invariant_block(models, rho0)
-    return np.arange(rho0.size) if index is None else index
-
-
 def test_block_sizes_of_every_model_kind(lam, full_scheme, table, env, fig3_config):
+    """The closed Lambda's block from `up` is its whole space, given as every
+    vec position like any other block."""
     for name, (model, size) in model_kinds(lam, full_scheme, table, env, fig3_config).items():
         pure, _ = up_and_coherent_states(model)
-        assert len(block_or_all(model, pure)) == size, name
+        assert len(lindblad.invariant_block(model, pure)) == size, name
+    closed, _ = model_kinds(lam, full_scheme, table, env, fig3_config)["closed"]
+    assert np.array_equal(lindblad.invariant_block(closed, up_and_coherent_states(closed)[0]),
+                          np.arange(9))
 
 
 def test_generator_maps_block_into_itself(lam, full_scheme, table, env, fig3_config):
     for name, (model, _) in model_kinds(lam, full_scheme, table, env, fig3_config).items():
         lv = lindblad.liouvillian(model)
         for rho0 in up_and_coherent_states(model):
-            index = block_or_all(model, rho0)
+            index = lindblad.invariant_block(model, rho0)
             outside = np.setdiff1d(np.arange(model.dim ** 2), index)
             assert np.count_nonzero(rho0.reshape(-1)[outside]) == 0, name
             assert np.count_nonzero(lv[np.ix_(outside, index)]) == 0, name
@@ -410,7 +410,7 @@ def test_block_liouvillian_bit_equal_to_slice(lam, full_scheme, table, env, fig3
     for name, (model, _) in model_kinds(lam, full_scheme, table, env, fig3_config).items():
         lv = lindblad.liouvillian(model)
         for rho0 in up_and_coherent_states(model):
-            index = block_or_all(model, rho0)
+            index = lindblad.invariant_block(model, rho0)
             assert np.array_equal(lindblad.liouvillian(model, index), lv[np.ix_(index, index)]), name
 
 
@@ -492,7 +492,7 @@ def test_block_propagation_equals_full_propagation(case, grid):
     models, rho0 = case
     times = GRIDS[grid] * 1e6  # the sparse models' rates are of order 1
     stack = stack_models(models)
-    index = block_or_all(stack, rho0)
+    index = lindblad.invariant_block(stack, rho0)
     outside = np.setdiff1d(np.arange(rho0.size), index)
     stacked = np.array(list(lindblad.model_steps(stack, rho0, times)))
     for m, model in enumerate(models):
@@ -516,7 +516,7 @@ def test_block_propagation_with_self_jumps_and_cross_coherence(lam, table, fig3_
     assert any(frm == to == 0 and amp != 0 for frm, to, amp in cases[0][0].jumps)
     for model, rho0 in cases:
         index = lindblad.invariant_block(model, rho0)
-        assert index is not None and len(index) < model.dim ** 2
+        assert len(index) < model.dim ** 2
         times = np.linspace(0.0, 2e-6, 21)
         want = lindblad.propagate(lindblad.liouvillian(model), rho0.reshape(-1), times)
         got = np.array(list(lindblad.model_steps(model, rho0, times)))

@@ -740,6 +740,26 @@ def test_batched_coherence_scans_match_member_loop(fig3_config, table, echo, wit
         assert np.array_equal(row, scan(t, PHASES, fig3_config, table, ensemble=spec, ou=ou))
 
 
+def test_coherence_scans_exponentiate_only_block_stacks(fig3_config, table, monkeypatch):
+    """Every pulse propagator of the coherence scans is built on the 5-entry
+    invariant block of the eliminated qubit from `up`: one (members, 5, 5)
+    stack per scan."""
+    shapes = []
+
+    def recording_expm(a):
+        shapes.append(np.shape(a))
+        return lindblad.expm(a)
+
+    monkeypatch.setattr(sequences, "expm", recording_expm)
+    spec = sequences.EnsembleSpec(rabi_spread=0.004, delta_sigma=150.0, samples=9, seed=8)
+    ou = sequences.OUNoise(sigma=103.0, tau_c=25e-3)
+    dark = np.array([0.0, 1e-3, 4e-3])
+    sequences.ramsey_phase_scan(dark, PHASES, fig3_config, table, ensemble=spec)
+    sequences.spin_echo_scan(dark, PHASES, fig3_config, table, ensemble=spec, ou=ou)
+    sequences.ramsey_time_scan(dark, fig3_config, table, ensemble=spec)
+    assert shapes == [(spec.samples, 5, 5)] * 3
+
+
 @pytest.mark.parametrize("echo", [False, True])
 def test_ou_noise_matches_restarted_streams(echo):
     """Every member's phases at every dark time, bit for bit, on a 2-D
