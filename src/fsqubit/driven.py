@@ -42,6 +42,9 @@ from .atom import (
 # least |Delta| / max(Rabi frequencies, linewidth) at which the eliminated model applies
 ELIMINATION_FACTOR = 100.0
 
+# the eliminated qubit model's levels, in basis order
+QUBIT_BASIS = ("up", "down", "lost")
+
 
 class ModelError(Exception):
     """Drive configuration incompatible with the level scheme."""
@@ -341,7 +344,7 @@ def build_effective_qubit_model(
         for to, b in ((0, b_up), (1, b_down), (2, b_lost))
         if b > 0.0
     )
-    return RotatingFrameModel(h, jumps, ("up", "down", "lost"))
+    return RotatingFrameModel(h, jumps, QUBIT_BASIS)
 
 
 def _signed_eff_coupling(config: RamanConfig) -> float:

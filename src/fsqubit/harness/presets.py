@@ -87,6 +87,9 @@ def _contrast_decay(sc: Scenario, w: RunWriter, section: str, name: str, scan_fn
 # --------------------------------------------------------------- runners
 
 def run_rabi(sc: Scenario, w: RunWriter) -> None:
+    """Ensemble-mean Rabi trace: the static spreads of `[ensemble]` are
+    averaged over Gauss-Hermite nodes, `samples` per spread axis, so the
+    trace and its checks do not depend on `[scenario] seed`."""
     scheme = atom.lambda_scheme()
     table = atom.default_decay_table()
     cfg = _drive_config(sc, scheme, sc.get("drive", "delta"))
@@ -94,7 +97,11 @@ def run_rabi(sc: Scenario, w: RunWriter) -> None:
         cfg, table,
         duration=sc.get("simulation", "duration"),
         n_samples=sc.get_int("simulation", "samples"),
-        ensemble=_ensemble(sc),
+        ensemble=sequences.EnsembleSpec(
+            rabi_spread=sc.get("ensemble", "rabi_spread"),
+            delta_sigma=sc.get("ensemble", "delta_sigma"),
+            samples=sc.get_int("ensemble", "samples"), sampling="hermite",
+        ),
     )
     w.write_csv("trace.csv", {"t_s": traj.times, **traj.populations})
     data = w.read_csv("trace.csv")
@@ -209,14 +216,18 @@ def run_cpt(sc: Scenario, w: RunWriter) -> None:
 
 
 def run_detuning(sc: Scenario, w: RunWriter) -> None:
+    """Rabi frequency, envelope decay and cycle count of the ensemble-mean
+    trace at each one-photon detuning; the Rabi-amplitude spread is averaged
+    over `[ensemble] samples` Gauss-Hermite nodes, so nothing depends on
+    `[scenario] seed`."""
     scheme = atom.lambda_scheme()
     table = atom.default_decay_table()
     mags = np.geomspace(abs(sc.get("scan", "detuning_min")),
                         abs(sc.get("scan", "detuning_max")),
                         sc.get_int("scan", "points"))
     cycles_target = sc.get("simulation", "cycles")
-    spread = sc.get("ensemble", "rabi_spread")
-    samples = sc.get_int("ensemble", "samples")
+    spec = sequences.EnsembleSpec(rabi_spread=sc.get("ensemble", "rabi_spread"),
+                                  samples=sc.get_int("ensemble", "samples"), sampling="hermite")
     rabi_up = sc.get("drive", "rabi_up")
     rabi_down = sc.get("drive", "rabi_down")
     omegas, taus, n_cycles = [], [], []
@@ -225,7 +236,6 @@ def run_detuning(sc: Scenario, w: RunWriter) -> None:
         f_eff = ordinary(formulas.raman_rabi(rabi_up, rabi_down, mag))
         duration = cycles_target / f_eff
         n = int(cycles_target * 22)
-        spec = sequences.EnsembleSpec(rabi_spread=spread, samples=samples, seed=sc.seed)
         traj = sequences.run_rabi_ensemble(cfg, table, duration, n, spec)
         result = dsp.extract_rabi(dsp.Trace(dt=traj.dt, samples=traj.populations["up"]))
         omegas.append(result.omega)

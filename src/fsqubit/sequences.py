@@ -27,6 +27,7 @@ import numpy as np
 from . import dsp, formulas
 from .atom import DecayTable, LevelScheme, MagneticEnvironment
 from .driven import (
+    QUBIT_BASIS,
     DriveField,
     ModelError,
     RamanConfig,
@@ -116,9 +117,11 @@ class EnsembleSpec:
     on the two-photon Rabi frequency plus a Gaussian two-photon detuning
     offset, drawn per ensemble member from a counter-based generator.
 
-    sampling "gaussian" draws random members (bit-reproducible under the
-    seed); "hermite" replaces the draws by Gauss-Hermite quadrature nodes
-    with matching weights, removing Monte-Carlo error from the average."""
+    sampling "gaussian" draws `samples` random members (bit-reproducible
+    under the seed); "hermite" replaces the draws by `samples` Gauss-Hermite
+    quadrature nodes per axis with a spread (the product grid when both
+    have one), with matching weights, removing Monte-Carlo error from the
+    average and ignoring the seed."""
 
     rabi_spread: float = 0.0
     delta_sigma: float = 0.0
@@ -311,8 +314,8 @@ def run(
     def dark_model():
         frame = _frame_delta(seq)
         if basis == "effective":
-            h = np.diag([0.0, -frame, 0.0]).astype(complex)
-            return RotatingFrameModel(h, (), ("up", "down", "lost"))
+            h = np.diag([-frame if level == "down" else 0.0 for level in QUBIT_BASIS]).astype(complex)
+            return RotatingFrameModel(h, (), QUBIT_BASIS)
         if basis == "lossy":
             cfg = raman_config(scheme, 0.0, 0.0, 0.0, frame)
             return build_lambda_model(cfg, scheme, table, env, mode="lossy")
@@ -739,7 +742,7 @@ def scattering_decay(
 # ------------------------------------------------------- ensemble wrapper
 
 # samples per averaging call of `run_rabi_ensemble`; its buffer holds
-# members x chunk x levels doubles (0.6 MB for 200 members of the 3-level qubit)
+# members x chunk x levels doubles (37 KB for fig3d's 12 nodes of the 3-level qubit)
 _RABI_CHUNK = 128
 
 

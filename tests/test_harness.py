@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -481,6 +482,20 @@ def test_reproduce_fig3d_byte_identical_and_worker_independent(tmp_path):
     m_a = json.loads((tmp_path / "a" / "manifest.json").read_text())
     m_b = json.loads((tmp_path / "b" / "manifest.json").read_text())
     assert m_a["outputs"] == m_b["outputs"]
+
+
+@pytest.mark.parametrize("figure", ["fig3d", "fig3e"])
+def test_rabi_ensemble_presets_do_not_depend_on_seed(figure, tmp_path):
+    """fig3d and fig3e average the Rabi-amplitude spread over quadrature
+    nodes, so their check values are the ensemble mean, not one draw."""
+    text = _packaged_text(figure)
+    checks = []
+    for seed in (1, 2):
+        sc = parse_scenario(re.sub(r"^seed = \d+$", f"seed = {seed}", text, flags=re.M))
+        assert sc.seed == seed
+        assert presets.run_scenario(sc, tmp_path / str(seed))
+        checks.append(json.loads((tmp_path / str(seed) / "summary.json").read_text())["checks"])
+    assert checks[0] == checks[1]
 
 
 def test_summary_checks_recomputable_from_csv(tmp_path):
