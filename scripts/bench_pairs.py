@@ -10,7 +10,10 @@ once in each tree, the parent first in even pairs and the change first in
 odd ones, with seed S = --seed + pair.  The output keeps every run as
 `repeat.py --out` writes it, per side and workload, with a summary of the
 same layout over all of a side's runs and, per end-to-end metric, the
-number of pairs the change won (lower is better; ties count for neither).
+number of pairs the change won (lower is better; ties count for neither,
+and a pair counts only when both of its runs passed).  A `repeat.py` run that
+exits non-zero, such as one whose preset check failed, is kept with its exit
+code under `exit`, counted per side in `failed`, and the pairs go on.
 It also records each tree's `src.lines`, the wall time of its Tier-1 suite
 (run on one BLAS thread, as CI and `bench/run.py` run) and the machine
 record of the change's last run.
@@ -67,12 +70,16 @@ SCENARIOS = {**{fig: ("reproduce", fig) for fig in FIGURE_PRESETS},
              "ramsey_default": ("simulate", "ramsey"), "echo_default": ("simulate", "echo")}
 
 
-def repeat(tree: Path, workload: str, seed: int) -> dict:
+def repeat(tree: Path, workload: str, seed: int) -> list[dict]:
+    """The runs of one `repeat.py` call, each with the call's exit code; one
+    run without a result when the call wrote no record."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "repeat.json"
-        subprocess.run([sys.executable, "bench/repeat.py", "--workloads", workload,
-                        "--seeds", str(seed), "--out", str(out)], cwd=tree, check=True)
-        return json.loads(out.read_text())
+        proc = subprocess.run([sys.executable, "bench/repeat.py", "--workloads", workload,
+                               "--seeds", str(seed), "--out", str(out)], cwd=tree)
+        runs = (json.loads(out.read_text())["runs"] if out.exists()
+                else [{"workload": workload, "seed": seed, "result": None}])
+        return [{**run, "exit": proc.returncode} for run in runs]
 
 
 def tier1(tree: Path) -> dict:
@@ -231,16 +238,19 @@ def main(argv=None) -> int:
         for pair in range(int(n)):
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for side in order:
-                runs[side].extend(repeat(trees[side], workload, args.seed + pair)["runs"])
+                runs[side].extend(repeat(trees[side], workload, args.seed + pair))
         summary = {}
         for side, side_runs in runs.items():
             results = [r["result"] for r in side_runs if r["result"]]
             summary[side] = {name: summarize([r["metrics"][name]["value"] for r in results])
-                             for name in results[0]["metrics"]}
-        wins = {name: sum(c["result"]["metrics"][name]["value"] < p["result"]["metrics"][name]["value"]
-                          for p, c in zip(runs["parent"], runs["change"]))
+                             for name in (results[0]["metrics"] if results else ())}
+        passed = [(p["result"], c["result"]) for p, c in zip(runs["parent"], runs["change"])
+                  if p["result"] and c["result"]]
+        wins = {name: sum(c["metrics"][name]["value"] < p["metrics"][name]["value"]
+                          for p, c in passed)
                 for name in end_to_end}
-        record["workloads"][workload] = {"pairs": int(n), "change_wins": wins,
+        failed = {side: sum(r["exit"] != 0 for r in side_runs) for side, side_runs in runs.items()}
+        record["workloads"][workload] = {"pairs": int(n), "change_wins": wins, "failed": failed,
                                          "summary": summary, "runs": runs}
 
     record["tier1"] = {side: tier1(tree) for side, tree in trees.items()}

@@ -63,11 +63,11 @@ def _drive_config(sc: Scenario, scheme, *delta_two: float) -> driven.RamanConfig
 
 
 def _ensemble(sc: Scenario) -> sequences.EnsembleSpec:
+    """The `[ensemble]` spreads, averaged over `samples` Gauss-Hermite nodes per axis."""
     return sequences.EnsembleSpec(
         rabi_spread=sc.get("ensemble", "rabi_spread"),
         delta_sigma=sc.get("ensemble", "delta_sigma"),
         samples=sc.get_int("ensemble", "samples"),
-        seed=sc.seed,
     )
 
 
@@ -97,11 +97,7 @@ def run_rabi(sc: Scenario, w: RunWriter) -> None:
         cfg, table,
         duration=sc.get("simulation", "duration"),
         n_samples=sc.get_int("simulation", "samples"),
-        ensemble=sequences.EnsembleSpec(
-            rabi_spread=sc.get("ensemble", "rabi_spread"),
-            delta_sigma=sc.get("ensemble", "delta_sigma"),
-            samples=sc.get_int("ensemble", "samples"), sampling="hermite",
-        ),
+        ensemble=_ensemble(sc),
     )
     w.write_csv("trace.csv", {"t_s": traj.times, **traj.populations})
     data = w.read_csv("trace.csv")
@@ -227,7 +223,7 @@ def run_detuning(sc: Scenario, w: RunWriter) -> None:
                         sc.get_int("scan", "points"))
     cycles_target = sc.get("simulation", "cycles")
     spec = sequences.EnsembleSpec(rabi_spread=sc.get("ensemble", "rabi_spread"),
-                                  samples=sc.get_int("ensemble", "samples"), sampling="hermite")
+                                  samples=sc.get_int("ensemble", "samples"))
     rabi_up = sc.get("drive", "rabi_up")
     rabi_down = sc.get("drive", "rabi_down")
     omegas, taus, n_cycles = [], [], []
@@ -272,24 +268,19 @@ def run_coherence(sc: Scenario, w: RunWriter) -> None:
     cfg = _drive_config(sc, scheme)
     phases = np.linspace(0.0, 2.0 * math.pi, sc.get_int("scan", "phases"), endpoint=False)
 
-    spec_r = sequences.EnsembleSpec(
-        delta_sigma=sc.get("ramsey", "delta_sigma"),
-        samples=sc.get_int("ramsey", "samples"), sampling="hermite",
-    )
+    sigma_delta = sc.get("ramsey", "delta_sigma")
+    spec_r = sequences.EnsembleSpec(delta_sigma=sigma_delta, samples=sc.get_int("ramsey", "samples"))
     dr, fit_r = _contrast_decay(sc, w, "ramsey", "ramsey_contrast.csv",
                                 sequences.ramsey_phase_scan, phases, cfg, table, spec_r, None)
 
-    spec_e = sequences.EnsembleSpec(
-        delta_sigma=sc.get("ramsey", "delta_sigma"),
-        samples=sc.get_int("echo", "samples"), seed=sc.seed,
-    )
+    # the echo refocuses the same static spread; the OU noise is averaged in closed form
+    spec_e = sequences.EnsembleSpec(delta_sigma=sigma_delta, samples=sc.get_int("echo", "samples"))
     ou = sequences.OUNoise(sigma=sc.get("echo", "ou_sigma"), tau_c=sc.get("echo", "ou_tau"))
     de, fit_e = _contrast_decay(sc, w, "echo", "echo_contrast.csv",
                                 sequences.spin_echo_scan, phases, cfg, table, spec_e, ou)
 
     t2_star = fit_r.value("t2")
     t2_echo = fit_e.value("t2")
-    sigma_delta = sc.get("ramsey", "delta_sigma")
     t2_analytic = math.sqrt(2.0) / sigma_delta
     w.info["t2_star_ms"] = t2_star * 1e3
     w.info["t2_echo_ms"] = t2_echo * 1e3

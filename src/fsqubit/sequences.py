@@ -2,7 +2,9 @@
 
 Declarative segments (constant drive, dark, phase jump) each hold one
 constant model, stepped by `lindblad.model_steps`, with an ensemble layer
-for quasi-static Rabi and detuning inhomogeneity on top.  Far-detuned Raman
+for quasi-static Rabi and detuning inhomogeneity on top, averaged over
+Gauss-Hermite nodes; the coherence scans average slow OU detuning noise in
+closed form.  Far-detuned Raman
 segments run on the adiabatically eliminated qubit model.  A linear
 detuning sweep is `landau_zener`, a product of closed-form two-level steps.
 
@@ -115,27 +117,19 @@ class RunResult:
 class EnsembleSpec:
     """Quasi-static shot-to-shot inhomogeneity: a Gaussian fractional scale
     on the two-photon Rabi frequency plus a Gaussian two-photon detuning
-    offset, drawn per ensemble member from a counter-based generator.
-
-    sampling "gaussian" draws `samples` random members (bit-reproducible
-    under the seed); "hermite" replaces the draws by `samples` Gauss-Hermite
-    quadrature nodes per axis with a spread (the product grid when both
-    have one), with matching weights, removing Monte-Carlo error from the
-    average and ignoring the seed."""
+    offset, averaged over `samples` Gauss-Hermite quadrature nodes per axis
+    with a spread (the product grid when both have one), with matching
+    weights, so the average is deterministic."""
 
     rabi_spread: float = 0.0
     delta_sigma: float = 0.0
     samples: int = 1
-    seed: int = 0
-    sampling: str = "gaussian"
 
     def __post_init__(self):
         if self.rabi_spread < 0 or self.delta_sigma < 0:
             raise ValueError("spreads must be >= 0")
         if self.samples < 1:
             raise ValueError("sample count must be >= 1")
-        if self.sampling not in ("gaussian", "hermite"):
-            raise ValueError("sampling must be 'gaussian' or 'hermite'")
 
 
 @dataclass(frozen=True)
@@ -150,26 +144,6 @@ class OUNoise:
             raise ValueError("need sigma >= 0 and tau_c > 0")
 
 
-def _member_normals(spec: EnsembleSpec, first: int, members: int, n: int) -> np.ndarray:
-    """(members, n) standard normals; row i is the first n draws of member
-    `first + i`'s stream, a Philox generator keyed (seed, member), so each
-    member's draws are reproducible for any execution order.
-
-    One bit generator serves every member: its state is set to the member's
-    key with counter 0 and an empty buffer, which is the state a new
-    generator of that key starts from."""
-    bits = np.random.Philox(key=0)
-    gen = np.random.Generator(bits)
-    state = bits.state
-    out = np.empty((members, n))
-    for i in range(members):
-        state["state"]["key"] = np.array([spec.seed & 0xFFFFFFFFFFFFFFFF, first + i],
-                                         dtype=np.uint64)
-        bits.state = state
-        out[i] = gen.standard_normal(n)
-    return out
-
-
 def member_average(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Weighted mean over the leading (member) axis, as np.average computes it."""
     values = np.asarray(values)
@@ -177,65 +151,31 @@ def member_average(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return (values * w).sum(axis=0) / weights.sum()
 
 
-def _draws_and_weights(spec: EnsembleSpec, collapse: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """Per-member (rabi scale, delta offset) pairs (M, 2) and their averaging
-    weights (M,), uniform for random draws."""
-    if spec.rabi_spread == 0.0 and spec.delta_sigma == 0.0:
-        if collapse:
-            # all members coincide; collapse to one so the average is
-            # bit-equal to a single run regardless of the sample count
-            return np.array([[1.0, 0.0]]), np.array([1.0])
-        draws = np.tile([1.0, 0.0], (spec.samples, 1))
-        return draws, np.full(spec.samples, 1.0 / spec.samples)
-    if spec.sampling == "gaussian":
-        normals = _member_normals(spec, 0, spec.samples, 2)
-        draws = np.column_stack([1.0 + spec.rabi_spread * normals[:, 0],
-                                 spec.delta_sigma * normals[:, 1]])
-        return draws, np.full(spec.samples, 1.0 / spec.samples)
-    nodes, w = np.polynomial.hermite_e.hermegauss(spec.samples)
-    w = w / w.sum()
-    # an axis without spread is a single node of weight 1 at no change
-    one = np.array([1.0])
-    scale_v, scale_w = (1.0 + spec.rabi_spread * nodes, w) if spec.rabi_spread > 0 else (one, one)
-    off_v, off_w = (spec.delta_sigma * nodes, w) if spec.delta_sigma > 0 else (np.zeros(1), one)
-    sg, og = np.meshgrid(scale_v, off_v, indexing="ij")
+def _draws_and_weights(spec: EnsembleSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Per-member (rabi scale, delta offset) nodes (M, 2) and their
+    normalised quadrature weights (M,)."""
+    def axis(spread):
+        # an axis without spread is a single node of weight 1 at no change
+        if spread == 0.0:
+            return np.zeros(1), np.ones(1)
+        nodes, w = np.polynomial.hermite_e.hermegauss(spec.samples)
+        return spread * nodes, w / w.sum()
+
+    (scale, scale_w), (off, off_w) = axis(spec.rabi_spread), axis(spec.delta_sigma)
+    sg, og = np.meshgrid(1.0 + scale, off, indexing="ij")
     return np.column_stack([sg.ravel(), og.ravel()]), np.outer(scale_w, off_w).ravel()
 
 
-def _ou_noise(spec: EnsembleSpec, ou: OUNoise, members: int, dark_time: np.ndarray,
-              echo: bool) -> np.ndarray:
-    """Accumulated phase of each member's OU detuning path over each dark
-    time, (2, members, *dark_time.shape): over the whole dark time in row 0
-    for Ramsey, over each echo half in rows 0 and 1, and 0 elsewhere.
-
-    Each dark time's path reads member i's dark-noise stream from its start:
-    a stationary draw, then one kick per step of at most tau_c / 10 (at
-    least 8 steps per interval, none over an interval of length 0), the
-    second echo half carrying on from the first half's final detuning.  So
-    every dark time reads a prefix of the stream, and each member draws its
-    longest prefix once.  The update is Gillespie's exact one (Phys. Rev. E
-    54, 2084, 1996), elementwise, so stepping every member at once leaves
-    each member's arithmetic unchanged."""
-    intervals = [(t / 2, t / 2) if echo else (t,) for t in dark_time.ravel()]
-    counts = [[0 if s == 0.0 else max(8, int(math.ceil(s / (ou.tau_c / 10.0)))) for s in spans]
-              for spans in intervals]
-    longest = 1 + max((sum(c) for c in counts), default=0)
-    normals = _member_normals(spec, 1 << 20, members, longest)
-    noise = np.zeros((2, members, len(intervals)))
-    for j, (spans, ns) in enumerate(zip(intervals, counts)):
-        draws = iter(normals.T)
-        delta = ou.sigma * next(draws)
-        for half, (span, n) in enumerate(zip(spans, ns)):
-            if n == 0:
-                continue
-            dt = span / n
-            decay = math.exp(-dt / ou.tau_c)
-            kick = ou.sigma * math.sqrt(1.0 - decay * decay)
-            phase = noise[half, :, j]
-            for _ in range(n):
-                phase += delta * dt
-                delta = delta * decay + kick * next(draws)
-    return noise.reshape(2, members, *dark_time.shape)
+def _ou_moments(ou: OUNoise, span) -> tuple[np.ndarray, np.ndarray]:
+    """Variance of the OU phase accumulated over a span h from a stationary
+    start, 2 sigma^2 tau^2 (h/tau - 1 + e^{-h/tau}), and the covariance of
+    the phases of two adjacent spans h, sigma^2 tau^2 (1 - e^{-h/tau})^2;
+    h/tau - 1 + e^{-h/tau} is summed as x + expm1(-x), which keeps its
+    digits at short spans (Klauder and Anderson, Phys. Rev. 125, 912, 1962;
+    Cywinski et al., Phys. Rev. B 77, 174509, 2008)."""
+    x = np.asarray(span, dtype=float) / ou.tau_c
+    scale = (ou.sigma * ou.tau_c) ** 2
+    return 2.0 * scale * (x + np.expm1(-x)), scale * np.expm1(-x) ** 2
 
 
 # ------------------------------------------------------------ generic run
@@ -285,8 +225,8 @@ def run(
     n_samples: int = 201,
     rho0: DensityMatrix | None = None,
 ) -> RunResult:
-    """Run a pulse sequence, sampling populations on a uniform global grid of
-    `n_samples` >= 1 times.
+    """Run a pulse sequence, recording populations on a uniform global grid
+    of `n_samples` >= 1 times.
 
     The working basis is fixed for the whole sequence: the scheme's levels
     when a segment drives a single transition, the eliminated qubit
@@ -546,37 +486,45 @@ def _two_pulse_scan(dark_time, phases, config, table, ensemble, ou, echo: bool) 
     members' pi/2-pulse propagators come from one `lindblad.expm` call on
     the stacked (M, 5, 5) block generators.  A dark segment gives the down
     level a phase, and the final pulse's phase turns the up level before
-    and back after it, each a diagonal on the block's entries.  The OU
-    noise steps every member at once, one dark time after the other
-    (`_ou_noise`)."""
+    and back after it, each a diagonal on the block's entries.
+
+    The OU noise is averaged in closed form.  The entry of the pair (a, b)
+    carries the charge n = (a == down) - (b == down), so a dark phase phi
+    multiplies it by e^{i n phi}, and a Gaussian phase averages that to
+    exp(-n^2 V / 2) (`_ou_moments`).  In an echo the state after the first
+    half is split by charge n, each part goes through the pi pulse, and an
+    entry of charge m after the second half gains
+    exp(-(n^2 V + m^2 V + 2 n m C) / 2), with C the covariance of the two
+    halves' phases; the parts are then summed."""
     if not elimination_applies(config, table):
         warnings.warn("coherence scans assume the far-detuned regime",
                       formulas.RegimeWarning, stacklevel=3)
     dark_time = np.asarray(dark_time, dtype=float)
     phases = np.asarray(phases, dtype=float)
-    spec = ensemble or EnsembleSpec()
     t_half = pulse_duration(config, "pi/2")
-    draws, weights = _draws_and_weights(spec, collapse=(ou is None))
+    draws, weights = _draws_and_weights(ensemble or EnsembleSpec())
     model, delta = _member_models(config, table, draws)
     up, down = model.index("up"), model.index("down")
     block, lv, vec = model_block(model, DensityMatrix.pure(model.dim, up).matrix)
     # each member's axis broadcasts against the dark-time axes
     grid = (len(draws), *(1,) * dark_time.ndim)
     u_half = expm(lv * t_half).reshape(*grid, len(block), len(block))
-    delta = delta.reshape(grid)
-    noise = (np.zeros((2, len(draws), *dark_time.shape)) if ou is None
-             else _ou_noise(spec, ou, len(draws), dark_time, echo))
     vec = _apply(u_half, vec.reshape(*grid, len(block)))
-
-    def dark(vec, phi):
-        return _phase_rotation_vec(model.dim, down, phi, block) * vec
-
+    a, b = np.divmod(block, model.dim)
+    charge = (a == down).astype(int) - (b == down)
+    # one dark span: the whole dark time, or each echo half
+    span = dark_time / 2 if echo else dark_time
+    turn = _phase_rotation_vec(model.dim, down, delta.reshape(grid) * span, block)
+    # the OU moments per dark time against the block's entries; without
+    # noise, sigma = 0 makes both exactly 0
+    var, cov = _ou_moments(ou or OUNoise(0.0, 1.0), span[..., None])
     if echo:
-        vec = dark(vec, delta * (dark_time / 2) + noise[0])
-        vec = _apply(u_half, _apply(u_half, vec))
-        vec = dark(vec, delta * (dark_time / 2) + noise[1])
+        n = np.arange(-1, 2).reshape(3, *(1,) * vec.ndim)
+        parts = _apply(u_half, _apply(u_half, np.where(charge == n, turn * vec, 0.0)))
+        damp = np.exp(-0.5 * ((n * n + charge * charge) * var + 2 * n * charge * cov))
+        vec = turn * (damp * parts).sum(axis=0)
     else:
-        vec = dark(vec, delta * dark_time + noise[0])
+        vec = turn * vec * np.exp(-0.5 * charge * charge * var)
     # the final pulse at each phase; only its up-population row is needed
     rot = _phase_rotation_vec(model.dim, up, phases, block)
     row = block.searchsorted(up * (model.dim + 1))

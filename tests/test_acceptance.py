@@ -189,7 +189,7 @@ def test_criterion_08_coherence_scans(lam, no_decay):
     phases = np.linspace(0, 2 * math.pi, 12, endpoint=False)
     cfg = driven.raman_config(lam, TWO_PI * 36e6, TWO_PI * 36e6, -TWO_PI * 6e9)
     sigma = math.sqrt(2.0) / 2.03e-3
-    spec = sequences.EnsembleSpec(delta_sigma=sigma, samples=41, sampling="hermite")
+    spec = sequences.EnsembleSpec(delta_sigma=sigma, samples=41)
     rel = 0.0
     for t_dark in (0.7e-3, 2.03e-3, 3.0e-3):
         pops = sequences.ramsey_phase_scan(t_dark, phases, cfg, no_decay, ensemble=spec)
@@ -198,7 +198,7 @@ def test_criterion_08_coherence_scans(lam, no_decay):
         rel = max(rel, abs(contrast / analytic - 1.0))
 
     stiff = driven.raman_config(lam, TWO_PI * 69.3e6, TWO_PI * 69.3e6, -TWO_PI * 2e9)
-    spec_echo = sequences.EnsembleSpec(delta_sigma=sigma, samples=21, sampling="hermite")
+    spec_echo = sequences.EnsembleSpec(delta_sigma=sigma, samples=21)
     pops = sequences.spin_echo_scan(10e-3, phases, stiff, no_decay, ensemble=spec_echo)
     echo_contrast = sequences.ramsey_contrast(pops, phases)
 
@@ -218,7 +218,8 @@ def test_criterion_08_coherence_scans(lam, no_decay):
 
 
 def test_criterion_09_ensemble_saturation(fig3_config, table):
-    spec = sequences.EnsembleSpec(rabi_spread=0.004, samples=200, seed=31)
+    # fig3d's 12 Gauss-Hermite nodes over the spread
+    spec = sequences.EnsembleSpec(rabi_spread=0.004, samples=12)
     traj = sequences.run_rabi_ensemble(fig3_config, table, 0.5e-3, 1111, spec)
     res = dsp.extract_rabi(dsp.Trace(dt=traj.dt, samples=traj.populations["up"]))
     ok = 40.0 <= res.cycles <= 80.0

@@ -484,18 +484,24 @@ def test_reproduce_fig3d_byte_identical_and_worker_independent(tmp_path):
     assert m_a["outputs"] == m_b["outputs"]
 
 
-@pytest.mark.parametrize("figure", ["fig3d", "fig3e"])
-def test_rabi_ensemble_presets_do_not_depend_on_seed(figure, tmp_path):
-    """fig3d and fig3e average the Rabi-amplitude spread over quadrature
-    nodes, so their check values are the ensemble mean, not one draw."""
-    text = _packaged_text(figure)
-    checks = []
+@pytest.mark.parametrize("name", ["fig3d", "fig3e", "fig4c", "ramsey_default", "echo_default"])
+def test_no_ensemble_depends_on_seed(name, tmp_path):
+    """Every ensemble is averaged over quadrature nodes and fig4c's and
+    echo_default's OU noise in closed form, so a run's outputs, its check
+    values and its recorded diagnostics are the ensemble mean, not one draw;
+    only the summary's own `seed` field tells the two runs apart."""
+    text = _packaged_text(name)
+    runs = []
     for seed in (1, 2):
         sc = parse_scenario(re.sub(r"^seed = \d+$", f"seed = {seed}", text, flags=re.M))
         assert sc.seed == seed
-        assert presets.run_scenario(sc, tmp_path / str(seed))
-        checks.append(json.loads((tmp_path / str(seed) / "summary.json").read_text())["checks"])
-    assert checks[0] == checks[1]
+        out = tmp_path / str(seed)
+        assert presets.run_scenario(sc, out)
+        summary = json.loads((out / "summary.json").read_text())
+        outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+        del outputs["summary.json"]
+        runs.append((summary["checks"], summary["info"], outputs))
+    assert runs[0] == runs[1]
 
 
 def test_summary_checks_recomputable_from_csv(tmp_path):

@@ -140,7 +140,7 @@ def test_run_and_evolve_reject_an_empty_grid(fig3_config, lam, table):
 
 
 def test_rabi_ensemble_rejects_an_empty_grid_and_a_nonpositive_duration(fig3_config, table):
-    spec = sequences.EnsembleSpec(rabi_spread=0.004, samples=4, seed=1)
+    spec = sequences.EnsembleSpec(rabi_spread=0.004, samples=4)
     with pytest.raises(ValueError, match="n_samples must be >= 1, got 0"):
         sequences.run_rabi_ensemble(fig3_config, table, 1e-4, 0, spec)
     for duration in (0.0, -1e-4):
@@ -270,7 +270,7 @@ def test_ramsey_zero_dark_full_contrast(fig3_config, no_decay):
 
 def test_ramsey_matches_gaussian_dephasing_oracle(fig3_config, no_decay):
     sigma = math.sqrt(2.0) / 2.03e-3
-    spec = sequences.EnsembleSpec(delta_sigma=sigma, samples=41, sampling="hermite")
+    spec = sequences.EnsembleSpec(delta_sigma=sigma, samples=41)
     for t_dark in (0.7e-3, 2.03e-3):
         pops = sequences.ramsey_phase_scan(t_dark, PHASES, fig3_config, no_decay, ensemble=spec)
         contrast = sequences.ramsey_contrast(pops, PHASES)
@@ -281,7 +281,7 @@ def test_ramsey_matches_gaussian_dephasing_oracle(fig3_config, no_decay):
 def test_ramsey_contrast_one_over_e_at_preset(fig3_config, no_decay):
     t2_star = 2.03e-3
     sigma = math.sqrt(2.0) / t2_star
-    spec = sequences.EnsembleSpec(delta_sigma=sigma, samples=41, sampling="hermite")
+    spec = sequences.EnsembleSpec(delta_sigma=sigma, samples=41)
     pops = sequences.ramsey_phase_scan(t2_star, PHASES, fig3_config, no_decay, ensemble=spec)
     contrast = sequences.ramsey_contrast(pops, PHASES)
     assert contrast == pytest.approx(1.0 / math.e, rel=0.01)
@@ -292,7 +292,7 @@ def test_ramsey_contrast_one_over_e_at_preset(fig3_config, no_decay):
 def test_echo_rephases_static_spread(lam, no_decay):
     cfg = driven.raman_config(lam, TWO_PI * 69.3e6, TWO_PI * 69.3e6, -TWO_PI * 2e9)
     sigma = math.sqrt(2.0) / 2.03e-3
-    spec = sequences.EnsembleSpec(delta_sigma=sigma, samples=21, sampling="hermite")
+    spec = sequences.EnsembleSpec(delta_sigma=sigma, samples=21)
     pops = sequences.spin_echo_scan(6e-3, PHASES, cfg, no_decay, ensemble=spec)
     contrast = sequences.ramsey_contrast(pops, PHASES)
     assert contrast > 1.0 - 1e-6
@@ -302,7 +302,7 @@ def test_echo_equals_ramsey_at_zero_dark(lam, no_decay):
     # at a stiff pulse the extra refocusing pulse changes nothing at T = 0
     cfg = driven.raman_config(lam, TWO_PI * 69.3e6, TWO_PI * 69.3e6, -TWO_PI * 2e9)
     sigma = math.sqrt(2.0) / 2.03e-3
-    spec = sequences.EnsembleSpec(delta_sigma=sigma, samples=11, sampling="hermite")
+    spec = sequences.EnsembleSpec(delta_sigma=sigma, samples=11)
     echo = sequences.spin_echo_scan(0.0, PHASES, cfg, no_decay, ensemble=spec)
     ce = sequences.ramsey_contrast(echo, PHASES)
     ramsey = sequences.ramsey_phase_scan(0.0, PHASES, cfg, no_decay, ensemble=spec)
@@ -312,15 +312,89 @@ def test_echo_equals_ramsey_at_zero_dark(lam, no_decay):
 
 def test_echo_with_ou_noise_decays(fig3_config, no_decay):
     ou = sequences.OUNoise(sigma=103.0, tau_c=25e-3)
-    spec = sequences.EnsembleSpec(samples=150, seed=5)
-    pops_short = sequences.spin_echo_scan(5e-3, PHASES, fig3_config, no_decay,
-                                          ensemble=spec, ou=ou)
-    pops_long = sequences.spin_echo_scan(60e-3, PHASES, fig3_config, no_decay,
-                                         ensemble=spec, ou=ou)
+    pops_short = sequences.spin_echo_scan(5e-3, PHASES, fig3_config, no_decay, ou=ou)
+    pops_long = sequences.spin_echo_scan(60e-3, PHASES, fig3_config, no_decay, ou=ou)
     c_short = sequences.ramsey_contrast(pops_short, PHASES)
     c_long = sequences.ramsey_contrast(pops_long, PHASES)
     assert c_short > 0.9
     assert c_long < 0.5
+
+
+@pytest.mark.parametrize("x", [1e-6, 1e-3, 0.2, 1.5, 6.0])
+def test_ou_moments_match_double_integral(x):
+    """The phase variance over a span h and the covariance of two adjacent
+    spans are double integrals of the OU autocorrelation sigma^2 e^{-|t-s|/tau};
+    at h/tau = 1e-6 the form x - 1 + e^{-x} would lose every digit but 4."""
+    from scipy.integrate import dblquad
+
+    ou = sequences.OUNoise(sigma=103.0, tau_c=25e-3)
+    h = x * ou.tau_c
+
+    def corr(s, t):
+        return ou.sigma ** 2 * math.exp(-abs(t - s) / ou.tau_c)
+
+    opts = {"epsabs": 0.0, "epsrel": 1e-12}
+    # the kink at s = t splits the square into two triangles
+    var = (dblquad(corr, 0.0, h, 0.0, lambda t: t, **opts)[0]
+           + dblquad(corr, 0.0, h, lambda t: t, h, **opts)[0])
+    cov = dblquad(corr, 0.0, h, h, 2.0 * h, **opts)[0]
+    got_var, got_cov = sequences._ou_moments(ou, h)
+    assert got_var == pytest.approx(var, rel=1e-8)
+    assert got_cov == pytest.approx(cov, rel=1e-8)
+
+
+def test_ou_coherence_matches_monte_carlo(fig3_config, no_decay):
+    """fig4c's OU noise and dark times: the closed-form Ramsey and echo
+    contrasts agree with 20000 OU paths drawn here within 5 standard errors.
+
+    Each path steps exactly (Gillespie, Phys. Rev. E 54, 2084, 1996) on a
+    grid of tau_c / 210 that holds every dark time and echo half, and its
+    phase is the trapezoid sum, whose bias sits far below the error.  A
+    member's populations are a sinusoid in the final phase, offset c plus
+    the complex amplitude A, so the contrast |mean A| / mean c has the
+    standard error of its linearised per-member terms."""
+    ou = sequences.OUNoise(sigma=TWO_PI * 16.393, tau_c=25e-3)
+    dark = np.linspace(5e-3, 75e-3, 7)
+    dt = 2.5e-3 / 21  # 21 steps to the first echo half, 49 between the halves
+    n_steps = int(round(dark[-1] / dt))
+    rng = np.random.default_rng(2024)
+    members = 20000
+    decay = math.exp(-dt / ou.tau_c)
+    kick = ou.sigma * math.sqrt(1.0 - decay * decay)
+    delta = ou.sigma * rng.standard_normal(members)
+    phase = np.zeros((n_steps + 1, members))
+    for k in range(n_steps):
+        nxt = delta * decay + kick * rng.standard_normal(members)
+        phase[k + 1] = phase[k] + 0.5 * (delta + nxt) * dt
+        delta = nxt
+
+    t_half = sequences.pulse_duration(fig3_config, "pi/2")
+    u = expm(lindblad.liouvillian(driven.build_effective_qubit_model(fig3_config, no_decay))
+             * t_half)
+    start = u @ DensityMatrix.pure(3, 0).matrix.reshape(-1)
+    rot = kron_rotation(0, PHASES)
+    # the up population after the final pulse is row 0 of u
+    readout = rot.conj() * u[0]
+    fringe = np.exp(-1j * PHASES) * 2.0 / len(PHASES)
+    frame = fig3_config.delta_two
+    for echo in (False, True):
+        got = (sequences.spin_echo_scan if echo else sequences.ramsey_phase_scan)(
+            dark, PHASES, fig3_config, no_decay, ou=ou)
+        for t, row in zip(dark, got):
+            end = int(round(t / dt))
+            if echo:
+                mid = end // 2
+                vec = kron_rotation(1, frame * t / 2 + phase[mid]) * start
+                vec = vec @ u.T @ u.T
+                vec = kron_rotation(1, frame * t / 2 + phase[end] - phase[mid]) * vec
+            else:
+                vec = kron_rotation(1, frame * t + phase[end]) * start
+            pops = (vec @ readout.T).real
+            offset, amp = pops.mean(axis=1), pops @ fringe
+            contrast = abs(amp.mean()) / offset.mean()
+            along = (amp * np.conj(amp.mean())).real / abs(amp.mean())
+            sem = np.std((along - contrast * offset) / offset.mean(), ddof=1) / math.sqrt(members)
+            assert abs(sequences.ramsey_contrast(row, PHASES) - contrast) <= 5.0 * sem
 
 
 def test_ramsey_time_scan_frequency(fig3_config, lam, no_decay):
@@ -487,35 +561,14 @@ def test_scattering_decay_monotone(full_scheme, table, env):
 
 def test_ensemble_zero_spread_is_identity(fig3_config, table):
     base = sequences.run_rabi_ensemble(fig3_config, table, 50e-6, 201,
-                                       sequences.EnsembleSpec(samples=1, seed=0))
+                                       sequences.EnsembleSpec(samples=1))
     multi = sequences.run_rabi_ensemble(fig3_config, table, 50e-6, 201,
-                                        sequences.EnsembleSpec(samples=8, seed=99))
+                                        sequences.EnsembleSpec(samples=8))
     assert np.array_equal(base.populations["up"], multi.populations["up"])
 
 
-def test_ensemble_seed_reproducibility(fig3_config, table):
-    spec = sequences.EnsembleSpec(rabi_spread=0.004, samples=16, seed=7)
-    a = sequences.run_rabi_ensemble(fig3_config, table, 100e-6, 301, spec)
-    b = sequences.run_rabi_ensemble(fig3_config, table, 100e-6, 301, spec)
-    assert np.array_equal(a.populations["up"], b.populations["up"])
-
-
-def test_ensemble_two_seeds_statistically_consistent(fig3_config, table):
-    duration, n = 0.5e-3, 1111
-
-    def cycles_for(seed):
-        spec = sequences.EnsembleSpec(rabi_spread=0.004, samples=300, seed=seed)
-        traj = sequences.run_rabi_ensemble(fig3_config, table, duration, n, spec)
-        res = dsp.extract_rabi(dsp.Trace(dt=traj.dt, samples=traj.populations["up"]))
-        return res.cycles
-
-    c1, c2 = cycles_for(101), cycles_for(202)
-    assert abs(c1 - c2) / c1 < 0.15
-
-
 def test_member_draws_hermite_weights_normalized():
-    spec = sequences.EnsembleSpec(rabi_spread=0.01, delta_sigma=5.0, samples=9,
-                                  sampling="hermite")
+    spec = sequences.EnsembleSpec(rabi_spread=0.01, delta_sigma=5.0, samples=9)
     draws, weights = sequences._draws_and_weights(spec)
     assert len(draws) == 81  # tensor grid over both axes
     assert weights.sum() == pytest.approx(1.0, rel=1e-12)
@@ -536,28 +589,14 @@ def test_hermite_draws_and_weights_pinned(rabi_spread, delta_sigma, samples):
         sg, og = np.meshgrid(1.0 + rabi_spread * nodes, delta_sigma * nodes, indexing="ij")
         want = np.column_stack([sg.ravel(), og.ravel()]), np.outer(w, w).ravel()
     spec = sequences.EnsembleSpec(rabi_spread=rabi_spread, delta_sigma=delta_sigma,
-                                  samples=samples, sampling="hermite")
+                                  samples=samples)
     for got, ref in zip(sequences._draws_and_weights(spec), want):
         assert got.shape == ref.shape
         assert np.array_equal(got.view(np.int64), ref.view(np.int64))
 
 
-def test_gaussian_draws_read_each_members_own_stream():
-    """Every member's (scale, offset) draw, bit for bit, from a new Philox
-    generator of its own key, one scalar draw at a time."""
-    spec = sequences.EnsembleSpec(rabi_spread=0.004, delta_sigma=150.0, samples=200, seed=2**64 - 3)
-    draws, weights = sequences._draws_and_weights(spec)
-    want = np.empty((spec.samples, 2))
-    for i in range(spec.samples):
-        rng = member_rng(spec, i)
-        want[i, 0] = 1.0 + spec.rabi_spread * rng.standard_normal()
-        want[i, 1] = spec.delta_sigma * rng.standard_normal()
-    assert np.array_equal(draws.view(np.int64), want.view(np.int64))
-    assert np.array_equal(weights, np.full(spec.samples, 1.0 / spec.samples))
-
-
 def test_member_average_hermite_weights():
-    spec = sequences.EnsembleSpec(delta_sigma=2.0, samples=41, sampling="hermite")
+    spec = sequences.EnsembleSpec(delta_sigma=2.0, samples=41)
     draws, weights = sequences._draws_and_weights(spec)
     mean = sequences.member_average(draws[:, 1] ** 2, weights)
     assert mean == pytest.approx(4.0, rel=1e-9)
@@ -571,12 +610,6 @@ def test_member_average_is_np_average_over_members():
 
 
 # ------------------------------------- stacked members against a member loop
-
-def member_rng(spec: sequences.EnsembleSpec, member: int) -> np.random.Generator:
-    """Independent per-member stream; reproducible for any execution order."""
-    key = np.array([spec.seed & 0xFFFFFFFFFFFFFFFF, member], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
 
 def scaled_config(config: driven.RamanConfig, scale: float, delta_offset: float) -> driven.RamanConfig:
     """Apply a two-photon Rabi scale and a detuning offset to a drive config.
@@ -633,78 +666,66 @@ def reference_rabi_ensemble(config, table, duration, n_samples, spec):
     return np.average(members, axis=0, weights=weights)
 
 
-def ou_phase(rng, ou, duration, delta0=None):
-    """Accumulated phase of an OU detuning path over one dark interval, one
-    scalar draw at a time.
-
-    Returns (phase, final delta) so the path stays continuous across pulses;
-    `delta0=None` starts from a stationary draw."""
-    delta = ou.sigma * rng.standard_normal() if delta0 is None else delta0
-    if duration == 0.0:
-        return 0.0, delta
-    n = max(8, int(math.ceil(duration / (ou.tau_c / 10.0))))
-    dt = duration / n
-    decay = math.exp(-dt / ou.tau_c)
-    kick = ou.sigma * math.sqrt(1.0 - decay * decay)
-    phase = 0.0
-    for _ in range(n):
-        phase += delta * dt
-        delta = delta * decay + kick * rng.standard_normal()
-    return phase, delta
-
-
-def restarted_ou_phases(spec, ou, member, dark_time, echo):
-    """Member's OU phases over the dark time (Ramsey) or over each echo half,
-    from its dark-noise stream restarted for this dark time alone."""
-    rng = member_rng(spec, member + (1 << 20))
-    if echo:
-        phi1, mid = ou_phase(rng, ou, dark_time / 2)
-        phi2, _ = ou_phase(rng, ou, dark_time / 2, delta0=mid)
-        return phi1, phi2
-    return ou_phase(rng, ou, dark_time)[0], 0.0
-
-
 def kron_rotation(index, phi):
-    d = np.ones(3, dtype=complex)
-    d[index] = np.exp(1j * phi)
-    return np.kron(d, d.conj())
+    """The vectorized conjugation by the phase e^{i phi} on one level, one
+    diagonal (..., 9) per phase."""
+    phi = np.asarray(phi, dtype=float)
+    d = np.ones((*phi.shape, 3), dtype=complex)
+    d[..., index] = np.exp(1j * phi)
+    return (d[..., :, None] * d[..., None, :].conj()).reshape(*phi.shape, 9)
+
+
+def ou_phase_grid(ou, dark_time, echo, nodes=16):
+    """Gauss-Hermite nodes (K, 2) and weights (K,) of the OU phases (phi1,
+    phi2) over the two echo halves, a correlated Gaussian pair reached through
+    the Cholesky factor of its covariance, or of the Ramsey phase over the
+    whole dark time (phi2 = 0); a single point at dark time 0."""
+    if ou is None or dark_time == 0.0:
+        return np.zeros((1, 2)), np.ones(1)
+    z, w = np.polynomial.hermite_e.hermegauss(nodes)
+    w = w / w.sum()
+    if not echo:
+        var, _ = sequences._ou_moments(ou, dark_time)
+        return np.column_stack([math.sqrt(var) * z, np.zeros(nodes)]), w
+    var, cov = sequences._ou_moments(ou, dark_time / 2)
+    chol = np.linalg.cholesky(np.array([[var, cov], [cov, var]]))
+    z1, z2 = np.meshgrid(z, z, indexing="ij")
+    return np.column_stack([z1.ravel(), z2.ravel()]) @ chol.T, np.outer(w, w).ravel()
 
 
 def reference_two_pulse(dark_time, phases, config, table, spec, ou, echo):
-    """pi/2 - dark - pi/2(phase) (with a pi pulse at T/2 for echo), member by member."""
-    draws, weights = sequences._draws_and_weights(spec, collapse=(ou is None))
+    """pi/2 - dark - pi/2(phase) (with a pi pulse at T/2 for echo), member by
+    member, each member averaged over a quadrature grid of its OU phases."""
+    draws, weights = sequences._draws_and_weights(spec)
+    noise, noise_w = ou_phase_grid(ou, dark_time, echo)
     t_half = sequences.pulse_duration(config, "pi/2")
     members = []
-    for i, (scale, offset) in enumerate(draws):
+    for scale, offset in draws:
         cfg = scaled_config(config, scale, offset)
         u = expm(lindblad.liouvillian(driven.build_effective_qubit_model(cfg, table)) * t_half)
-        phi1 = phi2 = 0.0
-        if ou is not None:
-            phi1, phi2 = restarted_ou_phases(spec, ou, i, dark_time, echo)
+        # the dark phases give the state one row per OU quadrature point
         vec = u @ DensityMatrix.pure(3, 0).matrix.reshape(-1)
         if echo:
-            vec = kron_rotation(1, cfg.delta_two * dark_time / 2 + phi1) * vec
-            vec = u @ (u @ vec)
-            vec = kron_rotation(1, cfg.delta_two * dark_time / 2 + phi2) * vec
+            vec = kron_rotation(1, cfg.delta_two * dark_time / 2 + noise[:, 0]) * vec
+            vec = vec @ u.T @ u.T
+            vec = kron_rotation(1, cfg.delta_two * dark_time / 2 + noise[:, 1]) * vec
         else:
-            vec = kron_rotation(1, cfg.delta_two * dark_time + phi1) * vec
-        out = []
-        for phi in phases:
-            rot = kron_rotation(0, phi)
-            out.append((rot * (u @ (rot.conj() * vec)))[0].real)
-        members.append(out)
+            vec = kron_rotation(1, cfg.delta_two * dark_time + noise[:, 0]) * vec
+        rot = kron_rotation(0, phases)
+        pops = (rot * ((rot.conj() * vec[:, None, :]) @ u.T))[..., 0].real
+        members.append(noise_w @ pops)
     return np.average(members, axis=0, weights=weights)
 
 
-@pytest.mark.parametrize("spread, sampling", [
-    pytest.param(0.0, "gaussian", id="0.0"),
-    pytest.param(0.004, "gaussian", id="0.004"),
-    pytest.param(0.0, "hermite", id="0.0-hermite"),
-    pytest.param(0.004, "hermite", id="0.004-hermite"),
+@pytest.mark.parametrize("spread, samples", [
+    pytest.param(0.0, 12, id="0.0"),
+    pytest.param(0.004, 12, id="0.004"),
+    # an odd Gauss-Hermite rule also puts a node at the centre of each axis
+    pytest.param(0.0, 5, id="0.0-hermite"),
+    pytest.param(0.004, 5, id="0.004-hermite"),
 ])
-def test_streamed_rabi_ensemble_matches_member_loop(fig3_config, table, spread, sampling):
-    spec = sequences.EnsembleSpec(rabi_spread=spread, delta_sigma=50.0, samples=12, seed=4,
-                                  sampling=sampling)
+def test_streamed_rabi_ensemble_matches_member_loop(fig3_config, table, spread, samples):
+    spec = sequences.EnsembleSpec(rabi_spread=spread, delta_sigma=50.0, samples=samples)
     traj = sequences.run_rabi_ensemble(fig3_config, table, 60e-6, 301, spec)
     want = reference_rabi_ensemble(fig3_config, table, 60e-6, 301, spec)
     for i, label in enumerate(("up", "down", "lost")):
@@ -714,7 +735,7 @@ def test_streamed_rabi_ensemble_matches_member_loop(fig3_config, table, spread, 
 def hermite_rabi_trace(config, table, nodes, duration, n_samples):
     """(levels, times) mean populations of the 0.4 % Rabi spread over `nodes`
     Gauss-Hermite nodes."""
-    spec = sequences.EnsembleSpec(rabi_spread=0.004, samples=nodes, sampling="hermite")
+    spec = sequences.EnsembleSpec(rabi_spread=0.004, samples=nodes)
     traj = sequences.run_rabi_ensemble(config, table, duration, n_samples, spec)
     return np.stack([traj.populations[label] for label in ("up", "down", "lost")])
 
@@ -752,8 +773,8 @@ def test_hermite_rabi_ensemble_matches_monte_carlo(fig3_config, lam, table):
 def test_rabi_ensemble_with_and_without_scattering_matches_member_loop(fig3_config, table):
     """A member whose Rabi scale clips to 0 has amplitude 0 on all 6 jump
     slots of the stack, so a wide spread stacks members without jumps beside
-    members with 6."""
-    spec = sequences.EnsembleSpec(rabi_spread=1.5, samples=40, seed=1)
+    members with 6: 40 nodes at a spread of 1.5 reach below a scale of 0."""
+    spec = sequences.EnsembleSpec(rabi_spread=1.5, samples=40)
     draws, _ = sequences._draws_and_weights(spec)
     model, _ = sequences._member_models(fig3_config, table, draws)
     amps = np.array([amp for *_, amp in model.jumps])
@@ -769,7 +790,7 @@ def test_rabi_ensemble_with_and_without_scattering_matches_member_loop(fig3_conf
 @pytest.mark.parametrize("with_ou", [False, True])
 def test_batched_coherence_scans_match_member_loop(fig3_config, table, echo, with_ou):
     ou = sequences.OUNoise(sigma=103.0, tau_c=25e-3) if with_ou else None
-    spec = sequences.EnsembleSpec(rabi_spread=0.004, delta_sigma=150.0, samples=9, seed=8)
+    spec = sequences.EnsembleSpec(rabi_spread=0.004, delta_sigma=150.0, samples=9)
     scan = sequences.spin_echo_scan if echo else sequences.ramsey_phase_scan
     got = scan(4e-3, PHASES, fig3_config, table, ensemble=spec, ou=ou)
     want = reference_two_pulse(4e-3, PHASES, fig3_config, table, spec, ou, echo)
@@ -795,41 +816,20 @@ def test_coherence_scans_exponentiate_only_block_stacks(fig3_config, table, monk
         return lindblad.expm(a)
 
     monkeypatch.setattr(sequences, "expm", recording_expm)
-    spec = sequences.EnsembleSpec(rabi_spread=0.004, delta_sigma=150.0, samples=9, seed=8)
+    spec = sequences.EnsembleSpec(rabi_spread=0.004, delta_sigma=150.0, samples=9)
     ou = sequences.OUNoise(sigma=103.0, tau_c=25e-3)
     dark = np.array([0.0, 1e-3, 4e-3])
     sequences.ramsey_phase_scan(dark, PHASES, fig3_config, table, ensemble=spec)
     sequences.spin_echo_scan(dark, PHASES, fig3_config, table, ensemble=spec, ou=ou)
     sequences.ramsey_time_scan(dark, fig3_config, table, ensemble=spec)
-    assert shapes == [(spec.samples, 5, 5)] * 3
-
-
-@pytest.mark.parametrize("echo", [False, True])
-def test_ou_noise_matches_restarted_streams(echo):
-    """Every member's phases at every dark time, bit for bit, on a 2-D
-    dark-time grid: dark time 0, the 8-step floor (1 ms; an echo half of
-    20 ms) and unequal step counts (15, 16, 24 and 60 steps over a whole
-    dark time, 12 and 30 over an echo half)."""
-    ou = sequences.OUNoise(sigma=103.0, tau_c=25e-3)
-    spec = sequences.EnsembleSpec(delta_sigma=150.0, samples=9, seed=8)
-    dark = np.array([[0.0, 1e-3, 40e-3], [60e-3, 37.5e-3, 150e-3]])
-    got = sequences._ou_noise(spec, ou, spec.samples, dark, echo)
-    assert got.shape == (2, spec.samples, *dark.shape)
-    want = np.zeros_like(got)
-    for i in range(spec.samples):
-        for j in np.ndindex(dark.shape):
-            want[(slice(None), i, *j)] = restarted_ou_phases(spec, ou, i, dark[j], echo)
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
-    # a scalar dark time reads the same prefix of each member's stream
-    for j in np.ndindex(dark.shape):
-        one = sequences._ou_noise(spec, ou, spec.samples, dark[j], echo)
-        assert np.array_equal(one.view(np.int64), got[(slice(None), slice(None), *j)].view(np.int64))
+    # the product grid of 9 nodes on each spread axis
+    assert shapes == [(spec.samples ** 2, 5, 5)] * 3
 
 
 def test_batched_ramsey_time_scan_matches_member_loop(fig3_config, lam, table):
     cfg = driven.raman_config(lam, fig3_config.up.rabi, fig3_config.down.rabi,
                               fig3_config.delta_one, TWO_PI * 10e3)
-    spec = sequences.EnsembleSpec(delta_sigma=300.0, samples=7, sampling="hermite")
+    spec = sequences.EnsembleSpec(delta_sigma=300.0, samples=7)
     dark = np.linspace(0.0, 0.6e-3, 25)
     got = sequences.ramsey_time_scan(dark, cfg, table, ensemble=spec)
     want = [reference_two_pulse(t, [0.0], cfg, table, spec, None, echo=False)[0] for t in dark]
@@ -840,7 +840,7 @@ def test_batched_ramsey_time_scan_matches_member_loop(fig3_config, lam, table):
 def test_chunked_rabi_ensemble_is_the_per_sample_average(fig3_config, table, n_samples):
     """Averaging a chunk of samples at a time is bit-equal to averaging each
     sample's member populations on its own, across the chunk edges."""
-    spec = sequences.EnsembleSpec(rabi_spread=0.004, delta_sigma=50.0, samples=13, seed=6)
+    spec = sequences.EnsembleSpec(rabi_spread=0.004, delta_sigma=50.0, samples=13)
     traj = sequences.run_rabi_ensemble(fig3_config, table, 60e-6, n_samples, spec)
     draws, weights = sequences._draws_and_weights(spec)
     model, _ = sequences._member_models(fig3_config, table, draws)
@@ -853,7 +853,7 @@ def test_chunked_rabi_ensemble_is_the_per_sample_average(fig3_config, table, n_s
 
 def test_rabi_ensemble_memory_stays_streamed(fig3_config, table):
     # fig3d size: one (200, 1111, 9) complex stack of member states is 32 MB
-    spec = sequences.EnsembleSpec(rabi_spread=0.004, samples=200, seed=31)
+    spec = sequences.EnsembleSpec(rabi_spread=0.004, samples=200)
     tracemalloc.start()
     try:
         sequences.run_rabi_ensemble(fig3_config, table, 0.5e-3, 1111, spec)
