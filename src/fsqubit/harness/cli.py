@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib.resources
 import json
 import math
@@ -41,7 +42,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="validate the configuration and print the resolved parameters")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every later one."""
     parser = argparse.ArgumentParser(prog="fsqubit",
                                      description="metastable-qubit simulation toolkit")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -304,7 +304,7 @@ def run_lightshift(sc: Scenario, w: RunWriter) -> None:
     depths = np.linspace(sc.get("lattice", "depth_min"), sc.get("lattice", "depth_max"),
                          sc.get_int("lattice", "depth_points"))
     slope_true = sc.get("lattice", "slope")  # Hz/uK
-    noise = sc.get("lattice", "frequency_noise")
+    noise = sc.get("lattice", "frequency_noise") / TWO_PI  # Hz, as the fringe frequencies
     delta0 = sc.get("drive", "delta")
     dark = np.linspace(0.0, sc.get("scan", "dark_max"), sc.get_int("scan", "dark_points"))
     rng = np.random.Generator(np.random.Philox(key=np.array([sc.seed, 0], dtype=np.uint64)))

@@ -379,6 +379,36 @@ def test_commands_without_exponentials_load_no_lazy_scipy(tmp_path):
     assert "scipy.linalg" in _loaded_after(code)
 
 
+def test_filtering_commands_do_not_load_scipy_signal(tmp_path):
+    """The presets and the command that band-pass a trace and take its envelope
+    run without scipy.signal."""
+    from fsqubit import formulas
+    from fsqubit.units import TWO_PI
+
+    t = np.arange(4096) * 0.4e-6
+    y = formulas.damped_model(t, TWO_PI * 100.94e3, 0.0, 684e-6, 0.17, 1.15e-3)
+    src = tmp_path / "trace.csv"
+    src.write_text("t_s,value\n" + "".join(f"{ti:.17g},{yi:.17g}\n" for ti, yi in zip(t, y)))
+    loaded = {}
+    for args in (["reproduce", "figS2", "--out", str(tmp_path)],
+                 ["reproduce", "fig3d", "--out", str(tmp_path)],
+                 ["analyze", "rabi", "--input", str(src)]):
+        code = f"from fsqubit.harness.cli import main\nassert main({args!r}) == 0"
+        loaded[args[1]] = _loaded_after(code)
+        assert "scipy.signal" not in loaded[args[1]], args
+    # the extraction chain alone needs no scipy module at all
+    assert loaded["rabi"] == []
+
+
+def test_cli_parser_is_built_once_and_keeps_no_state():
+    from fsqubit.harness.cli import build_parser
+
+    assert build_parser() is build_parser()
+    first = build_parser().parse_args(["trap", "slope", "--wavelength", "914", "--angle", "45"])
+    second = build_parser().parse_args(["trap", "slope", "--wavelength", "914"])
+    assert (first.angle, second.angle) == (45.0, 90.0)
+
+
 def test_cli_kind_mismatch(tmp_path):
     p = tmp_path / "x.scenario"
     p.write_text(GOOD_SCENARIO)
@@ -502,6 +532,15 @@ def test_no_ensemble_depends_on_seed(name, tmp_path):
         del outputs["summary.json"]
         runs.append((summary["checks"], summary["info"], outputs))
     assert runs[0] == runs[1]
+
+
+def test_lightshift_noise_is_in_hz(tmp_path):
+    """fig4e's `frequency_noise = 150 Hz` scatters fringe frequencies in Hz, so
+    the recorded uncertainty is 150 Hz (or the fit's, when larger), not 2 pi 150."""
+    presets.reproduce("fig4e", tmp_path / "run")
+    data = np.genfromtxt(tmp_path / "run" / "shift_vs_depth.csv", delimiter=",", names=True)
+    assert np.all(data["sigma_hz"] >= 150.0)
+    assert np.all(data["sigma_hz"] < 300.0)
 
 
 def test_summary_checks_recomputable_from_csv(tmp_path):
