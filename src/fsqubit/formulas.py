@@ -75,13 +75,6 @@ def lz_probability(rabi: float, ramp: float) -> float:
     return 1.0 - np.exp(-np.pi * rabi**2 / (2.0 * ramp))
 
 
-def lz_rabi_for_fidelity(fidelity: float, ramp: float) -> float:
-    """Invert lz_probability: the Rabi frequency that yields `fidelity`."""
-    if not 0.0 <= fidelity < 1.0:
-        raise ValueError("fidelity must be in [0, 1)")
-    return np.sqrt(-2.0 * ramp * np.log(1.0 - fidelity) / np.pi)
-
-
 def damped_model(t, omega: float, phase: float, tau: float, loss_amp: float, tau_loss: float):
     """Damped-oscillation population model.
 

@@ -4,9 +4,9 @@ Declarative segments (constant drive, dark, phase jump) each hold one
 constant model, stepped by `lindblad.model_steps`, with an ensemble layer
 for quasi-static Rabi and detuning inhomogeneity on top, averaged over
 Gauss-Hermite nodes; the coherence scans average slow OU detuning noise in
-closed form.  Far-detuned Raman
-segments run on the adiabatically eliminated qubit model.  A linear
-detuning sweep is `landau_zener`, a product of closed-form two-level steps.
+closed form.  Far-detuned Raman segments run on the adiabatically
+eliminated qubit model.  A linear detuning sweep is `landau_zener`, a product
+of closed-form SU(2) steps, each kept as its two Cayley-Klein parameters.
 
 Every scan steps its points as one stack: the coherence scans take all dark
 times and ensemble members at once, the Autler-Townes scan steps one stack
@@ -350,11 +350,14 @@ def landau_zener(
     """Transfer fidelity of a linear sweep symmetric about resonance.
 
     Propagates the driven two-level state with midpoint-sampled
-    piecewise-constant steps (exact within each step), multiplied pairwise
-    in chunks, and refines the step count until the fidelity changes by
-    less than 2e-5.  The closed-form sweep probability is only reached for
-    sweep ranges well beyond the Rabi frequency; a warning flag is set when
-    the range is smaller than the coupling."""
+    piecewise-constant steps (exact within each step), multiplied in chunks
+    as SU(2) Cayley-Klein pairs, and refines the step count until the
+    fidelity changes by less than 2e-5.  The closed-form sweep probability is
+    only reached for sweep ranges well beyond the Rabi frequency; a warning
+    flag is set when the range is smaller than the coupling."""
+    for name, value in (("rabi", rabi), ("sweep_range_hz", sweep_range_hz), ("duration", duration)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if rabi < 0:
         raise ValueError("Rabi frequency must be >= 0")
     if duration <= 0 or sweep_range_hz <= 0:
@@ -374,44 +377,47 @@ def landau_zener(
 
 
 def _lz_sweep(rabi: float, sweep_range_hz: float, duration: float, n: int) -> float:
-    """Transfer fidelity of n midpoint steps, as an ordered product of the
-    step matrices taken chunk by chunk (see `_pairwise_product`)."""
+    """Transfer fidelity of n midpoint steps, as the ordered product of their
+    SU(2) parts, chunk by chunk.  The step for H = [[0, rabi/2], [rabi/2, -det]]
+    is e^{i det dt/2} [[alpha, -conj(beta)], [beta, conj(alpha)]], with the
+    Cayley-Klein parameters alpha = cos(theta) - i (det/2) sinc and
+    beta = -i (rabi/2) sinc, theta = |a| dt, sinc = sin(theta)/|a|, |a| =
+    hypot(rabi, det)/2 (Goldstein, Classical Mechanics, 3rd ed., 4.5).  The
+    phases have modulus 1 and leave 1 - |alpha|^2 as it is: they are dropped."""
     dt = duration / n
-    ax = rabi / 2.0
     a, b = 1.0 + 0.0j, 0.0 + 0.0j
     for start in range(0, n, _LZ_CHUNK):
         t_mid = (np.arange(start, min(start + _LZ_CHUNK, n)) + 0.5) * dt
         det = TWO_PI * sweep_range_hz * (t_mid / duration - 0.5)
-        # H = [[0, rabi/2], [rabi/2, -det]]; SU(2) step in closed form
         amag = 0.5 * np.hypot(rabi, det)
-        cos_t = np.cos(amag * dt)
-        sinc = np.sin(amag * dt) / amag
-        az = det / 2.0
-        phase = np.exp(1j * det * dt / 2.0)
-        u01 = phase * (-1j * sinc * ax)
-        m00, m01, m10, m11 = _pairwise_product(
-            phase * (cos_t - 1j * sinc * az), u01, u01, phase * (cos_t + 1j * sinc * az))
-        a, b = m00 * a + m01 * b, m10 * a + m11 * b
+        theta = amag * dt
+        sinc = np.sin(theta) / amag
+        alpha, beta = np.empty(len(det), complex), np.zeros(len(det), complex)
+        alpha.real, alpha.imag, beta.imag = np.cos(theta), -0.5 * det * sinc, -0.5 * rabi * sinc
+        # the state, unit and started in |g>, is the first column of a product
+        a, b = _cayley_klein_product(*_pairwise_product(alpha, beta), a, b)
     return 1.0 - abs(a) ** 2
 
 
-def _pairwise_product(m00, m01, m10, m11):
-    """Entries of the ordered product M[L-1] ... M[1] M[0] of L 2x2 matrices,
-    each given as an entry array over the steps.
+def _cayley_klein_product(alpha_l, beta_l, alpha_e, beta_e):
+    """Cayley-Klein parameters (alpha, beta) of the SU(2) product later x earlier."""
+    return (alpha_l * alpha_e - beta_l.conjugate() * beta_e,
+            beta_l * alpha_e + alpha_l.conjugate() * beta_e)
+
+
+def _pairwise_product(alpha, beta):
+    """Cayley-Klein parameters of the ordered product M[L-1] ... M[1] M[0] of
+    L SU(2) matrices, each given as its pair over the steps.
 
     Each round multiplies neighbours, later x earlier, halving the stack; an
-    odd stack is padded with the identity.  The product is associative, so
-    only the rounding differs from stepping a state through the matrices one
-    by one (a pairwise tree reduction; Blelloch, CMU-CS-90-190, 1990)."""
-    while len(m00) > 1:
-        if len(m00) % 2:
-            m00, m01, m10, m11 = (np.append(x, one) for x, one in
-                                  zip((m00, m01, m10, m11), (1.0, 0.0, 0.0, 1.0)))
-        e00, e01, e10, e11 = m00[0::2], m01[0::2], m10[0::2], m11[0::2]
-        l00, l01, l10, l11 = m00[1::2], m01[1::2], m10[1::2], m11[1::2]
-        m00, m01 = l00 * e00 + l01 * e10, l00 * e01 + l01 * e11
-        m10, m11 = l10 * e00 + l11 * e10, l10 * e01 + l11 * e11
-    return m00[0], m01[0], m10[0], m11[0]
+    odd stack is padded with the identity, (1, 0).  The product is
+    associative, so only the rounding differs from stepping a state through
+    the matrices one by one (a pairwise tree reduction; Blelloch, CMU-CS-90-190, 1990)."""
+    while len(alpha) > 1:
+        if len(alpha) % 2:
+            alpha, beta = np.append(alpha, 1.0), np.append(beta, 0.0)
+        alpha, beta = _cayley_klein_product(alpha[1::2], beta[1::2], alpha[0::2], beta[0::2])
+    return alpha[0], beta[0]
 
 
 # ------------------------------------------------- coherence (Ramsey/echo)

@@ -62,3 +62,10 @@ def rk45():
         return sol.y.T
 
     return integrate
+
+
+@pytest.fixture(scope="session")
+def lz_rabi_for_fidelity():
+    """Oracle: the Rabi frequency at which the closed-form sweep probability,
+    `formulas.lz_probability`, is `fidelity` at the sweep rate `ramp`."""
+    return lambda fidelity, ramp: np.sqrt(-2.0 * ramp * np.log(1.0 - fidelity) / np.pi)

@@ -134,7 +134,7 @@ def test_criterion_04_scattering_physics(full_scheme, table, env):
            f"tau identity {identity:.15f}")
 
 
-def test_criterion_05_landau_zener():
+def test_criterion_05_landau_zener(lz_rabi_for_fidelity):
     ramp = TWO_PI * 80e3  # 80 Hz/ms
     span = 64e3           # far beyond the couplings tested
     duration = TWO_PI * span / ramp
@@ -143,7 +143,7 @@ def test_criterion_05_landau_zener():
         rabi = TWO_PI * f
         sim = sequences.landau_zener(rabi, span, duration).fidelity
         diffs.append(abs(sim - formulas.lz_probability(rabi, ramp)))
-    rabi_cal = formulas.lz_rabi_for_fidelity(0.975, ramp)
+    rabi_cal = lz_rabi_for_fidelity(0.975, ramp)
     f_cal = sequences.landau_zener(rabi_cal, span, duration).fidelity
     ok = max(diffs) < 5e-3 and abs(f_cal - 0.975) <= 2e-3
     report(5, "Landau-Zener", ok,

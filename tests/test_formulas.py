@@ -60,9 +60,9 @@ def test_lz_probability_limits():
         formulas.lz_probability(-1.0, 1.0)
 
 
-def test_lz_inversion_gives_173_hz():
+def test_lz_inversion_gives_173_hz(lz_rabi_for_fidelity):
     ramp = TWO_PI * 80e3  # 80 Hz/ms in angular units
-    rabi = formulas.lz_rabi_for_fidelity(0.975, ramp)
+    rabi = lz_rabi_for_fidelity(0.975, ramp)
     assert rabi / TWO_PI == pytest.approx(173.0, abs=0.5)
     assert formulas.lz_probability(rabi, ramp) == pytest.approx(0.975, rel=1e-12)
 

@@ -345,6 +345,15 @@ def test_cli_model_error_is_a_configuration_error(tmp_path, capsys):
     assert "Rabi frequency must be >= 0" in capsys.readouterr().err
 
 
+def test_cli_lz_sweep_of_infinite_duration_is_a_numerical_failure(tmp_path, capsys):
+    # a ramp so slow that the validation sweep's duration overflows to inf
+    p = tmp_path / "slow.scenario"
+    p.write_text(presets.packaged_scenario_path("fig1c").read_text().replace(
+        "ramp = 80 Hz/ms", "ramp = 1e-310 Hz/ms"))
+    assert cli_main(["simulate", "lz", "--scenario", str(p), "--out", str(tmp_path)]) == 3
+    assert "duration must be finite" in capsys.readouterr().err
+
+
 # scipy modules the program imports only inside the functions that use them
 LAZY_SCIPY = ("scipy.linalg", "scipy.special", "scipy.signal")
 

@@ -176,11 +176,11 @@ def test_lz_monotone_with_duration():
     assert slow > fast
 
 
-def test_lz_paper_point_wide_sweep():
+def test_lz_paper_point_wide_sweep(lz_rabi_for_fidelity):
     # the calibrated coupling reproduces the reference transfer fidelity once
     # the sweep range is far beyond the coupling
     ramp = TWO_PI * 80e3
-    rabi = formulas.lz_rabi_for_fidelity(0.975, ramp)
+    rabi = lz_rabi_for_fidelity(0.975, ramp)
     span = 64e3
     res = sequences.landau_zener(rabi, span, TWO_PI * span / ramp)
     assert abs(res.fidelity - 0.975) < 2e-3
@@ -245,6 +245,35 @@ def test_lz_sweep_matches_stepwise_product(n):
     # odd stacks and chunk edges; the pairwise product only reorders rounding
     args = (TWO_PI * 172.92, 4e3, 50e-3, n)
     assert abs(sequences._lz_sweep(*args) - _lz_sweep_stepwise(*args)) < 1e-13
+
+
+@settings(max_examples=60, deadline=None)
+@given(rabi=st.floats(1.0, TWO_PI * 2e3), span=st.floats(10.0, 1e5),
+       duration=st.floats(1e-4, 0.5), n=st.integers(1, 200))
+def test_lz_sweep_matches_stepwise_product_at_random_sweeps(rabi, span, duration, n):
+    # dropping each step's phase leaves 1 - |a|^2 of the U(2) product as it is
+    args = (rabi, span, duration, n)
+    assert abs(sequences._lz_sweep(*args) - _lz_sweep_stepwise(*args)) < 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 2**14 - 1, 2**14 + 1, 3 * 2**14 + 5])
+def test_lz_pairwise_product_stays_in_su2(n):
+    # the Cayley-Klein product of n steps of the paper's sweep keeps unit norm
+    rabi, span, duration = TWO_PI * 172.92, 4e3, 50e-3
+    det = TWO_PI * span * ((np.arange(n) + 0.5) / n - 0.5)
+    amag = 0.5 * np.hypot(rabi, det)
+    sinc = np.sin(amag * duration / n) / amag
+    alpha, beta = sequences._pairwise_product(
+        np.cos(amag * duration / n) - 0.5j * det * sinc, -0.5j * rabi * sinc)
+    assert abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) < 1e-13
+
+
+def test_lz_rejects_non_finite_input():
+    args = {"rabi": TWO_PI * 172.92, "sweep_range_hz": 4e3, "duration": 50e-3}
+    for name in args:
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                sequences.landau_zener(**{**args, name: bad})
 
 
 def test_fig1c_fidelities_pinned(tmp_path):
