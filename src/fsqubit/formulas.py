@@ -50,12 +50,6 @@ def raman_rabi(rabi_up: float, rabi_down: float, detuning: float) -> float:
     return rabi_up * rabi_down / (2.0 * abs(detuning))
 
 
-def differential_stark(rabi_up: float, rabi_down: float, detuning: float) -> float:
-    """Differential light shift (Omega_up^2 - Omega_down^2) / (4 Delta), signed."""
-    _check_detuning(detuning, rabi_up, rabi_down)
-    return (np.float_power(rabi_up, 2) - np.float_power(rabi_down, 2)) / (4.0 * detuning)
-
-
 def scattering_rate(rabi: float, detuning: float, gamma: float) -> float:
     """Off-resonant one-photon scattering rate Gamma Omega^2 / (4 Delta^2), 1/s."""
     _check_detuning(detuning, rabi, gamma)
@@ -138,8 +132,3 @@ def effective_two_level(
         scatter_up=gamma * up2 / scatter_den,
         scatter_down=gamma * down2 / scatter_den,
     )
-
-
-def generalized_rabi(rabi: float, detuning_eff: float) -> float:
-    """Oscillation frequency sqrt(rabi^2 + detuning_eff^2) of a detuned drive."""
-    return float(np.hypot(rabi, detuning_eff))

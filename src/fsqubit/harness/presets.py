@@ -215,7 +215,8 @@ def run_detuning(sc: Scenario, w: RunWriter) -> None:
     """Rabi frequency, envelope decay and cycle count of the ensemble-mean
     trace at each one-photon detuning; the Rabi-amplitude spread is averaged
     over `[ensemble] samples` Gauss-Hermite nodes, so nothing depends on
-    `[scenario] seed`."""
+    `[scenario] seed`.  Every detuning steps in one `run_rabi_ensemble`
+    stack, each row over `[simulation] cycles` of its own Rabi period."""
     scheme = atom.lambda_scheme()
     table = atom.default_decay_table()
     mags = np.geomspace(abs(sc.get("scan", "detuning_min")),
@@ -226,13 +227,11 @@ def run_detuning(sc: Scenario, w: RunWriter) -> None:
                                   samples=sc.get_int("ensemble", "samples"))
     rabi_up = sc.get("drive", "rabi_up")
     rabi_down = sc.get("drive", "rabi_down")
+    cfg = driven.raman_config(scheme, rabi_up, rabi_down, -mags)
+    durations = cycles_target / ordinary(formulas.raman_rabi(rabi_up, rabi_down, mags))
+    trajs = sequences.run_rabi_ensemble(cfg, table, durations, int(cycles_target * 22), spec)
     omegas, taus, n_cycles = [], [], []
-    for mag in mags:
-        cfg = driven.raman_config(scheme, rabi_up, rabi_down, -mag)
-        f_eff = ordinary(formulas.raman_rabi(rabi_up, rabi_down, mag))
-        duration = cycles_target / f_eff
-        n = int(cycles_target * 22)
-        traj = sequences.run_rabi_ensemble(cfg, table, duration, n, spec)
+    for traj in trajs:
         result = dsp.extract_rabi(dsp.Trace(dt=traj.dt, samples=traj.populations["up"]))
         omegas.append(result.omega)
         taus.append(result.tau)

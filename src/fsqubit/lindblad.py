@@ -122,13 +122,6 @@ class DensityMatrix:
             raise StateError("density matrix has a negative eigenvalue")
 
 
-def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
-    """(1/2) trace norm of the difference."""
-    diff = a.matrix - b.matrix
-    diff = 0.5 * (diff + diff.conj().T)
-    return 0.5 * float(np.abs(np.linalg.eigvalsh(diff)).sum())
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """Uniformly sampled populations, optionally with the full states."""

@@ -9,8 +9,9 @@ eliminated qubit model.  A linear detuning sweep is `landau_zener`, a product
 of closed-form SU(2) steps, each kept as its two Cayley-Klein parameters.
 
 Every scan steps its points as one stack: the coherence scans take all dark
-times and ensemble members at once, the Autler-Townes scan steps one stack
-of models per power column, and the CPT scan solves one stack for its
+times and ensemble members at once, a Rabi ensemble takes every row of a
+detuning scan and its members at once, the Autler-Townes scan steps one
+stack of models per power column, and the CPT scan solves one stack for its
 steady states.  Each stack is one model with a member axis, built in one
 broadcast pass from array-valued drive parameters (see `driven`).  Rabi
 ensembles and coherence scans step their stack on the invariant block that
@@ -334,6 +335,9 @@ def _advance(model, state, t_start, duration, times, next_idx, sampled):
 
 # steps per chunk of the sweep product, which bounds its working arrays
 _LZ_CHUNK = 1 << 14
+# most steps of a sweep's first pass, 2 per unit of sweep_range_hz x duration;
+# its doublings reach 8 times that (fig1c reaches 204 800 steps after them)
+_LZ_MAX_STEPS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -352,9 +356,12 @@ def landau_zener(
     Propagates the driven two-level state with midpoint-sampled
     piecewise-constant steps (exact within each step), multiplied in chunks
     as SU(2) Cayley-Klein pairs, and refines the step count until the
-    fidelity changes by less than 2e-5.  The closed-form sweep probability is
-    only reached for sweep ranges well beyond the Rabi frequency; a warning
-    flag is set when the range is smaller than the coupling."""
+    fidelity changes by less than 2e-5.  The first pass takes 2 steps per
+    unit of sweep_range_hz x duration, at least 20 000; a sweep that needs
+    more than `_LZ_MAX_STEPS` is rejected before any step runs.  The
+    closed-form sweep probability is only reached for sweep ranges well
+    beyond the Rabi frequency; a warning flag is set when the range is
+    smaller than the coupling."""
     for name, value in (("rabi", rabi), ("sweep_range_hz", sweep_range_hz), ("duration", duration)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
@@ -362,10 +369,14 @@ def landau_zener(
         raise ValueError("Rabi frequency must be >= 0")
     if duration <= 0 or sweep_range_hz <= 0:
         raise ValueError("sweep range and duration must be positive")
+    span = sweep_range_hz * duration
+    if 2 * span > _LZ_MAX_STEPS:
+        raise ValueError(f"sweep_range_hz x duration = {span:.6g} needs {2 * span:.6g} steps, "
+                         f"more than the limit of {_LZ_MAX_STEPS}")
     warn = TWO_PI * sweep_range_hz < rabi
     if rabi == 0.0:
         return LZResult(fidelity=0.0, regime_warning=warn)
-    n = max(20_000, int(2 * sweep_range_hz * duration))
+    n = max(20_000, int(2 * span))
     f_prev = _lz_sweep(rabi, sweep_range_hz, duration, n)
     for _ in range(3):
         n *= 2
@@ -434,6 +445,13 @@ def _phase_rotation_vec(dim: int, level: int, phi, block: np.ndarray) -> np.ndar
     return d[..., a] * d[..., b].conj()
 
 
+def _drive_rows(config: RamanConfig) -> tuple[int, ...]:
+    """The shape that the drive parameters of both fields broadcast to: ()
+    for one drive, (D,) for a scan of D rows."""
+    return np.broadcast(*(np.asarray(getattr(f, k)) for f in (config.up, config.down)
+                          for k in ("rabi", "detuning", "phase"))).shape
+
+
 def _member_models(config: RamanConfig, table: DecayTable,
                    draws: np.ndarray) -> tuple[RotatingFrameModel, np.ndarray]:
     """The stack of eliminated qubit models of the (scale, offset) draws, and
@@ -441,11 +459,21 @@ def _member_models(config: RamanConfig, table: DecayTable,
 
     The scale multiplies the two-photon Rabi frequency, so each one-photon
     amplitude carries sqrt(scale), clipped at 0; the offset shifts the down
-    detuning."""
+    detuning.  Drive parameters with a leading (D,) row axis give D * M
+    members, row by row: row d's members are d * M to d * M + M - 1."""
+    rows = _drive_rows(config)
+
+    def per_member(value):
+        return np.broadcast_to(np.expand_dims(value, -1), (*rows, len(draws)))
+
     root = np.sqrt(np.maximum(draws[:, 0], 0.0))
-    members = RamanConfig(up=replace(config.up, rabi=config.up.rabi * root),
-                          down=replace(config.down, rabi=config.down.rabi * root,
-                                       detuning=config.down.detuning - draws[:, 1]))
+    up, down = config.up, config.down
+    members = RamanConfig(
+        up=replace(up, rabi=(per_member(up.rabi) * root).ravel(),
+                   detuning=per_member(up.detuning).ravel(), phase=per_member(up.phase).ravel()),
+        down=replace(down, rabi=(per_member(down.rabi) * root).ravel(),
+                     detuning=(per_member(down.detuning) - draws[:, 1]).ravel(),
+                     phase=per_member(down.phase).ravel()))
     return build_effective_qubit_model(members, table), members.delta_two
 
 
@@ -695,43 +723,66 @@ def scattering_decay(
 
 # ------------------------------------------------------- ensemble wrapper
 
-# samples per averaging call of `run_rabi_ensemble`; its buffer holds
-# members x chunk x levels doubles (37 KB for fig3d's 12 nodes of the 3-level qubit)
+# samples per averaging call of `run_rabi_ensemble`; its buffer holds rows x
+# members x chunk x levels doubles (37 KB for fig3d's 12 nodes of the 3-level
+# qubit, 221 KB for fig3e's 6 detunings of 12 nodes)
 _RABI_CHUNK = 128
 
 
 def run_rabi_ensemble(
     config: RamanConfig,
     table: DecayTable,
-    duration: float,
+    duration,
     n_samples: int,
     ensemble: EnsembleSpec,
-) -> Trajectory:
+) -> Trajectory | list[Trajectory]:
     """Ensemble-averaged Rabi trace on the eliminated qubit model.
 
     Every member steps together on the invariant block that holds the `up`
     state (`lindblad.model_block`).  The members' populations are read off
     the block's states into a buffer of `_RABI_CHUNK` samples, and each full
     buffer is averaged in one `member_average` call, bit-equal to averaging
-    sample by sample; only the mean populations are kept.  `duration` must
-    be positive and `n_samples` >= 1."""
-    if duration <= 0.0:
-        raise ValueError(f"duration must be positive, got {duration}")
+    sample by sample; only the mean populations are kept.
+
+    A scan is one stack: drive parameters (a detuning scan's detunings) with
+    a leading (D,) row axis, and `duration` a scalar or (D,), give D rows of
+    the ensemble's M members, and one Trajectory per row, each bit-equal to
+    its own scalar call.  Each row samples `np.linspace(0, duration, n)` of
+    its own duration, so its generator is scaled by its own sample gap and
+    the whole stack steps the unit grid 0, 1, ..., n - 1 (x * 1.0 is exact,
+    so every propagator is the one the row's own grid gives).  Each row's
+    members are averaged over their own contiguous slice of the buffer, in
+    the member order of the scalar call.  Every duration must be positive
+    and `n_samples` >= 1."""
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    times = np.linspace(0.0, duration, n_samples)
+    rows = _drive_rows(config)
+    if len(rows) > 1:
+        raise ValueError(f"drive parameters may carry one row axis, got shape {rows}")
+    durations = np.broadcast_to(np.asarray(duration, dtype=float), rows).reshape(-1).tolist()
+    for row, value in enumerate(durations):
+        if not value > 0.0:
+            where = f"row {row}: " if rows else ""
+            raise ValueError(f"{where}duration must be positive, got {value}")
+    times = [np.linspace(0.0, value, n_samples) for value in durations]
     draws, weights = _draws_and_weights(ensemble)
     model, _ = _member_models(config, table, draws)
     block, lv, vec0 = model_block(model, DensityMatrix.pure(model.dim, model.index("up")).matrix)
+    # the gap each row's own grid steps by; a single sample steps no gap
+    gaps = np.array([t[1] - t[0] if n_samples > 1 else 0.0 for t in times])
+    lv = lv * np.repeat(gaps, len(draws))[:, None, None]
     # each population's position among the block's entries
     populations = block.searchsorted(np.arange(model.dim) * (model.dim + 1))
-    mean = np.empty((n_samples, model.dim))
-    # member-major, so each sample's sum over the members runs in member
+    mean = np.empty((len(times), n_samples, model.dim))
+    # member-major, so each sample's sum over a row's members runs in member
     # order, as it does for one sample's (members, levels) array
-    chunk = np.empty((len(draws), _RABI_CHUNK, model.dim))
-    for k, vec in enumerate(steps(lv, vec0, times)):
+    chunk = np.empty((len(lv), _RABI_CHUNK, model.dim))
+    for k, vec in enumerate(steps(lv, vec0, np.arange(n_samples, dtype=float))):
         c = k % _RABI_CHUNK
         chunk[:, c] = vec[:, populations].real
         if c == _RABI_CHUNK - 1 or k == n_samples - 1:
-            mean[k - c:k + 1] = member_average(chunk[:, :c + 1], weights)
-    return Trajectory(times=times, populations={lab: mean[:, i] for i, lab in enumerate(model.labels)})
+            for row, members in enumerate(np.split(chunk, len(times))):
+                mean[row, k - c:k + 1] = member_average(members[:, :c + 1], weights)
+    trajectories = [Trajectory(times=t, populations=dict(zip(model.labels, m.T)))
+                    for t, m in zip(times, mean)]
+    return trajectories if rows else trajectories[0]

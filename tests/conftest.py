@@ -69,3 +69,28 @@ def lz_rabi_for_fidelity():
     """Oracle: the Rabi frequency at which the closed-form sweep probability,
     `formulas.lz_probability`, is `fidelity` at the sweep rate `ramp`."""
     return lambda fidelity, ramp: np.sqrt(-2.0 * ramp * np.log(1.0 - fidelity) / np.pi)
+
+
+@pytest.fixture(scope="session")
+def trace_distance():
+    """Oracle: the trace distance (1/2) ||a - b||_1 of two density matrices."""
+    def distance(a, b):
+        diff = a.matrix - b.matrix
+        diff = 0.5 * (diff + diff.conj().T)
+        return 0.5 * float(np.abs(np.linalg.eigvalsh(diff)).sum())
+
+    return distance
+
+
+@pytest.fixture(scope="session")
+def differential_stark():
+    """Oracle: the signed differential light shift of a Raman pair,
+    (Omega_up^2 - Omega_down^2) / (4 Delta)."""
+    return lambda rabi_up, rabi_down, detuning: (rabi_up**2 - rabi_down**2) / (4.0 * detuning)
+
+
+@pytest.fixture(scope="session")
+def generalized_rabi():
+    """Oracle: the oscillation frequency sqrt(rabi^2 + detuning_eff^2) of a
+    detuned drive."""
+    return lambda rabi, detuning_eff: float(np.hypot(rabi, detuning_eff))

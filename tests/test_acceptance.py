@@ -13,7 +13,7 @@ import numpy as np
 
 from fsqubit import atom, driven, dsp, formulas, rates, sequences, trap
 from fsqubit.harness import presets
-from fsqubit.lindblad import DensityMatrix, evolve, steady_state, trace_distance
+from fsqubit.lindblad import DensityMatrix, evolve, steady_state
 from fsqubit.units import TWO_PI
 
 
@@ -26,7 +26,7 @@ def report(number: int, name: str, ok: bool, detail: str) -> None:
 # ------------------------------------------------------------------------
 
 
-def test_criterion_01_master_equation_correctness(table):
+def test_criterion_01_master_equation_correctness(table, trace_distance):
     scheme = atom.two_level_scheme()
     rabi = TWO_PI * 1e5
     field = driven.DriveField((0, 1), rabi, 0.0)
@@ -56,7 +56,7 @@ def test_criterion_01_master_equation_correctness(table):
            f"steady-vs-evolve {dist:.2e} (<1e-6)")
 
 
-def test_criterion_02_effective_model_oracle(lam, table):
+def test_criterion_02_effective_model_oracle(lam, table, differential_stark, generalized_rabi):
     rabi1 = TWO_PI * 36e6
     ratios = (50.0, 100.0, 166.7, 300.0)
     rel_errs = []
@@ -72,8 +72,8 @@ def test_criterion_02_effective_model_oracle(lam, table):
         res = dsp.extract_rabi(dsp.Trace(dt=traj.dt, samples=traj.populations["up"]))
         # compare against the generalized frequency with the residual
         # two-photon light shift folded in (zero here: balanced fields)
-        delta_eff = formulas.differential_stark(rabi1, rabi1, delta)
-        target = formulas.generalized_rabi(predicted, delta_eff)
+        delta_eff = differential_stark(rabi1, rabi1, delta)
+        target = generalized_rabi(predicted, delta_eff)
         rel_errs.append(abs(res.omega / target - 1.0))
         omegas.append(res.omega)
     slope = np.polyfit(np.log10(ratios), np.log10(omegas), 1)[0]

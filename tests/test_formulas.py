@@ -28,13 +28,13 @@ def test_raman_rabi_regime_warning():
         formulas.raman_rabi(1e6, 1e6, 5e6)
 
 
-def test_differential_stark():
+def test_differential_stark(differential_stark):
     w_dn = TWO_PI * 36e6
     w_up = math.sqrt(2.0) * w_dn
-    val = formulas.differential_stark(w_up, w_dn, -TWO_PI * 6e9)
+    val = differential_stark(w_up, w_dn, -TWO_PI * 6e9)
     assert val == pytest.approx(-TWO_PI * 54e3, rel=1e-9)
-    assert formulas.differential_stark(w_up, w_dn, TWO_PI * 6e9) == pytest.approx(-val)
-    assert formulas.differential_stark(w_dn, w_dn, -TWO_PI * 6e9) == 0.0
+    assert differential_stark(w_up, w_dn, TWO_PI * 6e9) == pytest.approx(-val)
+    assert differential_stark(w_dn, w_dn, -TWO_PI * 6e9) == 0.0
 
 
 def test_scattering_rate_and_decay_time(table):
@@ -139,6 +139,6 @@ def test_effective_two_level_is_the_single_formulas_checked_once(table):
         formulas.effective_two_level(1.0, 1.0, np.array([1e9, 0.0]), gamma)
 
 
-def test_generalized_rabi():
-    assert formulas.generalized_rabi(3.0, 4.0) == pytest.approx(5.0)
-    assert formulas.generalized_rabi(3.0, 0.0) == pytest.approx(3.0)
+def test_generalized_rabi(generalized_rabi):
+    assert generalized_rabi(3.0, 4.0) == pytest.approx(5.0)
+    assert generalized_rabi(3.0, 0.0) == pytest.approx(3.0)

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -352,6 +353,17 @@ def test_cli_lz_sweep_of_infinite_duration_is_a_numerical_failure(tmp_path, caps
         "ramp = 80 Hz/ms", "ramp = 1e-310 Hz/ms"))
     assert cli_main(["simulate", "lz", "--scenario", str(p), "--out", str(tmp_path)]) == 3
     assert "duration must be finite" in capsys.readouterr().err
+
+
+def test_cli_lz_sweep_beyond_the_step_limit_fails_fast(tmp_path, capsys):
+    # a ramp slow enough to ask for about 8e306 steps, with a finite duration of 6.4e301 s
+    p = tmp_path / "slow.scenario"
+    p.write_text(presets.packaged_scenario_path("fig1c").read_text().replace(
+        "ramp = 80 Hz/ms", "ramp = 1e-300 Hz/ms"))
+    start = time.perf_counter()
+    assert cli_main(["simulate", "lz", "--scenario", str(p), "--out", str(tmp_path)]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "sweep_range_hz x duration" in capsys.readouterr().err
 
 
 # scipy modules the program imports only inside the functions that use them

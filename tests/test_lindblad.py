@@ -8,7 +8,7 @@ from scipy.linalg import expm
 from scipy.linalg._matfuncs_expm import pick_pade_structure
 
 from fsqubit import atom, driven, lindblad
-from fsqubit.lindblad import DensityMatrix, evolve, steady_state, trace_distance
+from fsqubit.lindblad import DensityMatrix, evolve, steady_state
 from fsqubit.units import TWO_PI
 
 
@@ -22,7 +22,7 @@ def two_level_model(rabi, detuning=0.0, gamma=0.0):
     return model
 
 
-def test_identity_evolution():
+def test_identity_evolution(trace_distance):
     model = driven.RotatingFrameModel(np.zeros((3, 3)), (), ("a", "b", "c"))
     rho0 = DensityMatrix.from_state([0.6, 0.8j, 0.0])
     traj = evolve(model, rho0, duration=1e-3, n_samples=11, store_states=True)
@@ -573,7 +573,7 @@ def test_stacked_steady_state_names_a_degenerate_member():
         steady_state(stack_models([damped, undriven, damped]))
 
 
-def test_steady_state_matches_long_time_evolution():
+def test_steady_state_matches_long_time_evolution(trace_distance):
     rabi, gamma = TWO_PI * 2e6, TWO_PI * 1e6
     model = two_level_model(rabi, detuning=TWO_PI * 0.3e6, gamma=gamma)
     rho_ss = steady_state(model)

@@ -276,6 +276,18 @@ def test_lz_rejects_non_finite_input():
                 sequences.landau_zener(**{**args, name: bad})
 
 
+def test_lz_rejects_a_sweep_beyond_the_step_limit():
+    """The first pass takes 2 steps per unit of sweep_range_hz x duration, so
+    a product just over half the limit is rejected before any step runs."""
+    limit = sequences._LZ_MAX_STEPS
+    over = limit / 2 * (1 + 1e-9)
+    for rabi in (TWO_PI * 172.92, 0.0):
+        with pytest.raises(ValueError, match=rf"sweep_range_hz x duration .*limit of {limit}"):
+            sequences.landau_zener(rabi, 4e3, over / 4e3)
+    with pytest.raises(ValueError, match="sweep_range_hz x duration"):
+        sequences.landau_zener(TWO_PI * 172.92, 4e3, 1e300)
+
+
 def test_fig1c_fidelities_pinned(tmp_path):
     # the four ramps and the 64 kHz sweep, recorded from the stepwise product
     presets.reproduce("fig1c", tmp_path)
@@ -878,6 +890,101 @@ def test_chunked_rabi_ensemble_is_the_per_sample_average(fig3_config, table, n_s
                      for vec in lindblad.model_steps(model, DensityMatrix.pure(3, 0).matrix, times)])
     got = np.column_stack([traj.populations[k] for k in ("up", "down", "lost")])
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+DETUNING_ROWS = -TWO_PI * np.array([1.8e9, 3.0e9, 6.0e9, 12.0e9])
+
+
+@pytest.mark.parametrize("n_samples", [2, 127, 128, 129, 257])
+@pytest.mark.parametrize("delta_sigma, samples", [
+    pytest.param(0.0, 13, id="rabi-spread"),
+    pytest.param(50.0, 5, id="product-grid"),
+])
+def test_stacked_rabi_ensemble_rows_match_scalar_calls(lam, table, n_samples, delta_sigma,
+                                                        samples):
+    """Each row of a detuning scan stepped as one stack, each over its own
+    duration, is bit-equal to its own call, across the chunk edges."""
+    spec = sequences.EnsembleSpec(rabi_spread=0.004, delta_sigma=delta_sigma, samples=samples)
+    rabi = TWO_PI * 36e6
+    durations = 40.0 / (formulas.raman_rabi(rabi, rabi, DETUNING_ROWS) / TWO_PI)
+    rows = sequences.run_rabi_ensemble(driven.raman_config(lam, rabi, rabi, DETUNING_ROWS),
+                                       table, durations, n_samples, spec)
+    assert len(rows) == len(DETUNING_ROWS)
+    for got, detuning, duration in zip(rows, DETUNING_ROWS, durations):
+        want = sequences.run_rabi_ensemble(driven.raman_config(lam, rabi, rabi, detuning),
+                                           table, duration, n_samples, spec)
+        assert np.array_equal(got.times.view(np.int64), want.times.view(np.int64))
+        assert got.populations.keys() == want.populations.keys()
+        for label, pops in want.populations.items():
+            assert np.array_equal(got.populations[label].view(np.int64), pops.view(np.int64))
+
+
+def test_stacked_rabi_ensemble_shares_a_scalar_duration(lam, table):
+    spec = sequences.EnsembleSpec(rabi_spread=0.004, samples=4)
+    rabi = TWO_PI * 36e6
+    rows = sequences.run_rabi_ensemble(driven.raman_config(lam, rabi, rabi, DETUNING_ROWS),
+                                       table, 60e-6, 131, spec)
+    for got, detuning in zip(rows, DETUNING_ROWS):
+        want = sequences.run_rabi_ensemble(driven.raman_config(lam, rabi, rabi, detuning),
+                                           table, 60e-6, 131, spec)
+        assert np.array_equal(got.populations["up"].view(np.int64),
+                              want.populations["up"].view(np.int64))
+
+
+@pytest.mark.parametrize("row, bad", [(0, 0.0), (2, -1e-4), (3, math.nan)])
+def test_stacked_rabi_ensemble_rejects_a_nonpositive_duration_in_any_row(lam, table, row, bad):
+    spec = sequences.EnsembleSpec(rabi_spread=0.004, samples=4)
+    rabi = TWO_PI * 36e6
+    durations = np.full(len(DETUNING_ROWS), 1e-4)
+    durations[row] = bad
+    with pytest.raises(ValueError, match=f"^row {row}: duration must be positive, got {bad}$"):
+        sequences.run_rabi_ensemble(driven.raman_config(lam, rabi, rabi, DETUNING_ROWS),
+                                    table, durations, 11, spec)
+    with pytest.raises(ValueError):
+        sequences.run_rabi_ensemble(driven.raman_config(lam, rabi, rabi, DETUNING_ROWS),
+                                    table, np.full(3, 1e-4), 11, spec)
+
+
+def test_fig3e_steps_its_scan_in_one_ensemble_call_and_one_expm(tmp_path, monkeypatch):
+    calls = {"run_rabi_ensemble": 0, "expm": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(sequences, "run_rabi_ensemble",
+                        counted("run_rabi_ensemble", sequences.run_rabi_ensemble))
+    monkeypatch.setattr(lindblad, "expm", counted("expm", lindblad.expm))
+    monkeypatch.setattr(sequences, "expm", lindblad.expm)
+    assert presets.reproduce("fig3e", tmp_path)
+    assert calls == {"run_rabi_ensemble": 1, "expm": 1}
+
+
+def test_stacked_rabi_ensemble_memory_is_its_buffer_and_propagators(lam, table):
+    """The bound is counted, not measured: the real population buffer of
+    rows x members x `_RABI_CHUNK` x levels doubles, plus eight stacks of
+    every member's complex (5, 5) block matrix.  Six of them live at once
+    while the propagators are built: the generator scaled by each row's
+    gap, `steps`' copy scaled by the unit gap, and `expm`'s output, Pade
+    results, their sorted copy and a squaring's product.  Two more cover the
+    model's Hamiltonians and the per-step states.  Holding one chunk of
+    complex block states, (chunk, members, 5), would need 3.3 times the
+    buffer and breaks the bound."""
+    rows, members, n_samples = len(DETUNING_ROWS), 150, 300
+    spec = sequences.EnsembleSpec(rabi_spread=0.004, samples=members)
+    rabi = TWO_PI * 36e6
+    cfg = driven.raman_config(lam, rabi, rabi, DETUNING_ROWS)
+    buffer = rows * members * sequences._RABI_CHUNK * 3 * 8
+    propagators = rows * members * 5 * 5 * 16
+    tracemalloc.start()
+    try:
+        sequences.run_rabi_ensemble(cfg, table, 60e-6, n_samples, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < buffer + 8 * propagators
 
 
 def test_rabi_ensemble_memory_stays_streamed(fig3_config, table):
