@@ -93,12 +93,10 @@ def raman_config(
     rabi_down: float,
     delta_one: float,
     delta_two: float = 0.0,
-    phase_up: float = 0.0,
-    phase_down: float = 0.0,
 ) -> RamanConfig:
     """Convenience constructor wiring the fields onto the scheme's Lambda triple."""
-    up = DriveField((scheme.up, scheme.s), rabi_up, delta_one, phase_up)
-    down = DriveField((scheme.down, scheme.s), rabi_down, delta_one - delta_two, phase_down)
+    up = DriveField((scheme.up, scheme.s), rabi_up, delta_one)
+    down = DriveField((scheme.down, scheme.s), rabi_down, delta_one - delta_two)
     return RamanConfig(up=up, down=down)
 
 

@@ -730,47 +730,27 @@ def _sin_time(t, amplitude, frequency, phase, offset):
     return offset + amplitude * np.cos(2.0 * np.pi * frequency * t + phase)
 
 
-def _sin_phase(x, amplitude, phase, offset):
-    return offset + amplitude * np.cos(x + phase)
-
-
-def fit_sinusoid(x, y, mode: str = "phase") -> FitResult:
-    """Sinusoid fit for phase scans and free-frequency time scans.
-
-    mode "phase": y = offset + amplitude cos(x + phase) with x in radians.
-    mode "time": y = offset + amplitude cos(2 pi f x + phase) with f free,
-    initialized from the periodogram peak.  meta carries the fringe contrast
-    amplitude/offset and a `frequency_unidentifiable` flag when the
-    amplitude is consistent with zero.
+def fit_sinusoid(x, y) -> FitResult:
+    """Free-frequency sinusoid fit of a time scan, y = offset +
+    amplitude cos(2 pi f x + phase), with f initialized from the periodogram
+    peak.  meta carries the fringe contrast amplitude/offset and a
+    `frequency_unidentifiable` flag when the amplitude is consistent with
+    zero.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if len(x) < 5:
         raise FitError("sinusoid fits need at least 5 points")
     off0 = float(y.mean())
-    if mode == "phase":
-        z = np.sum((y - off0) * np.exp(-1j * x))
-        amp0 = 2.0 * abs(z) / len(x)
-        phase0 = float(np.angle(z))
-        p0 = [max(amp0, 1e-12), phase0, off0]
-        names = ("amplitude", "phase", "offset")
-        model = _sin_phase
-    elif mode == "time":
-        trace = Trace.from_xy(x, y)
-        spec = fft_spectrum(trace)
-        f0 = spec.peak_frequency()
-        if f0 <= 0:
-            f0 = 1.0 / (x[-1] - x[0])
-        z = np.sum((y - off0) * np.exp(-2j * np.pi * f0 * x))
-        amp0 = 2.0 * abs(z) / len(x)
-        phase0 = float(np.angle(z))
-        p0 = [max(amp0, 1e-12), f0, phase0, off0]
-        names = ("amplitude", "frequency", "phase", "offset")
-        model = _sin_time
-    else:
-        raise ValueError(f"unknown sinusoid mode {mode!r}")
+    f0 = fft_spectrum(Trace.from_xy(x, y)).peak_frequency()
+    if f0 <= 0:
+        f0 = 1.0 / (x[-1] - x[0])
+    z = np.sum((y - off0) * np.exp(-2j * np.pi * f0 * x))
+    amp0 = 2.0 * abs(z) / len(x)
+    p0 = [max(amp0, 1e-12), f0, float(np.angle(z)), off0]
+    names = ("amplitude", "frequency", "phase", "offset")
     try:
-        fit = nlls(model, (x, y), p0, names=names)
+        fit = nlls(_sin_time, (x, y), p0, names=names)
     except DegenerateParameterError:
         # vanishing amplitude leaves phase (and frequency) unconstrained
         params = np.array(p0)

@@ -153,7 +153,7 @@ def _cmd_analyze(args) -> int:
                       for k, v in res.flags.items()},
         }
     elif args.what == "ramsey":
-        fit = dsp.fit_sinusoid(trace.times, trace.samples, mode="time")
+        fit = dsp.fit_sinusoid(trace.times, trace.samples)
         out = {
             "f_ramsey_hz": abs(fit.value("frequency")),
             "f_sigma_hz": fit.sigma("frequency"),

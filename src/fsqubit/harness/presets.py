@@ -314,7 +314,7 @@ def run_lightshift(sc: Scenario, w: RunWriter) -> None:
         cfg = _drive_config(sc, scheme, delta_total)
         pops = sequences.ramsey_time_scan(dark, cfg, table)
         fringe_cols[f"p_up_{depth:.3g}uK"] = pops
-        fit = dsp.fit_sinusoid(dark, pops, mode="time")
+        fit = dsp.fit_sinusoid(dark, pops)
         f_meas = abs(fit.value("frequency")) + noise * rng.standard_normal()
         freqs.append(f_meas)
         sigmas.append(max(noise, fit.sigma("frequency")))

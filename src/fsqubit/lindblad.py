@@ -1,15 +1,15 @@
 """Master-equation evolution and steady states.
 
 The master equation is integrated on the vectorized density matrix.  A
-constant generator is stepped by `steps` (collected by `propagate`), the one
-place the program steps a state through time with a matrix exponential: the
-propagator over one grid step is computed once and applied repeatedly, which
-is exact up to roundoff and untroubled by GHz-scale rotating-frame
-diagonals.  A stack of generators steps every ensemble member at once.
-A stack of models is one RotatingFrameModel with a leading member axis
-(see `driven`); a jump amplitude of 0 means that member has no such jump.
-Every function here that takes a model takes a stack too, and treats it in
-one broadcast pass, each member bit-equal to its own model.
+constant generator is stepped by `steps`, the one place the program steps
+a state through time with a matrix exponential: the propagator over one
+grid step is computed once and applied repeatedly, which is exact up to
+roundoff and untroubled by GHz-scale rotating-frame diagonals.  A stack of
+generators steps every ensemble member at once.  A stack of models is one
+RotatingFrameModel with a leading member axis (see `driven`); a jump
+amplitude of 0 means that member has no such jump.  Every function here
+that takes a model takes a stack too, and treats it in one broadcast pass,
+each member bit-equal to its own model.
 
 `expm` is the program's one matrix exponential, bit-equal to
 `scipy.linalg.expm` on every slice.  The GHz-scale one-photon detunings give
@@ -55,7 +55,7 @@ Trace is never renormalized; its drift is a diagnostic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Sequence
 
@@ -113,22 +113,21 @@ class DensityMatrix:
         h = 0.5 * (self.matrix + self.matrix.conj().T)
         return float(np.linalg.eigvalsh(h)[0])
 
-    def validate(self, tol: float = 1e-9) -> None:
-        if self.hermiticity_defect() > tol:
+    def validate(self) -> None:
+        if self.hermiticity_defect() > 1e-9:
             raise StateError("density matrix is not Hermitian within tolerance")
-        if abs(np.trace(self.matrix).real - 1.0) > tol:
+        if abs(np.trace(self.matrix).real - 1.0) > 1e-9:
             raise StateError("density matrix trace differs from 1")
-        if self.min_eigenvalue() < -tol:
+        if self.min_eigenvalue() < -1e-9:
             raise StateError("density matrix has a negative eigenvalue")
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Uniformly sampled populations, optionally with the full states."""
+    """Uniformly sampled populations."""
 
     times: np.ndarray
     populations: dict[str, np.ndarray]
-    states: tuple[DensityMatrix, ...] | None = field(default=None, repr=False)
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -241,49 +240,6 @@ def invariant_block(model: RotatingFrameModel, rho0) -> np.ndarray:
     for _ in range(max(d - 2, 0).bit_length()):
         linked = linked @ linked
     return linked.ravel().nonzero()[0]
-
-
-def evolve(
-    model: RotatingFrameModel,
-    rho0: DensityMatrix,
-    duration: float,
-    n_samples: int = 201,
-    store_states: bool = False,
-) -> Trajectory:
-    """Step the master equation (`model_steps`) and sample populations on a
-    uniform grid of `n_samples` >= 1 times from 0 to `duration`.
-
-    `rho0` must be a valid density matrix of the model's dimension.
-    """
-    if duration <= 0.0:
-        raise ValueError("duration must be positive")
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    rho0.validate()
-    if model.dim != rho0.dim:
-        raise ValueError(f"initial state has dimension {rho0.dim}; the model has {model.dim}")
-    times = np.linspace(0.0, duration, n_samples)
-    vecs = np.array(list(model_steps(model, rho0.matrix, times)))
-    states = vecs.reshape(len(times), model.dim, model.dim)
-    pops = {label: states[:, i, i].real.copy() for i, label in enumerate(model.labels)}
-    stored = tuple(DensityMatrix(st) for st in states) if store_states else None
-    return Trajectory(times=times, populations=pops, states=stored)
-
-
-def propagate(generator: np.ndarray, vec0: np.ndarray, times) -> np.ndarray:
-    """States of dv/dt = generator @ v at every time, shape (len(times), *vec0.shape).
-
-    `vec0` is the state at `times[0]`.  The generator may stack independent
-    members, shape (..., n, n) with `vec0` of shape (..., n).  The states
-    are those `steps` yields, each bit-equal to stepping the grid gap by gap
-    with `scipy.linalg.expm`.  A real generator and a real state (a rate
-    matrix and populations) give real states.
-    """
-    vec0 = np.asarray(vec0)
-    out = np.empty((len(times), *vec0.shape), dtype=np.result_type(generator, vec0))
-    for k, vec in enumerate(steps(generator, vec0, times)):
-        out[k] = vec
-    return out
 
 
 # bytes of propagators `steps` builds in one `expm` call

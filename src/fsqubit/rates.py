@@ -18,7 +18,7 @@ import numpy as np
 from . import dsp, formulas
 from .atom import DecayTable, LevelScheme, MagneticEnvironment, decay_rates
 from .driven import DriveField, ModelError, build_single_drive_model
-from .lindblad import propagate
+from .lindblad import steps
 
 
 @dataclass(frozen=True)
@@ -103,8 +103,8 @@ def evolve_rates(model: RateModel, times) -> np.ndarray:
 def _populations(matrix: np.ndarray, p0: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Populations at increasing times >= 0, starting from `p0` at t = 0."""
     if times[0] > 0:
-        return propagate(matrix, p0, np.concatenate(([0.0], times)))[1:]
-    return propagate(matrix, p0, times)
+        return np.array(list(steps(matrix, p0, np.concatenate(([0.0], times)))))[1:]
+    return np.array(list(steps(matrix, p0, times)))
 
 
 def survival(model: RateModel, times) -> np.ndarray:

@@ -55,14 +55,18 @@ from .units import TWO_PI
 
 # ---------------------------------------------------------------- segments
 
+def _check_duration(duration: float) -> None:
+    if not (math.isfinite(duration) and duration >= 0):
+        raise ValueError(f"segment durations must be finite and >= 0, got {duration}")
+
+
 @dataclass(frozen=True)
 class ConstantDrive:
     drive: RamanConfig | DriveField
     duration: float
 
     def __post_init__(self):
-        if self.duration < 0:
-            raise ValueError("segment durations must be >= 0")
+        _check_duration(self.duration)
 
 
 @dataclass(frozen=True)
@@ -70,8 +74,7 @@ class Dark:
     duration: float
 
     def __post_init__(self):
-        if self.duration < 0:
-            raise ValueError("segment durations must be >= 0")
+        _check_duration(self.duration)
 
 
 @dataclass(frozen=True)
@@ -224,7 +227,6 @@ def run(
     table: DecayTable,
     env: MagneticEnvironment | None = None,
     n_samples: int = 201,
-    rho0: DensityMatrix | None = None,
 ) -> RunResult:
     """Run a pulse sequence, recording populations on a uniform global grid
     of `n_samples` >= 1 times.
@@ -235,13 +237,10 @@ def run(
     otherwise the Lambda basis with an explicit loss state.  Each segment's
     model is constant and stepped by `lindblad.model_steps`.  The state is
     carried across segment boundaries exactly; grid points falling inside a
-    segment are reached with exact partial-step propagators.  A given `rho0`
-    must be a valid density matrix of the working basis's dimension.
+    segment are reached with exact partial-step propagators.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    if rho0 is not None:
-        rho0.validate()
     basis = _choose_basis(seq, table)
 
     def drive_model(segment, phases):
@@ -271,10 +270,7 @@ def run(
             raise ModelError(f"state {name!r} is not in the working basis {labels}")
 
     dim = len(labels)
-    if rho0 is not None and rho0.dim != dim:
-        raise ValueError(f"initial state has dimension {rho0.dim}; the {basis} basis has {dim}")
-    state = rho0.matrix.copy() if rho0 is not None else \
-        DensityMatrix.pure(dim, labels.index(seq.initial_state)).matrix.copy()
+    state = DensityMatrix.pure(dim, labels.index(seq.initial_state)).matrix
 
     total = seq.duration
     if total <= 0:
@@ -578,9 +574,29 @@ def ramsey_time_scan(
 
 
 def ramsey_contrast(populations: np.ndarray, phases) -> float:
-    """Fringe contrast from a phase scan via a fixed-frequency sinusoid fit."""
-    fit = dsp.fit_sinusoid(np.asarray(phases), populations, mode="phase")
-    return float(fit.meta["contrast"])
+    """Fringe contrast amplitude / offset of a phase scan, from the linear
+    least-squares fit of offset + amplitude cos(x + phase).
+
+    The N >= 5 phases must spread evenly over one period: the sums of
+    e^{i x_k} and of e^{2i x_k} vanish, as they do for x_k = x_0 + 2 pi k / N
+    in any order.  Then cos x and sin x are orthogonal to each other and to
+    the constant, so the fit is closed form: the offset is the mean and the
+    amplitude 2|z|/N, with z = sum_k (y_k - offset) e^{-i x_k} the first
+    DFT coefficient."""
+    x = np.asarray(phases, dtype=float)
+    y = np.asarray(populations, dtype=float)
+    n = len(x)
+    if n < 5:
+        raise dsp.FitError(f"a phase scan needs at least 5 phases, got {n}")
+    sums = np.abs([np.exp(1j * x).sum(), np.exp(2j * x).sum()])
+    if not sums.max() <= 1e-9 * n:
+        raise dsp.FitError("the phases must spread evenly over one period: |sum e^(ix)| and "
+                           f"|sum e^(2ix)| must vanish, got {sums[0]:.3g} and {sums[1]:.3g}")
+    if not np.isfinite(y).all():
+        raise dsp.FitError("phase-scan populations must be finite")
+    off = y.mean()
+    z = np.sum((y - off) * np.exp(-1j * x))
+    return float(2.0 * abs(z) / n / off) if off != 0 else math.inf
 
 
 # -------------------------------------------------------- Autler-Townes
@@ -588,8 +604,8 @@ def ramsey_contrast(populations: np.ndarray, phases) -> float:
 @dataclass(frozen=True)
 class ATScanResult:
     powers_mw: np.ndarray            # (n_powers,)
-    detunings: np.ndarray            # (n_powers, n_detunings) rad/s, each spectrum's own axis
-    spectra: np.ndarray              # (n_powers, n_detunings) loss signal
+    detunings: np.ndarray            # (n_powers, 161) rad/s, each spectrum's own axis
+    spectra: np.ndarray              # (n_powers, 161) loss signal
     splittings: tuple[float | None, ...]  # rad/s, None when unresolved
     dressing_rabis: np.ndarray       # rad/s, from the power calibration
 
@@ -601,19 +617,17 @@ def autler_townes_scan(
     table: DecayTable,
     probe_rabi: float = TWO_PI * 1.0e6,
     strong: str = "down",
-    detunings: np.ndarray | None = None,
-    n_detunings: int = 161,
 ) -> ATScanResult:
     """Probe spectra against a strong resonant dressing field.
 
     `calibration` maps laser power to the dressing Rabi frequency,
     rad/s per sqrt(mW).  The probe is weak, and the signal is the
     population that decayed out of the Lambda system (the atoms detected
-    in the ground state).  Each power column spans +-1.6 max(dressing Rabi,
-    linewidth) unless `detunings` is given, and its models are built and
-    stepped as one stack.  Per power column the two dressed resonances are fitted and their
-    separation reported; below the natural linewidth the doublet is
-    unresolved and the splitting is None.
+    in the ground state).  Each power column spans 161 detunings over
+    +-1.6 max(dressing Rabi, linewidth), and its models are built and
+    stepped as one stack.  Per power column the two dressed resonances are
+    fitted and their separation reported; below the natural linewidth the
+    doublet is unresolved and the splitting is None.
     """
     if probe_rabi > table.gamma_s / 10.0:
         warnings.warn("probe exceeds gamma_s/10; extraction accuracy degrades",
@@ -627,8 +641,7 @@ def autler_townes_scan(
     axes, spectra, splittings = [], [], []
     for rabi_s in rabis:
         span = 1.6 * max(rabi_s, table.gamma_s)
-        dets = detunings if detunings is not None else np.linspace(-span, span, n_detunings)
-        dets = np.asarray(dets, dtype=float)
+        dets = np.linspace(-span, span, 161)
         if strong == "down":
             cfg = raman_config(scheme, probe_rabi, rabi_s, dets, dets)
         else:

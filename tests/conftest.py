@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fsqubit import atom, driven
+from fsqubit import atom, driven, lindblad
 from fsqubit.units import TWO_PI
 
 
@@ -62,6 +62,17 @@ def rk45():
         return sol.y.T
 
     return integrate
+
+
+@pytest.fixture(scope="session")
+def model_states():
+    """The density matrices (len(times), d, d) of a model started in the
+    matrix `rho0` at `times[0]`, stepped by `lindblad.model_steps`."""
+    def states(model, rho0, times):
+        vecs = np.array(list(lindblad.model_steps(model, rho0, times)))
+        return vecs.reshape(len(times), model.dim, model.dim)
+
+    return states
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from fsqubit import atom, driven, lindblad
 from fsqubit.units import TWO_PI
+
+
+def raman(scheme, rabi_up, rabi_down, delta_one, delta_two=0.0, phase_up=0.0, phase_down=0.0):
+    """`driven.raman_config` with the up and down fields' phases set."""
+    config = driven.raman_config(scheme, rabi_up, rabi_down, delta_one, delta_two)
+    return driven.RamanConfig(replace(config.up, phase=phase_up),
+                              replace(config.down, phase=phase_down))
 
 
 def test_drive_field_validation():
@@ -34,8 +42,7 @@ def test_lambda_hamiltonian_structure(lam, table):
 
 
 def test_hermiticity_exact(lam, table):
-    cfg = driven.raman_config(lam, TWO_PI * 36e6, TWO_PI * 36e6, -TWO_PI * 6e9,
-                              phase_up=0.7, phase_down=-1.2)
+    cfg = raman(lam, TWO_PI * 36e6, TWO_PI * 36e6, -TWO_PI * 6e9, phase_up=0.7, phase_down=-1.2)
     for mode in ("closed", "lossy"):
         m = driven.build_lambda_model(cfg, lam, table, mode=mode)
         assert np.array_equal(m.hamiltonian, m.hamiltonian.conj().T)
@@ -169,8 +176,7 @@ def test_effective_model_parameters(fig3_config, table):
 
 
 def test_phase_enters_off_diagonal(lam, table):
-    cfg = driven.raman_config(lam, TWO_PI * 1e6, TWO_PI * 1e6, -TWO_PI * 1e9,
-                              phase_up=0.9)
+    cfg = raman(lam, TWO_PI * 1e6, TWO_PI * 1e6, -TWO_PI * 1e9, phase_up=0.9)
     m = driven.build_effective_qubit_model(cfg, table)
     coupling = m.hamiltonian[0, 1]
     # red detuning makes the signed coupling negative: phase 0.9 plus pi
@@ -183,8 +189,8 @@ def test_drive_phase_sits_on_lower_upper_entry_in_every_builder(lam, full_scheme
     for scheme, mode, index in ((lam, "lossy", {"up": 0, "s": 1, "down": 2}),
                                 (full_scheme, "full", {"up": full_scheme.up, "s": full_scheme.s,
                                                        "down": full_scheme.down})):
-        cfg = driven.raman_config(scheme, TWO_PI * 1e6, TWO_PI * 2e6, -TWO_PI * 1e9,
-                                  phase_up=phases["up"], phase_down=phases["down"])
+        cfg = raman(scheme, TWO_PI * 1e6, TWO_PI * 2e6, -TWO_PI * 1e9,
+                    phase_up=phases["up"], phase_down=phases["down"])
         h = driven.build_lambda_model(cfg, scheme, table, env, mode=mode).hamiltonian
         for arm in ("up", "down"):
             assert np.angle(h[index[arm], index["s"]]) == pytest.approx(phases[arm], abs=1e-12)
@@ -197,7 +203,7 @@ def test_phase_covariance_conjugates_coupling(phase):
     lam_local = atom.lambda_scheme()
     tab = atom.default_decay_table()
     cfg0 = driven.raman_config(lam_local, TWO_PI * 1e6, TWO_PI * 1e6, 0.0)
-    cfg1 = driven.raman_config(lam_local, TWO_PI * 1e6, TWO_PI * 1e6, 0.0, phase_up=phase)
+    cfg1 = raman(lam_local, TWO_PI * 1e6, TWO_PI * 1e6, 0.0, phase_up=phase)
     m0 = driven.build_lambda_model(cfg0, lam_local, tab, mode="closed")
     m1 = driven.build_lambda_model(cfg1, lam_local, tab, mode="closed")
     assert m1.hamiltonian[0, 1] == pytest.approx(m0.hamiltonian[0, 1] * np.exp(1j * phase))
@@ -331,7 +337,7 @@ def test_lambda_stack_bit_equal_to_member_builds(lam, full_scheme, table, env, m
     scheme = full_scheme if mode in ("full", "single drive") else lam
 
     def build(*arguments):
-        config = driven.raman_config(scheme, *arguments)
+        config = raman(scheme, *arguments)
         if mode == "single drive":
             return driven.build_single_drive_model(config.down, scheme, table, env)
         return driven.build_lambda_model(config, scheme, table, env, mode=mode)
@@ -345,10 +351,9 @@ def test_effective_stack_bit_equal_to_member_builds(lam, table, case):
     """Members with a field of Rabi frequency 0 do not scatter: amplitude 0
     on their jump slots, bit-equal to a build without those jumps."""
     args, members = case
-    stack = driven.build_effective_qubit_model(driven.raman_config(lam, *args), table)
+    stack = driven.build_effective_qubit_model(raman(lam, *args), table)
     assert_stack_bit_equal(stack, [
-        driven.build_effective_qubit_model(driven.raman_config(lam, *member_arguments(args, m)),
-                                           table)
+        driven.build_effective_qubit_model(raman(lam, *member_arguments(args, m)), table)
         for m in range(members)])
 
 
@@ -360,7 +365,7 @@ def test_effective_stack_squares_as_the_scalar_build_does(lam, table):
     # the values where they differ first (4 of these 4001 with glibc's pow)
     odd = ([r for r in rabis if r**2 != r * r] + rabis)[:4]
     args = (np.array(odd), np.array(odd[::-1]), -TWO_PI * 6e9, np.zeros(4))
-    stack = driven.build_effective_qubit_model(driven.raman_config(lam, *args), table)
+    stack = driven.build_effective_qubit_model(raman(lam, *args), table)
     assert_stack_bit_equal(stack, [
         driven.build_effective_qubit_model(driven.raman_config(lam, up, down, -TWO_PI * 6e9), table)
         for up, down in zip(odd, odd[::-1])])

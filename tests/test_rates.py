@@ -67,6 +67,15 @@ def test_evolve_at_zero_returns_initial(model):
     assert np.array_equal(pops[0], model.initial)
 
 
+def test_evolve_from_above_zero_equals_the_grid_from_zero(model):
+    # a grid that starts after t = 0 is stepped from the initial state at 0
+    times = np.concatenate([[1e-5], np.geomspace(2e-5, 3e-2, 12)])
+    late = rates.evolve_rates(model, times)
+    full = rates.evolve_rates(model, np.concatenate([[0.0], times]))
+    assert late.shape == (len(times), len(model.labels))
+    assert np.array_equal(late.view(np.int64), full[1:].view(np.int64))
+
+
 def test_rate_model_agrees_with_master_equation(up_field, full_scheme, table, env):
     times = np.concatenate([[0.0], np.geomspace(1e-5, 5e-3, 12)])
     surv_rate = rates.survival(rates.build_rate_model(up_field, full_scheme, table, env), times)

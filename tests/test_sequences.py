@@ -63,21 +63,23 @@ def test_concatenation_associativity(fig3_config, lam, table):
     r_full = sequences.run(full, lam, table, n_samples=31)
     part1 = sequences.PulseSequence("up", (seg_a, seg_b), ("up",))
     r1 = sequences.run(part1, lam, table, n_samples=31)
-    part2 = sequences.PulseSequence("up", (seg_c,), ("up",))
-    r2 = sequences.run(part2, lam, table, n_samples=31, rho0=r1.final_state)
-    assert np.abs(r2.final_state.matrix - r_full.final_state.matrix).max() < 1e-10
+    # the third segment, stepped on its own from where the first two left off
+    model = driven.build_effective_qubit_model(fig3_config, table)
+    *_, final = lindblad.model_steps(model, r1.final_state.matrix, [0.0, seg_c.duration])
+    assert np.abs(final.reshape(3, 3) - r_full.final_state.matrix).max() < 1e-10
 
 
-def test_readout_invariant_under_global_phase(fig3_config, lam, table):
+def test_readout_invariant_under_global_phase(fig3_config, table, model_states):
     t_half = sequences.pulse_duration(fig3_config, "pi/2")
-    seq = sequences.PulseSequence("up", (sequences.ConstantDrive(fig3_config, t_half),),
-                                  ("up", "down"))
+    model = driven.build_effective_qubit_model(fig3_config, table)
+    times = np.linspace(0.0, t_half, 11)
     base = DensityMatrix.from_state([1.0, 0.0, 0.0])
     phased = DensityMatrix.from_state([np.exp(1j * 0.83), 0.0, 0.0])
-    a = sequences.run(seq, lam, table, n_samples=11, rho0=base)
-    b = sequences.run(seq, lam, table, n_samples=11, rho0=phased)
+    a = model_states(model, base.matrix, times)
+    b = model_states(model, phased.matrix, times)
     for k in ("up", "down"):
-        assert np.abs(a.trajectory.populations[k] - b.trajectory.populations[k]).max() < 1e-12
+        i = model.index(k)
+        assert np.abs(a[:, i, i] - b[:, i, i]).max() < 1e-12
 
 
 def test_phase_covariance_of_populations(fig3_config, lam, table):
@@ -102,41 +104,18 @@ def test_run_rejects_zero_duration_sequence(lam, table):
         sequences.run(seq, lam, table)
 
 
-# one defect each, with the message that names it; the eliminated qubit
-# basis of fig3_config is 3-dimensional
-@pytest.mark.parametrize("matrix, message", [
-    pytest.param([[1.0, 0.1, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]], "not Hermitian",
-                 id="not_hermitian"),
-    pytest.param(np.diag([0.5, 0.6, 0.0]), "trace differs from 1", id="trace_not_one"),
-    pytest.param(np.diag([1.2, -0.2, 0.0]), "negative eigenvalue", id="negative_eigenvalue"),
-])
-def test_run_and_evolve_reject_invalid_initial_state(matrix, message, fig3_config, lam, table):
-    rho0 = DensityMatrix(np.array(matrix))
-    seq = sequences.PulseSequence("up", (sequences.ConstantDrive(fig3_config, 1e-6),), ("up",))
-    with pytest.raises(lindblad.StateError, match=message):
-        sequences.run(seq, lam, table, n_samples=11, rho0=rho0)
-    model = driven.build_effective_qubit_model(fig3_config, table)
-    with pytest.raises(lindblad.StateError, match=message):
-        lindblad.evolve(model, rho0, 1e-6, n_samples=11)
-
-
-def test_run_and_evolve_reject_initial_state_of_wrong_dimension(fig3_config, lam, table):
-    rho0 = DensityMatrix.pure(2, 0)
-    seq = sequences.PulseSequence("up", (sequences.ConstantDrive(fig3_config, 1e-6),), ("up",))
-    with pytest.raises(ValueError, match="dimension 2; the effective basis has 3"):
-        sequences.run(seq, lam, table, n_samples=11, rho0=rho0)
-    model = driven.build_effective_qubit_model(fig3_config, table)
-    with pytest.raises(ValueError, match="dimension 2; the model has 3"):
-        lindblad.evolve(model, rho0, 1e-6, n_samples=11)
-
-
 def test_run_and_evolve_reject_an_empty_grid(fig3_config, lam, table):
     seq = sequences.PulseSequence("up", (sequences.ConstantDrive(fig3_config, 1e-6),), ("up",))
     with pytest.raises(ValueError, match="n_samples must be >= 1, got 0"):
         sequences.run(seq, lam, table, n_samples=0)
-    model = driven.build_effective_qubit_model(fig3_config, table)
-    with pytest.raises(ValueError, match="n_samples must be >= 1, got 0"):
-        lindblad.evolve(model, DensityMatrix.pure(3, 0), 1e-6, n_samples=0)
+
+
+@pytest.mark.parametrize("duration", [math.nan, math.inf, -math.inf, -1e-6])
+def test_segments_reject_non_finite_or_negative_durations(fig3_config, duration):
+    for make in (lambda: sequences.ConstantDrive(fig3_config, duration),
+                 lambda: sequences.Dark(duration)):
+        with pytest.raises(ValueError, match=f"finite and >= 0, got {duration}"):
+            make()
 
 
 def test_rabi_ensemble_rejects_an_empty_grid_and_a_nonpositive_duration(fig3_config, table):
@@ -303,6 +282,44 @@ def test_fig1c_fidelities_pinned(tmp_path):
 
 # ------------------------------------------------------------------ Ramsey
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=5, max_value=64), st.floats(-10.0, 10.0), st.floats(0.1, 1.0),
+       st.floats(0.01, 1.0), st.floats(-math.pi, math.pi), st.integers(0, 2**32 - 1))
+def test_ramsey_contrast_is_the_least_squares_fit(n, start, offset, fraction, phase, seed):
+    # an evenly spread phase grid, in any order, with noise on the fringe
+    rng = np.random.default_rng(seed)
+    x = start + rng.permutation(np.linspace(0.0, 2 * math.pi, n, endpoint=False))
+    y = offset + fraction * offset * np.cos(x + phase) + 0.01 * offset * rng.standard_normal(n)
+    design = np.column_stack([np.ones(n), np.cos(x), np.sin(x)])
+    (c0, c1, c2), *_ = np.linalg.lstsq(design, y, rcond=None)
+    assert sequences.ramsey_contrast(y, x) == pytest.approx(math.hypot(c1, c2) / c0, rel=1e-12)
+
+
+def test_ramsey_contrast_needs_five_phases():
+    phases = np.linspace(0, 2 * math.pi, 4, endpoint=False)
+    with pytest.raises(dsp.FitError, match="at least 5 phases, got 4"):
+        sequences.ramsey_contrast(0.5 + 0.4 * np.cos(phases), phases)
+
+
+@pytest.mark.parametrize("phases", [
+    pytest.param(np.linspace(0, math.pi, 12), id="half_period"),
+    pytest.param(np.linspace(0, 2 * math.pi, 12), id="endpoint_repeated"),
+    pytest.param(np.array([0.0, 1.0, 2.0, 3.0, math.nan]), id="nan"),
+])
+def test_ramsey_contrast_needs_phases_spread_over_one_period(phases):
+    with pytest.raises(dsp.FitError, match="spread evenly over one period"):
+        sequences.ramsey_contrast(0.5 + 0.4 * np.cos(phases), phases)
+
+
+def test_ramsey_contrast_makes_no_nlls_call(monkeypatch, fig3_config, no_decay):
+    calls = []
+    nlls = dsp.nlls
+    monkeypatch.setattr(dsp, "nlls", lambda *args, **kw: calls.append(args) or nlls(*args, **kw))
+    pops = sequences.ramsey_phase_scan(0.5e-3, PHASES, fig3_config, no_decay)
+    assert sequences.ramsey_contrast(pops, PHASES) == pytest.approx(1.0, abs=1e-9)
+    assert calls == []
+
+
 def test_ramsey_zero_dark_full_contrast(fig3_config, no_decay):
     pops = sequences.ramsey_phase_scan(0.0, PHASES, fig3_config, no_decay)
     contrast = sequences.ramsey_contrast(pops, PHASES)
@@ -444,7 +461,7 @@ def test_ramsey_time_scan_frequency(fig3_config, lam, no_decay):
                               fig3_config.delta_one, delta)
     dark = np.linspace(0.0, 0.6e-3, 49)
     pops = sequences.ramsey_time_scan(dark, cfg, no_decay)
-    fit = dsp.fit_sinusoid(dark, pops, mode="time")
+    fit = dsp.fit_sinusoid(dark, pops)
     assert abs(fit.value("frequency")) == pytest.approx(10e3, rel=2e-3)
 
 
@@ -472,8 +489,7 @@ def test_at_paper_calibration_point(lam, table):
 
 
 def test_at_zero_power_single_line(lam, table):
-    scan = sequences.autler_townes_scan([0.0], TWO_PI * 19.3e6, lam, table,
-                                        detunings=np.linspace(-3, 3, 121) * table.gamma_s)
+    scan = sequences.autler_townes_scan([0.0], TWO_PI * 19.3e6, lam, table)
     assert scan.splittings[0] is None
     spectrum = scan.spectra[0]
     fit = dsp.fit_lorentzian((scan.detunings[0], spectrum))
@@ -498,20 +514,20 @@ def test_at_each_power_on_its_own_axis(lam, table):
 @pytest.mark.parametrize("strong", ["down", "up"])
 def test_stacked_at_scan_matches_point_loop(lam, table, strong):
     probe, rabi_s = TWO_PI * 1.0e6, TWO_PI * 19.3e6 * math.sqrt(2.0)
-    scan = sequences.autler_townes_scan([2.0], TWO_PI * 19.3e6, lam, table,
-                                        strong=strong, n_detunings=41)
+    scan = sequences.autler_townes_scan([2.0], TWO_PI * 19.3e6, lam, table, strong=strong)
     t_probe = table.gamma_s / probe**2
     want = []
-    for det in scan.detunings[0]:
+    # every fourth of the 161 points, both ends included
+    for det in scan.detunings[0, ::4]:
         if strong == "down":
             cfg, init = driven.raman_config(lam, probe, rabi_s, det, det), "up"
         else:
             cfg, init = driven.raman_config(lam, rabi_s, probe, 0.0, det), "down"
         model = driven.build_lambda_model(cfg, lam, table, mode="lossy")
-        traj = lindblad.evolve(model, DensityMatrix.pure(4, model.index(init)), t_probe,
-                               n_samples=2)
-        want.append(traj.populations["lost"][-1])
-    assert np.abs(scan.spectra[0] - np.array(want)).max() < 1e-12
+        rho0 = DensityMatrix.pure(4, model.index(init)).matrix
+        *_, final = lindblad.model_steps(model, rho0, [0.0, t_probe])
+        want.append(final[model.index("lost") * 5].real)
+    assert np.abs(scan.spectra[0, ::4] - np.array(want)).max() < 1e-12
 
 
 def test_at_splitting_accuracy_above_five_linewidths(lam, table):
@@ -703,7 +719,8 @@ def reference_rabi_ensemble(config, table, duration, n_samples, spec):
         model = driven.build_effective_qubit_model(scaled_config(config, scale, offset),
                                                    table)
         vec0 = DensityMatrix.pure(3, 0).matrix.reshape(-1)
-        members.append(lindblad.propagate(lindblad.liouvillian(model), vec0, times)[:, ::4].real)
+        vecs = np.array(list(lindblad.steps(lindblad.liouvillian(model), vec0, times)))
+        members.append(vecs[:, ::4].real)
     return np.average(members, axis=0, weights=weights)
 
 
