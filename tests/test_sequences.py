@@ -104,6 +104,28 @@ def test_run_rejects_zero_duration_sequence(lam, table):
         sequences.run(seq, lam, table)
 
 
+# one defect each, with the message that names it; the eliminated qubit
+# basis of fig3_config is 3-dimensional.  `run` hands its final state on as
+# the initial state of further stepping (see test_concatenation_associativity),
+# and `DensityMatrix.validate` is the check such an initial state passes.
+@pytest.mark.parametrize("matrix, message", [
+    pytest.param([[1.0, 0.1, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]], "not Hermitian",
+                 id="not_hermitian"),
+    pytest.param(np.diag([0.5, 0.6, 0.0]), "trace differs from 1", id="trace_not_one"),
+    pytest.param(np.diag([1.2, -0.2, 0.0]), "negative eigenvalue", id="negative_eigenvalue"),
+])
+def test_run_and_evolve_reject_invalid_initial_state(matrix, message, fig3_config, lam, table):
+    seq = sequences.PulseSequence("up", (sequences.ConstantDrive(fig3_config, 1e-6),), ("up",))
+    handed_on = sequences.run(seq, lam, table, n_samples=11).final_state
+    model = driven.build_effective_qubit_model(fig3_config, table)
+    assert handed_on.dim == len(model.labels) == 3
+    handed_on.validate()
+    rho0 = DensityMatrix(np.array(matrix))
+    assert rho0.dim == len(model.labels)
+    with pytest.raises(lindblad.StateError, match=message):
+        rho0.validate()
+
+
 def test_run_and_evolve_reject_an_empty_grid(fig3_config, lam, table):
     seq = sequences.PulseSequence("up", (sequences.ConstantDrive(fig3_config, 1e-6),), ("up",))
     with pytest.raises(ValueError, match="n_samples must be >= 1, got 0"):
