@@ -27,12 +27,15 @@ the bytes match; for a CSV (read through `config.parse_csv`) or a JSON file,
 each moved column or numeric leaf with its largest absolute and relative
 change; "differs" for any other file.  The manifest is compared without
 its timestamp, so its digests show which files moved.  `dry_run` runs the
-same commands with `--dry-run` and records, per scenario, "identical" when
-both sides print the same text (exit code, stdout and stderr, with each
-tree's path replaced by `<tree>`), or else the differing lines.  `golden`
-holds, per preset and check, the value in both sides' last `summary.json`,
-the value in `tests/golden_checks.json` and whether each side is within
-that file's tolerance, |value - golden| <= atol + rtol * |golden|.
+same commands with `--dry-run`, alternated in the same three fresh processes
+per tree, and records, per scenario, "identical" when both sides print the
+same text (exit code, stdout and stderr, with each tree's path replaced by
+`<tree>`), or else the differing lines; `dry_run_s` holds those processes'
+wall times in the layout of `cold_s`, the start-up a user waits for before
+any simulation.  `golden` holds, per preset and check, the value in both
+sides' last `summary.json`, the value in `tests/golden_checks.json` and
+whether each side is within that file's tolerance,
+|value - golden| <= atol + rtol * |golden|.
 """
 
 from __future__ import annotations
@@ -108,22 +111,26 @@ def cold_run(tree: Path, args: tuple[str, ...], out: Path) -> float:
     return took
 
 
-def dry_runs(trees: dict) -> dict:
-    """Per scenario: "identical" when both sides' `--dry-run` text matches, else the
-    differing lines."""
-    out = {}
+def dry_runs(trees: dict) -> tuple[dict, dict]:
+    """Per scenario: each side's `--dry-run` process wall times, run as `cold_s`
+    runs its commands, and "identical" when both sides' dry-run text matches,
+    else the differing lines."""
+    dry_s, out = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         for name, args in SCENARIOS.items():
-            texts = {}
-            for side, tree in trees.items():
-                proc, _ = run_cli(tree, (*args, "--dry-run"), Path(tmp))
-                text = f"exit {proc.returncode}\n{proc.stdout}{proc.stderr}"
-                texts[side] = text.replace(str(tree), "<tree>").splitlines()
+            times, texts = {"parent": [], "change": []}, {}
+            for i in range(COLD_RUNS):
+                for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+                    proc, took = run_cli(trees[side], (*args, "--dry-run"), Path(tmp))
+                    times[side].append(took)
+                    text = f"exit {proc.returncode}\n{proc.stdout}{proc.stderr}"
+                    texts[side] = text.replace(str(trees[side]), "<tree>").splitlines()
+            dry_s[name] = {side: summarize(values) for side, values in times.items()}
             diff = [line for line in difflib.unified_diff(texts["parent"], texts["change"],
                                                           lineterm="", n=0)
                     if line[:1] in "+-" and not line.startswith(("+++", "---"))]
             out[name] = diff or "identical"
-    return out
+    return dry_s, out
 
 
 def moved(old, new) -> dict | None:
@@ -231,7 +238,7 @@ def main(argv=None) -> int:
 
     record = {"workloads": {}}
     record["cold_s"], record["outputs"], record["golden"] = outputs_and_cold(trees)
-    record["dry_run"] = dry_runs(trees)
+    record["dry_run_s"], record["dry_run"] = dry_runs(trees)
     for item in args.pairs:
         workload, n = item.split("=")
         runs = {"parent": [], "change": []}

@@ -157,7 +157,7 @@ def format_csv(columns: dict[str, np.ndarray]) -> str:
     names = list(columns)
     data = np.column_stack([np.asarray(columns[c], dtype=float) for c in names])
     row = ",".join(["%.17g"] * len(names)) + "\n"
-    return ",".join(names) + "\n" + "".join(row % tuple(r) for r in data.tolist())
+    return ",".join(names) + "\n" + row * len(data) % tuple(data.ravel().tolist())
 
 
 def parse_csv(text: str, source: str = "<csv>") -> tuple[list[str], np.ndarray]:

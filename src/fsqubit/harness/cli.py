@@ -21,11 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .. import dsp, trap
+from .. import driven, dsp, lindblad, trap
 from ..config import ConfigError
-from ..driven import ModelError
-from ..dsp import FitError, PipelineError
-from ..lindblad import DegenerateSteadyStateError
 from ..units import SR88_MASS_U, TWO_PI
 from .presets import default_scenario_for_kind, load_preset, run_scenario
 from .scenario import load_scenario
@@ -198,10 +195,12 @@ def main(argv=None) -> int:
                 print(f"[{mark}] {check['name']} = {check['value']:.6g}")
             return 0 if ok else 4
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, ModelError, trap.TableError, FileNotFoundError) as exc:
+    # the lazy modules' exception classes are named through their modules, so
+    # a module is loaded here only while an exception is being matched
+    except (ConfigError, driven.ModelError, trap.TableError, FileNotFoundError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (DegenerateSteadyStateError, FitError, PipelineError, ValueError,
+    except (lindblad.DegenerateSteadyStateError, dsp.FitError, dsp.PipelineError, ValueError,
             ZeroDivisionError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -8,7 +8,6 @@ every output file; its timestamp is the only non-reproducible field.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import time
 from dataclasses import dataclass, field
@@ -83,6 +82,8 @@ class RunWriter:
 
     def finish(self) -> bool:
         """Write summary.json and manifest.json; True when all checks pass."""
+        import hashlib  # here, not at the top: a dry run never needs it
+
         all_pass = all(c.passed for c in self.checks)
         summary = {
             "scenario": self.scenario.name,

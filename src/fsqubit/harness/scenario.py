@@ -23,7 +23,6 @@ completely.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -200,6 +199,8 @@ class Scenario:
         return any(sec == section for sec, _ in self.raw)
 
     def digest(self) -> str:
+        import hashlib  # here, not at the top: a dry run never needs it
+
         return hashlib.sha256(self.text.encode()).hexdigest()
 
     def resolved_lines(self) -> list[str]:

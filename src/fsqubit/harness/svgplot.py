@@ -118,13 +118,13 @@ def emit_plot(
 
     for i, s in enumerate(series):
         color = _COLORS[i % len(_COLORS)]
-        xs, ys = tx(s.x), s.y
+        pixels = tuple(np.column_stack([px(tx(s.x)), py(s.y)]).ravel().tolist())
         if s.style == "line":
-            points = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
+            points = " ".join(["%.2f,%.2f"] * s.x.size) % pixels
             out.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>')
         elif s.style == "markers":
-            for x, y in zip(xs, ys):
-                out.append(f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="3" fill="{color}"/>')
+            marker = f'<circle cx="%.2f" cy="%.2f" r="3" fill="{color}"/>'
+            out.append("\n".join([marker] * s.x.size) % pixels)
         else:
             raise PlotError(f"unknown series style {s.style!r}")
         if s.label:

@@ -370,15 +370,20 @@ def test_cli_lz_sweep_beyond_the_step_limit_fails_fast(tmp_path, capsys):
 LAZY_SCIPY = ("scipy.linalg", "scipy.special", "scipy.signal")
 
 
-def _loaded_after(code):
-    """The LAZY_SCIPY modules (and scipy.integrate) in sys.modules after a fresh
-    process runs `code`, read from the last line it prints."""
-    code += ("\nimport sys; print(*(m for m in (*%r, 'scipy.integrate') if m in sys.modules))"
-             % (LAZY_SCIPY,))
+def _last_words(code):
+    """The words of the last line a fresh process prints when it runs `code`."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           check=True)
     return proc.stdout.splitlines()[-1].split()
+
+
+def _loaded_after(code):
+    """The LAZY_SCIPY modules (and scipy.integrate) in sys.modules after a fresh
+    process runs `code`."""
+    return _last_words(
+        code + "\nimport sys; print(*(m for m in (*%r, 'scipy.integrate') if m in sys.modules))"
+        % (LAZY_SCIPY,))
 
 
 def test_cli_import_skips_signal_and_integrate():
@@ -419,6 +424,40 @@ def test_filtering_commands_do_not_load_scipy_signal(tmp_path):
         assert "scipy.signal" not in loaded[args[1]], args
     # the extraction chain alone needs no scipy module at all
     assert loaded["rabi"] == []
+
+
+LAZY_FSQUBIT = tuple(f"fsqubit.{m}" for m in
+                     ("atom", "driven", "dsp", "lindblad", "rates", "sequences", "trap"))
+
+
+def _run_after(code):
+    """The LAZY_FSQUBIT modules whose code has run after a fresh process runs
+    `code`.  Any attribute access would load a lazy module, so a module counts
+    as run only when its type is plain ModuleType again."""
+    return _last_words(
+        code + "\nimport sys, types\n"
+        "print(*(m for m in %r if type(sys.modules.get(m)) is types.ModuleType))"
+        % (LAZY_FSQUBIT,))
+
+
+def test_set_up_paths_run_no_simulation_module(tmp_path):
+    """Importing the CLI, a dry run and `trap magic` run none of the simulation
+    modules, `trap` apart for its own command; `analyze rabi` runs `dsp` alone."""
+    from fsqubit import formulas
+    from fsqubit.units import TWO_PI
+
+    t = np.arange(4096) * 0.4e-6
+    y = formulas.damped_model(t, TWO_PI * 100.94e3, 0.0, 684e-6, 0.17, 1.15e-3)
+    src = tmp_path / "trace.csv"
+    src.write_text("t_s,value\n" + "".join(f"{ti:.17g},{yi:.17g}\n" for ti, yi in zip(t, y)))
+    assert _run_after("import fsqubit.harness.cli") == []
+    for args, want in ((["reproduce", "fig3d", "--dry-run"], []),
+                       (["trap", "magic", "--wavelength", "914"], ["fsqubit.trap"]),
+                       (["analyze", "rabi", "--input", str(src)], ["fsqubit.dsp"])):
+        code = f"from fsqubit.harness.cli import main\nassert main({args!r}) == 0"
+        assert _run_after(code) == want, args
+    # the first attribute access runs a module and the modules it imports
+    assert "fsqubit.sequences" in _run_after("import fsqubit\nfsqubit.sequences.run")
 
 
 def test_cli_parser_is_built_once_and_keeps_no_state():
