@@ -25,6 +25,7 @@ from .. import driven, dsp, lindblad, trap
 from ..config import ConfigError
 from ..units import SR88_MASS_U, TWO_PI
 from .presets import default_scenario_for_kind, load_preset, run_scenario
+from .runio import json_text
 from .scenario import load_scenario
 
 _SIMULATE_KINDS = {"rabi": "rabi", "lz": "lz", "ramsey": "ramsey",
@@ -33,7 +34,6 @@ _SCAN_KINDS = {"autler-townes": "at", "cpt": "cpt", "detuning": "detuning"}
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--scenario", type=Path, default=None, help="scenario file")
     p.add_argument("--out", type=Path, default=Path("runs"), help="output directory root")
     p.add_argument("--dry-run", action="store_true",
                    help="validate the configuration and print the resolved parameters")
@@ -48,10 +48,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run one protocol from a scenario file")
     p_sim.add_argument("protocol", choices=sorted(_SIMULATE_KINDS))
+    p_sim.add_argument("--scenario", type=Path, default=None, help="scenario file")
     _add_common(p_sim)
 
     p_scan = sub.add_parser("scan", help="run a parameter scan from a scenario file")
     p_scan.add_argument("protocol", choices=sorted(_SCAN_KINDS))
+    p_scan.add_argument("--scenario", type=Path, default=None, help="scenario file")
     _add_common(p_scan)
 
     p_an = sub.add_parser("analyze", help="fit a measured or simulated trace CSV")
@@ -82,6 +84,11 @@ def _scenario_for(args, kind: str):
     return sc, path
 
 
+def _number(value) -> str:
+    """A summary.json number for the terminal; null stands for a non-finite value."""
+    return "null" if value is None else f"{value:.6g}"
+
+
 def _run_kind(args, kind: str) -> int:
     sc, path = _scenario_for(args, kind)
     if args.dry_run:
@@ -95,8 +102,9 @@ def _run_kind(args, kind: str) -> int:
     summary = json.loads((outdir / "summary.json").read_text())
     for check in summary["checks"]:
         mark = "pass" if check["pass"] else "FAIL"
-        print(f"  [{mark}] {check['name']} = {check['value']:.6g} "
-              f"window [{check['window'][0]:.6g}, {check['window'][1]:.6g}]")
+        lo, hi = check["window"]
+        print(f"  [{mark}] {check['name']} = {_number(check['value'])} "
+              f"window [{_number(lo)}, {_number(hi)}]")
     return 0 if ok else 4
 
 
@@ -164,7 +172,7 @@ def _cmd_analyze(args) -> int:
             "tau_sigma_s": fit.sigma("tau"),
             "tau_unbounded": bool(fit.meta["tau_unbounded"]),
         }
-    text_out = json.dumps(out, indent=2, sort_keys=True)
+    text_out = json_text(out)
     print(text_out)
     if args.out is not None:
         args.out.write_text(text_out + "\n")
@@ -192,7 +200,7 @@ def main(argv=None) -> int:
             summary = json.loads((args.out / args.figure / "summary.json").read_text())
             for check in summary["checks"]:
                 mark = "pass" if check["pass"] else "FAIL"
-                print(f"[{mark}] {check['name']} = {check['value']:.6g}")
+                print(f"[{mark}] {check['name']} = {_number(check['value'])}")
             return 0 if ok else 4
         raise ConfigError(f"unknown command {args.command!r}")
     # the lazy modules' exception classes are named through their modules, so

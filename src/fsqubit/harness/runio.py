@@ -9,6 +9,7 @@ every output file; its timestamp is the only non-reproducible field.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -19,6 +20,22 @@ from ..config import format_csv, parse_csv
 from .scenario import Scenario
 
 ARTIFACT_VERSION = "0.1.0"
+
+
+def json_text(obj) -> str:
+    """`obj` as JSON (RFC 8259), indented with sorted keys; JSON has no
+    infinity or NaN, so a non-finite float at any depth is written as null,
+    and the flags beside it (`tau_unbounded`, `non_decaying`) say why."""
+    def finite(value):
+        if isinstance(value, float):
+            return value if math.isfinite(value) else None
+        if isinstance(value, dict):
+            return {k: finite(v) for k, v in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [finite(v) for v in value]
+        return value
+
+    return json.dumps(finite(obj), indent=2, sort_keys=True, allow_nan=False)
 
 
 @dataclass
@@ -93,9 +110,7 @@ class RunWriter:
             "checks": [c.as_dict() for c in self.checks],
             "pass": all_pass,
         }
-        self.path("summary.json").write_text(
-            json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        self.path("summary.json").write_text(json_text(summary) + "\n", encoding="utf-8")
         self.outputs.append("summary.json")
         manifest = {
             "scenario_sha256": self.scenario.digest(),
@@ -106,7 +121,5 @@ class RunWriter:
                 for name in sorted(set(self.outputs))
             },
         }
-        self.path("manifest.json").write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        self.path("manifest.json").write_text(json_text(manifest) + "\n", encoding="utf-8")
         return all_pass

@@ -10,15 +10,19 @@ place that knows a key: its quantity and its default.
   `[noise]` and scatter's `[detuning_scan]` are all-or-nothing this way;
   without them the run has no noise and no detuning scan.
 - A `count` (every `samples`, `points`, `dark_points`, `phases`,
-  `ramp_points` and `depth_points`) is a whole number >= 1, and the
-  `[scenario] seed` (0 when omitted) a whole number in [0, 2**63).
+  `ramp_points` and `depth_points`) is a whole number >= 1, the `rabi`
+  kind's `[simulation] samples` one >= 2 (its analysis reads the sample
+  spacing), and the `[scenario] seed` (0 when omitted) a whole number in
+  [0, 2**63).
+- The `dark_min` and `dark_max` of the ramsey, echo and coherence kinds are
+  both > 0, and dark_min < dark_max.
 - A word-valued key takes one of its listed words: `[scan] strong` of an
   Autler-Townes scan is `down` (the default) or `up`.
 
 Unknown sections or keys, missing units, non-finite numbers, counts and
-seeds that are not whole or out of range, and unlisted words are rejected
-at parse time with line numbers, so `--dry-run` checks a scenario
-completely.
+seeds that are not whole or out of range, unlisted words and dark-time
+ranges outside their rule are rejected at parse time with line numbers, so
+`--dry-run` checks a scenario completely.
 """
 
 from __future__ import annotations
@@ -38,7 +42,8 @@ WITH_SECTION = object()
 
 # whole-number quantity -> (smallest value, bound it stays below, the rule in words);
 # a seed keys a uint64 Philox stream and stays within int64
-_WHOLE = {"count": (1, math.inf, ">= 1"), "seed": (0, 2**63, "in [0, 2**63)")}
+_WHOLE = {"count": (1, math.inf, ">= 1"), "trace_samples": (2, math.inf, ">= 2"),
+          "seed": (0, 2**63, "in [0, 2**63)")}
 
 _RABI_PAIR = {"rabi_up": ("frequency", REQUIRED), "rabi_down": ("frequency", REQUIRED)}
 _RESONANT_DRIVE = {**_RABI_PAIR, "detuning": ("frequency", REQUIRED)}
@@ -60,7 +65,7 @@ SCHEMAS: dict[str, dict[str, dict[str, tuple[str | tuple[str, ...], object]]]] =
     "rabi": {
         "drive": _RAMAN_DRIVE,
         "ensemble": _ENSEMBLE,
-        "simulation": {"duration": ("time", REQUIRED), "samples": ("count", REQUIRED)},
+        "simulation": {"duration": ("time", REQUIRED), "samples": ("trace_samples", REQUIRED)},
     },
     "lz": {
         "sweep": {
@@ -237,7 +242,7 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
 
     schema = SCHEMAS[kind]
     params: dict[tuple[str, str], float | int | str] = {}
-    raw: dict[tuple[str, str], str] = {}
+    given: dict[tuple[str, str], RawValue] = {}
     for sec_name, body in sections.items():
         if sec_name not in schema:
             raise ConfigError(f"{source}: unknown section [{sec_name}] for kind {kind!r}")
@@ -246,7 +251,7 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
             if key not in sec_schema:
                 raise ConfigError(f"{source}:{rv.line}: unknown key {key!r} in [{sec_name}]")
             params[(sec_name, key)] = _value(rv, sec_schema[key][0], f"[{sec_name}] {key}", source)
-            raw[(sec_name, key)] = rv.text
+            given[(sec_name, key)] = rv
     for sec_name, sec_schema in schema.items():
         for key, (_, default) in sec_schema.items():
             if (sec_name, key) in params:
@@ -258,7 +263,22 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
                     raise ConfigError(f"{source}: [{sec_name}] is all-or-nothing and lacks {key}")
                 continue
             params[(sec_name, key)] = default
+        if "dark_min" in sec_schema:
+            _check_dark_range(params, given, sec_name, source)
+    raw = {where: rv.text for where, rv in given.items()}
     return Scenario(name=name, kind=kind, seed=seed, params=params, raw=raw, text=text)
+
+
+def _check_dark_range(params, given, section: str, source: str) -> None:
+    """The dark times of `section`, which the file gives: dark_min and
+    dark_max both > 0, and dark_min < dark_max."""
+    lo, hi = given[(section, "dark_min")], given[(section, "dark_max")]
+    for key, rv in (("dark_min", lo), ("dark_max", hi)):
+        if not params[(section, key)] > 0:
+            raise ConfigError(f"{source}:{rv.line}: [{section}] {key} = {rv.text!r} must be > 0")
+    if not params[(section, "dark_min")] < params[(section, "dark_max")]:
+        raise ConfigError(f"{source}:{hi.line}: [{section}] dark_max = {hi.text!r} must exceed "
+                          f"dark_min = {lo.text!r}")
 
 
 def _value(rv: RawValue, quantity: str | tuple[str, ...], what: str,

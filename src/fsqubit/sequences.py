@@ -1,12 +1,12 @@
-"""Pulse sequences and canonical experiment protocols.
+"""Canonical experiment protocols: Rabi ensembles, Ramsey and echo scans,
+Autler-Townes and CPT spectra, one-photon scattering decay and the
+Landau-Zener sweep.
 
-Declarative segments (constant drive, dark, phase jump) each hold one
-constant model, stepped by `lindblad.model_steps`, with an ensemble layer
-for quasi-static Rabi and detuning inhomogeneity on top, averaged over
-Gauss-Hermite nodes; the coherence scans average slow OU detuning noise in
-closed form.  Far-detuned Raman segments run on the adiabatically
-eliminated qubit model.  A linear detuning sweep is `landau_zener`, a product
-of closed-form SU(2) steps, each kept as its two Cayley-Klein parameters.
+Quasi-static Rabi and detuning inhomogeneity is averaged over Gauss-Hermite
+nodes; the coherence scans average slow OU detuning noise in closed form.
+Far-detuned Raman pulses run on the adiabatically eliminated qubit model.
+A linear detuning sweep is `landau_zener`, a product of closed-form SU(2)
+steps, each kept as its two Cayley-Klein parameters.
 
 Every scan steps its points as one stack: the coherence scans take all dark
 times and ensemble members at once, a Rabi ensemble takes every row of a
@@ -30,7 +30,6 @@ import numpy as np
 from . import dsp, formulas
 from .atom import DecayTable, LevelScheme, MagneticEnvironment
 from .driven import (
-    QUBIT_BASIS,
     DriveField,
     ModelError,
     RamanConfig,
@@ -51,68 +50,6 @@ from .lindblad import (
     steps,
 )
 from .units import TWO_PI
-
-
-# ---------------------------------------------------------------- segments
-
-def _check_duration(duration: float) -> None:
-    if not (math.isfinite(duration) and duration >= 0):
-        raise ValueError(f"segment durations must be finite and >= 0, got {duration}")
-
-
-@dataclass(frozen=True)
-class ConstantDrive:
-    drive: RamanConfig | DriveField
-    duration: float
-
-    def __post_init__(self):
-        _check_duration(self.duration)
-
-
-@dataclass(frozen=True)
-class Dark:
-    duration: float
-
-    def __post_init__(self):
-        _check_duration(self.duration)
-
-
-@dataclass(frozen=True)
-class PhaseJump:
-    field_id: str  # "up" or "down"
-    dphase: float
-
-    def __post_init__(self):
-        if self.field_id not in ("up", "down"):
-            raise ValueError(f"field_id must be 'up' or 'down', got {self.field_id!r}")
-
-    @property
-    def duration(self) -> float:
-        return 0.0
-
-
-Segment = ConstantDrive | Dark | PhaseJump
-
-
-@dataclass(frozen=True)
-class PulseSequence:
-    initial_state: str
-    segments: tuple[Segment, ...]
-    readout: tuple[str, ...]
-
-    def __post_init__(self):
-        if not self.segments:
-            raise ValueError("a pulse sequence needs at least one segment")
-
-    @property
-    def duration(self) -> float:
-        return sum(seg.duration for seg in self.segments)
-
-
-@dataclass(frozen=True)
-class RunResult:
-    trajectory: Trajectory
-    final_state: DensityMatrix
 
 
 # ------------------------------------------------------------- ensembles
@@ -138,7 +75,7 @@ class EnsembleSpec:
 
 @dataclass(frozen=True)
 class OUNoise:
-    """Ornstein-Uhlenbeck two-photon detuning noise during dark segments."""
+    """Ornstein-Uhlenbeck two-photon detuning noise during the dark times."""
 
     sigma: float   # rad/s
     tau_c: float   # s
@@ -182,7 +119,7 @@ def _ou_moments(ou: OUNoise, span) -> tuple[np.ndarray, np.ndarray]:
     return 2.0 * scale * (x + np.expm1(-x)), scale * np.expm1(-x) ** 2
 
 
-# ------------------------------------------------------------ generic run
+# ------------------------------------------------------------------ pulses
 
 def pulse_duration(config: RamanConfig, kind: str = "pi") -> float:
     """Pi or pi/2 pulse duration from the effective Rabi frequency."""
@@ -194,137 +131,6 @@ def pulse_duration(config: RamanConfig, kind: str = "pi") -> float:
     if kind == "pi/2":
         return math.pi / (2.0 * rabi)
     raise ValueError(f"unknown pulse kind {kind!r}")
-
-
-def _frame_delta(seq: PulseSequence) -> float:
-    for seg in seq.segments:
-        if isinstance(seg, ConstantDrive) and isinstance(seg.drive, RamanConfig):
-            return seg.drive.delta_two
-    return 0.0
-
-
-def _with_phase_offsets(config: RamanConfig, phases: dict[str, float]) -> RamanConfig:
-    up = DriveField(config.up.transition, config.up.rabi, config.up.detuning,
-                    config.up.phase + phases["up"])
-    down = DriveField(config.down.transition, config.down.rabi, config.down.detuning,
-                      config.down.phase + phases["down"])
-    return RamanConfig(up=up, down=down)
-
-
-def _choose_basis(seq: PulseSequence, table: DecayTable) -> str:
-    drives = [s.drive for s in seq.segments if isinstance(s, ConstantDrive)]
-    if any(isinstance(d, DriveField) for d in drives):
-        return "single"
-    raman = [d for d in drives if isinstance(d, RamanConfig)]
-    if raman and all(elimination_applies(c, table) for c in raman):
-        return "effective"
-    return "lossy"
-
-
-def run(
-    seq: PulseSequence,
-    scheme: LevelScheme,
-    table: DecayTable,
-    env: MagneticEnvironment | None = None,
-    n_samples: int = 201,
-) -> RunResult:
-    """Run a pulse sequence, recording populations on a uniform global grid
-    of `n_samples` >= 1 times.
-
-    The working basis is fixed for the whole sequence: the scheme's levels
-    when a segment drives a single transition, the eliminated qubit
-    basis when every Raman segment is deep in the far-detuned regime,
-    otherwise the Lambda basis with an explicit loss state.  Each segment's
-    model is constant and stepped by `lindblad.model_steps`.  The state is
-    carried across segment boundaries exactly; grid points falling inside a
-    segment are reached with exact partial-step propagators.
-    """
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    basis = _choose_basis(seq, table)
-
-    def drive_model(segment, phases):
-        if isinstance(segment.drive, RamanConfig):
-            cfg = _with_phase_offsets(segment.drive, phases)
-            if basis == "effective":
-                return build_effective_qubit_model(cfg, table)
-            return build_lambda_model(cfg, scheme, table, env, mode="lossy")
-        return build_single_drive_model(segment.drive, scheme, table, env)
-
-    def dark_model():
-        frame = _frame_delta(seq)
-        if basis == "effective":
-            h = np.diag([-frame if level == "down" else 0.0 for level in QUBIT_BASIS]).astype(complex)
-            return RotatingFrameModel(h, (), QUBIT_BASIS)
-        if basis == "lossy":
-            cfg = raman_config(scheme, 0.0, 0.0, 0.0, frame)
-            return build_lambda_model(cfg, scheme, table, env, mode="lossy")
-        ref = _first_drive(seq).drive
-        off = DriveField(ref.transition, 0.0, ref.detuning, ref.phase)
-        return build_single_drive_model(off, scheme, table, env)
-
-    first = _first_drive(seq)
-    labels = (drive_model(first, {"up": 0.0, "down": 0.0}) if first is not None else dark_model()).labels
-    for name in (seq.initial_state, *seq.readout):
-        if name not in labels:
-            raise ModelError(f"state {name!r} is not in the working basis {labels}")
-
-    dim = len(labels)
-    state = DensityMatrix.pure(dim, labels.index(seq.initial_state)).matrix
-
-    total = seq.duration
-    if total <= 0:
-        raise ValueError("sequence must have positive total duration")
-    times = np.linspace(0.0, total, n_samples)
-    sampled = np.empty((n_samples, dim))
-    sampled[0] = np.diag(state).real
-
-    phases = {"up": 0.0, "down": 0.0}
-    t_cursor = 0.0
-    next_idx = 1
-    for k, seg in enumerate(seq.segments):
-        if isinstance(seg, PhaseJump):
-            phases[seg.field_id] += seg.dphase
-            continue
-        if seg.duration == 0.0:
-            continue
-        model = drive_model(seg, phases) if isinstance(seg, ConstantDrive) else dark_model()
-        try:
-            state, next_idx = _advance(model, state, t_cursor, seg.duration, times, next_idx, sampled)
-        except Exception as exc:
-            raise type(exc)(f"segment {k} ({type(seg).__name__}): {exc}") from exc
-        t_cursor += seg.duration
-    traj = Trajectory(times=times, populations={lab: sampled[:, i].copy() for i, lab in enumerate(labels)})
-    return RunResult(trajectory=traj, final_state=DensityMatrix(state))
-
-
-def _first_drive(seq: PulseSequence):
-    for seg in seq.segments:
-        if isinstance(seg, ConstantDrive):
-            return seg
-    return None
-
-
-def _advance(model, state, t_start, duration, times, next_idx, sampled):
-    """Propagate one segment, filling grid samples that fall inside it.
-
-    Grid samples up to 1e-9 grid steps past the segment end still belong to
-    it; the segment end itself is stepped to only when it lies more than
-    that beyond the last of them."""
-    dim = state.shape[0]
-    t_end = t_start + duration
-    dt_grid = times[1] - times[0] if len(times) > 1 else duration
-    eps = 1e-9 * dt_grid
-    idx = next_idx
-    while idx < len(times) and times[idx] <= t_end + eps:
-        idx += 1
-    local = times[idx - 1] if idx > next_idx else t_start
-    grid = [t_start, *times[next_idx:idx]]
-    if t_end - local > eps:
-        grid.append(t_end)
-    vecs = np.array(list(model_steps(model, state, grid)))
-    sampled[next_idx:idx] = vecs[1:1 + idx - next_idx, ::dim + 1].real
-    return vecs[-1].reshape(dim, dim), idx
 
 
 # ----------------------------------------------------------- Landau-Zener

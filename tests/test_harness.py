@@ -127,6 +127,8 @@ def test_scenario_unlisted_word_rejected_with_line():
 @pytest.mark.parametrize("name,old,new", [
     ("fig2a", "points = 7", "points = 0"),
     ("fig3d", "samples = 1111", "samples = -5"),
+    # a rabi trace of one sample leaves its analysis no sample spacing
+    ("fig3d", "samples = 1111", "samples = 1"),
     ("fig2a", "points = 7", "points = 2.5"),
     ("fig2a", "points = 7", "points = many"),
 ])
@@ -186,6 +188,46 @@ def test_scenario_partial_section_rejected(name, dropped, missing):
     with pytest.raises(ConfigError, match=rf"is all-or-nothing and lacks {missing}"):
         parse_scenario(text.replace(dropped, ""))
 
+
+
+def _line_of(text: str, old: str) -> int:
+    assert old in text
+    return text[:text.index(old)].count("\n") + 1
+
+
+@pytest.mark.parametrize("name,old,new,key", [
+    ("ramsey_default", "dark_max = 3.2 ms", "dark_max = -3.2 ms", "dark_max"),
+    ("ramsey_default", "dark_min = 0.3 ms", "dark_min = -0.3 ms", "dark_min"),
+    ("echo_default", "dark_min = 5 ms", "dark_min = 0 ms", "dark_min"),
+    ("fig4c", "dark_min = 0.3 ms", "dark_min = 0 ms", "dark_min"),
+    ("fig4c", "dark_max = 75 ms", "dark_max = 0 s", "dark_max"),
+])
+def test_dark_times_must_be_positive(name, old, new, key):
+    text = _packaged_text(name)
+    line = _line_of(text, old)
+    value = new.split("= ")[1]
+    with pytest.raises(ConfigError, match=rf"{name}.scenario:{line}: \[\w+\] {key} = '{value}' "
+                                          r"must be > 0"):
+        parse_scenario(text.replace(old, new, 1), source=f"{name}.scenario")
+
+
+@pytest.mark.parametrize("name,section,old,new", [
+    ("ramsey_default", "scan", "dark_max = 3.2 ms", "dark_max = 0.3 ms"),
+    ("fig4c", "echo", "dark_max = 75 ms", "dark_max = 2 ms"),
+])
+def test_dark_min_must_be_below_dark_max(name, section, old, new):
+    text = _packaged_text(name)
+    line = _line_of(text, old)
+    with pytest.raises(ConfigError, match=rf"{name}.scenario:{line}: \[{section}\] dark_max = "
+                                          rf"'{new.split('= ')[1]}' must exceed dark_min"):
+        parse_scenario(text.replace(old, new), source=f"{name}.scenario")
+
+
+def test_cli_dry_run_rejects_a_negative_dark_time_with_exit_2(tmp_path, capsys):
+    p = tmp_path / "ramsey.scenario"
+    p.write_text(_packaged_text("ramsey_default").replace("dark_max = 3.2 ms", "dark_max = -3.2 ms"))
+    assert cli_main(["simulate", "ramsey", "--scenario", str(p), "--dry-run"]) == 2
+    assert "[scan] dark_max = '-3.2 ms' must be > 0" in capsys.readouterr().err
 
 # ---------------------------------------------------------------- readout
 
@@ -287,6 +329,30 @@ def test_runwriter_summary_and_manifest(tmp_path):
     assert manifest["outputs"]["data.csv"] == digest
 
 
+
+def _strict_json(text: str):
+    """`text` parsed as RFC 8259 JSON, which has no Infinity or NaN."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_unbounded_decay_writes_valid_json(tmp_path):
+    # a decay time 1000 times the record leaves the envelope fit's tau
+    # unbounded, so the number of cycles is infinite
+    text = _packaged_text("figS2").replace("tau = 684 us", "tau = 684 ms")
+    assert not presets.run_scenario(parse_scenario(text), tmp_path / "run")
+    summary = _strict_json((tmp_path / "run" / "summary.json").read_text())
+    assert summary["info"]["cycles"] is None
+    check = next(c for c in summary["checks"] if c["name"] == "cycles")
+    assert check["value"] is None and check["pass"] is False
+    out = tmp_path / "analysis.json"
+    assert cli_main(["analyze", "rabi", "--input", str(tmp_path / "run" / "trace.csv"),
+                     "--out", str(out)]) == 0
+    result = _strict_json(out.read_text())
+    assert result["cycles"] is None and result["flags"]["tau_unbounded"] is True
+
 def test_read_csv_roundtrip(tmp_path):
     sc = parse_scenario(GOOD_SCENARIO)
     w = RunWriter(outdir=tmp_path / "run", scenario=sc)
@@ -334,6 +400,14 @@ def test_cli_unknown_figure_exit_code(capsys):
         assert "unknown figure 'fig99'" in err
         assert "fig3d" in err  # lists the available presets
 
+
+
+def test_cli_reproduce_takes_no_scenario_option(capsys):
+    # a preset runs its packaged scenario; an ignored --scenario would hide that
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["reproduce", "fig2c", "--scenario", "/nonexistent/x.scenario", "--dry-run"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --scenario" in capsys.readouterr().err
 
 def test_cli_missing_scenario_file():
     assert cli_main(["simulate", "rabi", "--scenario", "/nonexistent.scenario"]) == 2
@@ -457,7 +531,7 @@ def test_set_up_paths_run_no_simulation_module(tmp_path):
         code = f"from fsqubit.harness.cli import main\nassert main({args!r}) == 0"
         assert _run_after(code) == want, args
     # the first attribute access runs a module and the modules it imports
-    assert "fsqubit.sequences" in _run_after("import fsqubit\nfsqubit.sequences.run")
+    assert "fsqubit.sequences" in _run_after("import fsqubit\nfsqubit.sequences.pulse_duration")
 
 
 def test_cli_parser_is_built_once_and_keeps_no_state():

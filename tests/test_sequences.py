@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,56 +18,64 @@ from fsqubit.units import TWO_PI
 PHASES = np.linspace(0, 2 * math.pi, 12, endpoint=False)
 
 
-# ----------------------------------------------------------------- run()
+# ------------------------------------------------------------------ pulses
 
-def test_single_drive_damped_cosine_starts_at_one(fig3_config, lam, table):
+def _phased(config, dphase_up):
+    """`config` with the up field's phase advanced by `dphase_up`."""
+    return driven.RamanConfig(replace(config.up, phase=config.up.phase + dphase_up), config.down)
+
+
+def _final_state(pulses, rho0, model_states):
+    """The density matrix after each (model, duration) pulse in turn, every
+    pulse stepped on an 11-point grid from the state the last one left."""
+    for model, duration in pulses:
+        rho0 = model_states(model, rho0, np.linspace(0.0, duration, 11))[-1]
+    return rho0
+
+
+def test_single_drive_damped_cosine_starts_at_one(fig3_config, table, model_states):
     t_pi = sequences.pulse_duration(fig3_config, "pi")
-    seq = sequences.PulseSequence("up", (sequences.ConstantDrive(fig3_config, 40 * t_pi),),
-                                  ("up", "down"))
-    result = sequences.run(seq, lam, table, n_samples=841)
-    up = result.trajectory.populations["up"]
+    model = driven.build_effective_qubit_model(fig3_config, table)
+    times = np.linspace(0.0, 40 * t_pi, 841)
+    i = model.index("up")
+    up = model_states(model, DensityMatrix.pure(model.dim, i).matrix, times)[:, i, i].real
     assert up[0] == pytest.approx(1.0)
     # oscillates with near-full contrast at the effective Rabi frequency
-    fit = dsp.extract_rabi(dsp.Trace(dt=result.trajectory.dt, samples=up))
+    fit = dsp.extract_rabi(dsp.Trace(dt=times[1] - times[0], samples=up))
     assert abs(fit.omega / (TWO_PI * 108e3) - 1.0) < 0.02
     assert up[:30].min() < 0.02
 
 
-def test_dark_only_sequence_preserves_state(lam, table):
-    seq = sequences.PulseSequence("up", (sequences.Dark(1e-3),), ("up",))
-    result = sequences.run(seq, lam, table, n_samples=21)
-    assert np.abs(result.trajectory.populations["up"] - 1.0).max() < 1e-12
+def test_dark_only_sequence_preserves_state(lam, table, model_states):
+    model = driven.build_lambda_model(driven.raman_config(lam, 0.0, 0.0, 0.0, 0.0), lam, table,
+                                      mode="lossy")
+    i = model.index("up")
+    states = model_states(model, DensityMatrix.pure(model.dim, i).matrix, np.linspace(0.0, 1e-3, 21))
+    assert np.abs(states[:, i, i].real - 1.0).max() < 1e-12
 
 
-def test_rotation_unrotation_composition(fig3_config, lam, no_decay):
-    # pi/2, phase jump by pi, pi/2: the second pulse undoes the first
+def test_rotation_unrotation_composition(fig3_config, no_decay, model_states):
+    # pi/2, then pi/2 with the up phase turned by pi: the second pulse undoes the first
     t_half = sequences.pulse_duration(fig3_config, "pi/2")
-    seq = sequences.PulseSequence(
-        "up",
-        (
-            sequences.ConstantDrive(fig3_config, t_half),
-            sequences.PhaseJump("up", math.pi),
-            sequences.ConstantDrive(fig3_config, t_half),
-        ),
-        ("up",),
-    )
-    result = sequences.run(seq, lam, no_decay, n_samples=41)
-    assert abs(result.final_state.population(0) - 1.0) < 1e-6
+    pulses = [(driven.build_effective_qubit_model(cfg, no_decay), t_half)
+              for cfg in (fig3_config, _phased(fig3_config, math.pi))]
+    final = _final_state(pulses, DensityMatrix.pure(3, 0).matrix, model_states)
+    assert abs(DensityMatrix(final).population(0) - 1.0) < 1e-6
 
 
-def test_concatenation_associativity(fig3_config, lam, table):
+def test_concatenation_associativity(fig3_config, table, model_states):
     t_half = sequences.pulse_duration(fig3_config, "pi/2")
-    seg_a = sequences.ConstantDrive(fig3_config, t_half)
-    seg_b = sequences.Dark(5e-6)
-    seg_c = sequences.ConstantDrive(fig3_config, 2 * t_half)
-    full = sequences.PulseSequence("up", (seg_a, seg_b, seg_c), ("up",))
-    r_full = sequences.run(full, lam, table, n_samples=31)
-    part1 = sequences.PulseSequence("up", (seg_a, seg_b), ("up",))
-    r1 = sequences.run(part1, lam, table, n_samples=31)
+    drive = driven.build_effective_qubit_model(fig3_config, table)
+    dark = driven.build_effective_qubit_model(
+        driven.RamanConfig(replace(fig3_config.up, rabi=0.0), replace(fig3_config.down, rabi=0.0)),
+        table)
+    seg_a, seg_b, seg_c = (drive, t_half), (dark, 5e-6), (drive, 2 * t_half)
+    rho0 = DensityMatrix.pure(3, drive.index("up")).matrix
+    full = _final_state([seg_a, seg_b, seg_c], rho0, model_states)
+    part1 = _final_state([seg_a, seg_b], rho0, model_states)
     # the third segment, stepped on its own from where the first two left off
-    model = driven.build_effective_qubit_model(fig3_config, table)
-    *_, final = lindblad.model_steps(model, r1.final_state.matrix, [0.0, seg_c.duration])
-    assert np.abs(final.reshape(3, 3) - r_full.final_state.matrix).max() < 1e-10
+    *_, final = lindblad.model_steps(drive, part1, [0.0, seg_c[1]])
+    assert np.abs(final.reshape(3, 3) - full).max() < 1e-10
 
 
 def test_readout_invariant_under_global_phase(fig3_config, table, model_states):
@@ -82,31 +91,23 @@ def test_readout_invariant_under_global_phase(fig3_config, table, model_states):
         assert np.abs(a[:, i, i] - b[:, i, i]).max() < 1e-12
 
 
-def test_phase_covariance_of_populations(fig3_config, lam, table):
+def test_phase_covariance_of_populations(fig3_config, table, model_states):
     # a never-interfered drive phase cannot change populations
     t_pi = sequences.pulse_duration(fig3_config, "pi")
-    shifted = sequences.PulseSequence(
-        "up",
-        (sequences.PhaseJump("up", 1.23), sequences.ConstantDrive(fig3_config, t_pi)),
-        ("up", "down"),
-    )
-    plain = sequences.PulseSequence("up", (sequences.ConstantDrive(fig3_config, t_pi),),
-                                    ("up", "down"))
-    a = sequences.run(plain, lam, table, n_samples=21)
-    b = sequences.run(shifted, lam, table, n_samples=21)
+    times = np.linspace(0.0, t_pi, 21)
+    plain, shifted = (driven.build_effective_qubit_model(cfg, table)
+                      for cfg in (fig3_config, _phased(fig3_config, 1.23)))
+    rho0 = DensityMatrix.pure(3, plain.index("up")).matrix
+    a = model_states(plain, rho0, times)
+    b = model_states(shifted, rho0, times)
     for k in ("up", "down"):
-        assert np.abs(a.trajectory.populations[k] - b.trajectory.populations[k]).max() < 1e-10
-
-
-def test_run_rejects_zero_duration_sequence(lam, table):
-    seq = sequences.PulseSequence("up", (sequences.PhaseJump("up", 1.0),), ("up",))
-    with pytest.raises(ValueError):
-        sequences.run(seq, lam, table)
+        i = plain.index(k)
+        assert np.abs(a[:, i, i] - b[:, i, i]).max() < 1e-10
 
 
 # one defect each, with the message that names it; the eliminated qubit
-# basis of fig3_config is 3-dimensional.  `run` hands its final state on as
-# the initial state of further stepping (see test_concatenation_associativity),
+# basis of fig3_config is 3-dimensional.  A pulse's final state is handed on
+# as the initial state of further stepping (see test_concatenation_associativity),
 # and `DensityMatrix.validate` is the check such an initial state passes.
 @pytest.mark.parametrize("matrix, message", [
     pytest.param([[1.0, 0.1, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]], "not Hermitian",
@@ -114,30 +115,17 @@ def test_run_rejects_zero_duration_sequence(lam, table):
     pytest.param(np.diag([0.5, 0.6, 0.0]), "trace differs from 1", id="trace_not_one"),
     pytest.param(np.diag([1.2, -0.2, 0.0]), "negative eigenvalue", id="negative_eigenvalue"),
 ])
-def test_run_and_evolve_reject_invalid_initial_state(matrix, message, fig3_config, lam, table):
-    seq = sequences.PulseSequence("up", (sequences.ConstantDrive(fig3_config, 1e-6),), ("up",))
-    handed_on = sequences.run(seq, lam, table, n_samples=11).final_state
+def test_run_and_evolve_reject_invalid_initial_state(matrix, message, fig3_config, table,
+                                                     model_states):
     model = driven.build_effective_qubit_model(fig3_config, table)
+    rho_up = DensityMatrix.pure(model.dim, model.index("up")).matrix
+    handed_on = DensityMatrix(_final_state([(model, 1e-6)], rho_up, model_states))
     assert handed_on.dim == len(model.labels) == 3
     handed_on.validate()
     rho0 = DensityMatrix(np.array(matrix))
     assert rho0.dim == len(model.labels)
     with pytest.raises(lindblad.StateError, match=message):
         rho0.validate()
-
-
-def test_run_and_evolve_reject_an_empty_grid(fig3_config, lam, table):
-    seq = sequences.PulseSequence("up", (sequences.ConstantDrive(fig3_config, 1e-6),), ("up",))
-    with pytest.raises(ValueError, match="n_samples must be >= 1, got 0"):
-        sequences.run(seq, lam, table, n_samples=0)
-
-
-@pytest.mark.parametrize("duration", [math.nan, math.inf, -math.inf, -1e-6])
-def test_segments_reject_non_finite_or_negative_durations(fig3_config, duration):
-    for make in (lambda: sequences.ConstantDrive(fig3_config, duration),
-                 lambda: sequences.Dark(duration)):
-        with pytest.raises(ValueError, match=f"finite and >= 0, got {duration}"):
-            make()
 
 
 def test_rabi_ensemble_rejects_an_empty_grid_and_a_nonpositive_duration(fig3_config, table):
@@ -147,16 +135,6 @@ def test_rabi_ensemble_rejects_an_empty_grid_and_a_nonpositive_duration(fig3_con
     for duration in (0.0, -1e-4):
         with pytest.raises(ValueError, match="duration must be positive"):
             sequences.run_rabi_ensemble(fig3_config, table, duration, 11, spec)
-
-
-def test_segment_validation():
-    with pytest.raises(ValueError):
-        sequences.Dark(-1.0)
-    with pytest.raises(ValueError):
-        sequences.PulseSequence("up", (), ("up",))
-    assert sequences.PhaseJump("up", 0.3).duration == 0.0
-    with pytest.raises(ValueError, match="field_id must be 'up' or 'down', got 'UP'"):
-        sequences.PhaseJump("UP", 0.3)
 
 
 # ------------------------------------------------------------ Landau-Zener
