@@ -147,11 +147,6 @@ def lambda_scheme() -> LevelScheme:
     return LevelScheme((_sublevel("3P2", 0), _sublevel("3S1", 0), _sublevel("3P0", 0)))
 
 
-def two_level_scheme() -> LevelScheme:
-    """Ground state plus up: the 671-nm state-preparation transition."""
-    return LevelScheme((_sublevel("1S0", 0), _sublevel("3P2", 0)))
-
-
 @dataclass(frozen=True)
 class MagneticEnvironment:
     b_gauss: float = 20.0

@@ -16,13 +16,16 @@ place that knows a key: its quantity and its default.
   [0, 2**63).
 - The `dark_min` and `dark_max` of the ramsey, echo and coherence kinds are
   both > 0, and dark_min < dark_max.
+- The lightshift kind's `depth_min`, `depth_max` and `frequency_noise`, and
+  the pipeline kind's `noise`, are >= 0.
 - A word-valued key takes one of its listed words: `[scan] strong` of an
   Autler-Townes scan is `down` (the default) or `up`.
 
 Unknown sections or keys, missing units, non-finite numbers, counts and
-seeds that are not whole or out of range, unlisted words and dark-time
-ranges outside their rule are rejected at parse time with line numbers, so
-`--dry-run` checks a scenario completely.
+seeds that are not whole or out of range, unlisted words, dark-time
+ranges outside their rule and negative values of a non-negative key are
+rejected at parse time with line numbers, so `--dry-run` checks a scenario
+completely.
 """
 
 from __future__ import annotations
@@ -58,6 +61,14 @@ _DARK_SCAN = {
     "dark_max": ("time", REQUIRED),
     "dark_points": ("count", REQUIRED),
     "phases": ("count", REQUIRED),
+}
+
+# kind -> the (section, key) pairs whose value must be >= 0: a lattice depth,
+# a frequency noise, a noise amplitude
+_NONNEGATIVE = {
+    "lightshift": {("lattice", "depth_min"), ("lattice", "depth_max"),
+                   ("lattice", "frequency_noise")},
+    "pipeline": {("signal", "noise")},
 }
 
 # kind -> section -> key -> (quantity, default)
@@ -250,7 +261,11 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
         for key, rv in body.items():
             if key not in sec_schema:
                 raise ConfigError(f"{source}:{rv.line}: unknown key {key!r} in [{sec_name}]")
-            params[(sec_name, key)] = _value(rv, sec_schema[key][0], f"[{sec_name}] {key}", source)
+            value = _value(rv, sec_schema[key][0], f"[{sec_name}] {key}", source)
+            if (sec_name, key) in _NONNEGATIVE.get(kind, ()) and value < 0:
+                raise ConfigError(f"{source}:{rv.line}: [{sec_name}] {key} = {rv.text!r} "
+                                  "must be >= 0")
+            params[(sec_name, key)] = value
             given[(sec_name, key)] = rv
     for sec_name, sec_schema in schema.items():
         for key, (_, default) in sec_schema.items():

@@ -50,6 +50,17 @@ ensemble and the coherence scans of `sequences`), so every propagator the
 program builds from a model is the exponential of a block generator.  When
 the block is the whole space its positions are all d^2 of them.
 
+`model_block` gives the block in a real basis, the coherence vector of the
+block (Alicki & Lendi, Quantum Dynamical Semigroups and Applications, LNP
+286, 1987): a population keeps its position, and for a pair a < b the
+position of (a, b) holds Re rho_ab and that of (b, a) holds Im rho_ab.  A
+Lindblad generator maps a Hermitian matrix to a Hermitian one, so in this
+basis it is a real matrix, and every propagator the program builds is a
+real matrix exponential, at about half the cost of a complex one of the
+same size.  `complex_entries` maps real states back to the block's complex
+entries, copying the populations, so every state `model_steps` yields is
+exactly Hermitian.
+
 Trace is never renormalized; its drift is a diagnostic.
 """
 
@@ -235,6 +246,7 @@ def invariant_block(model: RotatingFrameModel, rho0) -> np.ndarray:
     """
     d = model.dim
     linked = (rho0 != 0) | (model.hamiltonian != 0).reshape(-1, d, d).any(axis=0)
+    linked |= linked.T
     linked.reshape(-1)[::d + 1] = True
     # k squarings join levels up to 2**k links apart; d - 1 links suffice
     for _ in range(max(d - 2, 0).bit_length()):
@@ -336,17 +348,75 @@ def expm(a) -> np.ndarray:
 
 def model_block(model: RotatingFrameModel, rho0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The block of the model's generator that holds the density matrix
-    `rho0`, ready for `steps`: (index, generator, vec0).
+    `rho0`, ready for `steps`, in the real basis: (index, generator, vec0).
 
-    `index` is the block's vec positions from `invariant_block`, `generator`
-    the model's Liouvillian on them (a stack for a stacked model) and `vec0`
-    the entries of `rho0` there, broadcast over a stack's members.  The pair
-    (a, b) of levels sits at a * dim + b, so a population or a coherence is
-    found in the block by `index.searchsorted`.
+    `index` is the block's vec positions from `invariant_block`; the pair
+    (a, b) of levels sits at a * dim + b, so an entry is found in the block
+    by `index.searchsorted`.  In the real basis (see the module docstring)
+    the population of a sits at (a, a), and for a < b Re rho_ab at (a, b)
+    and Im rho_ab at (b, a).  With T the map from these coordinates to the
+    complex entries, `generator` is Re(T^-1 L T) of the model's Liouvillian
+    L on the block (a stack for a stacked model).  T's column is e_q for a
+    population, e_ab + e_ba for Re rho_ab and i (e_ab - e_ba) for Im rho_ab,
+    and L maps (b, a) as it maps (a, b), conjugated, so the row of Re rho_ab
+    is the real part of row (a, b) of L T and the row of Im rho_ab its
+    imaginary part: each entry is read off at most two entries of one row of
+    L, so each member stays bit-equal to its own build.  `vec0` holds
+    `rho0`'s coordinates, broadcast over a stack's members;
+    `complex_entries` maps states back.  `rho0` must be Hermitian within
+    1e-9.
     """
+    rho0 = np.asarray(rho0)
+    if np.abs(rho0 - rho0.conj().T).max() > 1e-9:
+        raise StateError("the initial density matrix is not Hermitian within tolerance")
     index = invariant_block(model, rho0)
     lv = liouvillian(model, index)
-    return index, lv, np.broadcast_to(rho0.reshape(-1), (*lv.shape[:-2], rho0.size))[..., index]
+    upper, lower, side = _real_basis(model.dim, index.tobytes())
+    # the rows and columns of an Im rho_ab
+    flip = side < 0
+    # L at (upper p, upper q) and (upper p, lower q), C-ordered as steps needs
+    rows = lv.take(upper, -2)
+    x, y = rows.take(upper, -1), rows.take(lower, -1)
+    lt = np.where(upper == lower, x, np.where(flip, 1j * (x - y), x + y))
+    entries = rho0.reshape(-1)[index][upper]
+    vec0 = np.where(flip, entries.imag, entries.real)
+    return (index, np.where(flip[:, None], lt.imag, lt.real),
+            np.broadcast_to(vec0, (*lv.shape[:-2], len(index))))
+
+
+@lru_cache(maxsize=16)
+def _real_basis(d: int, index: bytes) -> tuple[np.ndarray, ...]:
+    """The real basis on the vec positions `index` (the bytes of a sorted
+    intp array that holds the swapped pair of each of its pairs, as every
+    block from `invariant_block` does), read-only: (upper, lower, side).
+
+    The complex entry at the block position p of the pair (a, b) is the real
+    coordinate at `upper` plus i `side` times the one at `lower`: `upper` is
+    the position of (a, b) for a <= b and of (b, a) otherwise, `lower` that
+    of (b, a) for a < b and p itself otherwise, and `side` the sign of b - a.
+    """
+    pos = np.frombuffer(index, dtype=np.intp)
+    a, b = np.divmod(pos, d)
+    mirror = pos.searchsorted(b * d + a)
+    own = np.arange(len(pos))
+    parts = np.where(a <= b, own, mirror), np.where(a < b, mirror, own), np.sign(b - a).astype(float)
+    for x in parts:
+        x.setflags(write=False)
+    return parts
+
+
+def complex_entries(real: np.ndarray, index: np.ndarray, dim: int) -> np.ndarray:
+    """The complex vec entries at the block positions `index` of states
+    (..., len(index)) in the real basis of `model_block`: T applied to each.
+
+    A population's real part is copied, and the pair (a, b) gets
+    Re rho_ab + i Im rho_ab and (b, a) its conjugate, so every state is
+    exactly Hermitian.
+    """
+    upper, lower, side = _real_basis(dim, np.asarray(index, dtype=np.intp).tobytes())
+    out = np.empty(real.shape, dtype=complex)
+    out.real, out.imag = real.take(upper, -1), real.take(lower, -1) * side
+    return out
 
 
 def model_steps(model: RotatingFrameModel, rho0, times):
@@ -354,13 +424,14 @@ def model_steps(model: RotatingFrameModel, rho0, times):
 
     Every member of a stacked model starts from the density matrix `rho0`
     and steps at once (see `steps`).  Only the invariant block that holds
-    `rho0` (`model_block`) is stepped, and each state is scattered back into
-    the whole vec, where every entry outside the block is exactly zero.
+    `rho0` (`model_block`) is stepped, in the real basis, and each state is
+    mapped back (`complex_entries`) and scattered into the whole vec, where
+    every entry outside the block is exactly zero.
     """
     index, lv, vec0 = model_block(model, rho0)
     for vec in steps(lv, vec0, times):
-        full = np.zeros((*vec.shape[:-1], rho0.size), dtype=vec.dtype)
-        full[..., index] = vec
+        full = np.zeros((*vec.shape[:-1], np.size(rho0)), dtype=complex)
+        full[..., index] = complex_entries(vec, index, model.dim)
         yield full
 
 

@@ -43,6 +43,7 @@ from .driven import (
 from .lindblad import (
     DensityMatrix,
     Trajectory,
+    complex_entries,
     expm,
     model_block,
     model_steps,
@@ -320,7 +321,8 @@ def _two_pulse_scan(dark_time, phases, config, table, ensemble, ou, echo: bool) 
     `up` state (`lindblad.model_block`): the up/down populations and
     coherences and the `lost` population, 5 of the 9 vec entries.  All
     members' pi/2-pulse propagators come from one `lindblad.expm` call on
-    the stacked (M, 5, 5) block generators.  A dark segment gives the down
+    the stacked (M, 5, 5) real block generators, each taken to the block's
+    complex entries as T expm(G t) T^-1.  A dark segment gives the down
     level a phase, and the final pulse's phase turns the up level before
     and back after it, each a diagonal on the block's entries.
 
@@ -342,11 +344,14 @@ def _two_pulse_scan(dark_time, phases, config, table, ensemble, ou, echo: bool) 
     model, delta = _member_models(config, table, draws)
     up, down = model.index("up"), model.index("down")
     block, lv, vec = model_block(model, DensityMatrix.pure(model.dim, up).matrix)
+    a, b = np.divmod(block, model.dim)
+    # T and T^-1 = T^H / |T's columns|^2 between the real basis and the block's entries
+    t = complex_entries(np.eye(len(block)), block, model.dim).T
+    t_inv = t.conj().T / np.where(a == b, 1.0, 2.0)[:, None]
     # each member's axis broadcasts against the dark-time axes
     grid = (len(draws), *(1,) * dark_time.ndim)
-    u_half = expm(lv * t_half).reshape(*grid, len(block), len(block))
-    vec = _apply(u_half, vec.reshape(*grid, len(block)))
-    a, b = np.divmod(block, model.dim)
+    u_half = (t @ expm(lv * t_half) @ t_inv).reshape(*grid, len(block), len(block))
+    vec = _apply(u_half, complex_entries(vec, block, model.dim).reshape(*grid, len(block)))
     charge = (a == down).astype(int) - (b == down)
     # one dark span: the whole dark time, or each echo half
     span = dark_time / 2 if echo else dark_time
@@ -598,7 +603,7 @@ def run_rabi_ensemble(
     chunk = np.empty((len(lv), _RABI_CHUNK, model.dim))
     for k, vec in enumerate(steps(lv, vec0, np.arange(n_samples, dtype=float))):
         c = k % _RABI_CHUNK
-        chunk[:, c] = vec[:, populations].real
+        chunk[:, c] = vec[:, populations]
         if c == _RABI_CHUNK - 1 or k == n_samples - 1:
             for row, members in enumerate(np.split(chunk, len(times))):
                 mean[row, k - c:k + 1] = member_average(members[:, :c + 1], weights)

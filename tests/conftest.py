@@ -16,6 +16,13 @@ def lam():
 
 
 @pytest.fixture(scope="session")
+def two_level(full_scheme):
+    """Ground state plus up, the 671-nm state-preparation transition: the
+    1S0 and (3P2, 0) sublevels of the full scheme."""
+    return atom.LevelScheme((full_scheme.levels[full_scheme.g], full_scheme.levels[full_scheme.up]))
+
+
+@pytest.fixture(scope="session")
 def table():
     return atom.default_decay_table()
 

@@ -26,11 +26,10 @@ def report(number: int, name: str, ok: bool, detail: str) -> None:
 # ------------------------------------------------------------------------
 
 
-def test_criterion_01_master_equation_correctness(table, trace_distance, model_states):
-    scheme = atom.two_level_scheme()
+def test_criterion_01_master_equation_correctness(table, trace_distance, model_states, two_level):
     rabi = TWO_PI * 1e5
     field = driven.DriveField((0, 1), rabi, 0.0)
-    model = driven.build_single_drive_model(field, scheme, None)
+    model = driven.build_single_drive_model(field, two_level, None)
     times = np.linspace(0.0, 2 * math.pi / rabi, 101)
     up = model_states(model, DensityMatrix.pure(2, 0).matrix, times)[:, 1, 1].real
     worst_rabi = np.abs(up - np.sin(rabi * times / 2) ** 2).max()
@@ -43,7 +42,7 @@ def test_criterion_01_master_equation_correctness(table, trace_distance, model_s
 
     damped = driven.RotatingFrameModel(
         driven.build_single_drive_model(
-            driven.DriveField((0, 1), TWO_PI * 2e6, TWO_PI * 0.5e6), scheme, None
+            driven.DriveField((0, 1), TWO_PI * 2e6, TWO_PI * 0.5e6), two_level, None
         ).hamiltonian,
         ((1, 0, math.sqrt(TWO_PI * 1e6)),), ("g", "up"))
     rho_ss = steady_state(damped)

@@ -125,10 +125,9 @@ def test_forbidden_transition_rejected(full_scheme, table):
         driven.build_single_drive_model(field, full_scheme, table)
 
 
-def test_quadrupole_pair_allowed_for_state_prep(table):
-    two = atom.two_level_scheme()
+def test_quadrupole_pair_allowed_for_state_prep(table, two_level):
     field = driven.DriveField((0, 1), TWO_PI * 173.0, 0.0)
-    m = driven.build_single_drive_model(field, two, None)
+    m = driven.build_single_drive_model(field, two_level, None)
     assert m.dim == 2
     assert m.hamiltonian[0, 1] == pytest.approx(TWO_PI * 173.0 / 2)
 

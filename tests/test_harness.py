@@ -223,6 +223,38 @@ def test_dark_min_must_be_below_dark_max(name, section, old, new):
         parse_scenario(text.replace(old, new), source=f"{name}.scenario")
 
 
+@pytest.mark.parametrize("name,old,new,key", [
+    ("fig4e", "depth_min = 11 uK", "depth_min = -11 uK", "depth_min"),
+    ("fig4e", "depth_max = 52 uK", "depth_max = -52 uK", "depth_max"),
+    ("fig4e", "frequency_noise = 150 Hz", "frequency_noise = -150 Hz", "frequency_noise"),
+    ("figS2", "noise = 0.05", "noise = -0.05", "noise"),
+])
+def test_nonnegative_keys_reject_a_negative_value(name, old, new, key):
+    text = _packaged_text(name)
+    line = _line_of(text, old)
+    value = new.split("= ")[1]
+    with pytest.raises(ConfigError, match=rf"{name}.scenario:{line}: \[\w+\] {key} = '{value}' "
+                                          r"must be >= 0"):
+        parse_scenario(text.replace(old, new, 1), source=f"{name}.scenario")
+
+
+def test_nonnegative_keys_accept_zero():
+    for name, old, new in (("fig4e", "frequency_noise = 150 Hz", "frequency_noise = 0 Hz"),
+                           ("figS2", "noise = 0.05", "noise = 0")):
+        text = _packaged_text(name)
+        assert old in text
+        parse_scenario(text.replace(old, new, 1))
+
+
+def test_cli_dry_run_rejects_a_negative_depth_with_exit_2(tmp_path, capsys, monkeypatch):
+    # the lightshift kind runs only as a preset: edit fig4e's packaged file
+    p = tmp_path / "fig4e.scenario"
+    p.write_text(_packaged_text("fig4e").replace("depth_min = 11 uK", "depth_min = -11 uK"))
+    monkeypatch.setattr(presets, "packaged_scenario_path", lambda figure: p)
+    assert cli_main(["reproduce", "fig4e", "--dry-run"]) == 2
+    assert "[lattice] depth_min = '-11 uK' must be >= 0" in capsys.readouterr().err
+
+
 def test_cli_dry_run_rejects_a_negative_dark_time_with_exit_2(tmp_path, capsys):
     p = tmp_path / "ramsey.scenario"
     p.write_text(_packaged_text("ramsey_default").replace("dark_max = 3.2 ms", "dark_max = -3.2 ms"))

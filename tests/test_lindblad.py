@@ -7,19 +7,23 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 from scipy.linalg._matfuncs_expm import pick_pade_structure
 
-from fsqubit import atom, driven, lindblad
+from fsqubit import driven, lindblad
 from fsqubit.lindblad import DensityMatrix, steady_state
 from fsqubit.units import TWO_PI
 
 
-def two_level_model(rabi, detuning=0.0, gamma=0.0):
-    scheme = atom.two_level_scheme()
-    field = driven.DriveField((0, 1), rabi, detuning)
-    model = driven.build_single_drive_model(field, scheme, None)
-    if gamma > 0:
-        model = driven.RotatingFrameModel(model.hamiltonian, ((1, 0, math.sqrt(gamma)),),
-                                          model.labels)
-    return model
+@pytest.fixture(scope="module")
+def two_level_model(two_level):
+    """The driven two-level model, decaying from up at the rate `gamma`."""
+    def build(rabi, detuning=0.0, gamma=0.0):
+        field = driven.DriveField((0, 1), rabi, detuning)
+        model = driven.build_single_drive_model(field, two_level, None)
+        if gamma > 0:
+            model = driven.RotatingFrameModel(model.hamiltonian, ((1, 0, math.sqrt(gamma)),),
+                                              model.labels)
+        return model
+
+    return build
 
 
 def populations(states: np.ndarray) -> np.ndarray:
@@ -34,7 +38,7 @@ def test_identity_evolution(trace_distance, model_states):
         assert trace_distance(DensityMatrix(st), rho0) < 1e-12
 
 
-def test_resonant_rabi_formula(model_states):
+def test_resonant_rabi_formula(model_states, two_level_model):
     rabi = TWO_PI * 1e5
     model = two_level_model(rabi)
     duration = 2 * math.pi / rabi  # one full cycle; passes through the pi point
@@ -45,7 +49,7 @@ def test_resonant_rabi_formula(model_states):
     assert np.abs(up - expected).max() < 1e-6
 
 
-def test_pure_decay_efold(table, model_states):
+def test_pure_decay_efold(table, model_states, two_level_model):
     gamma = table.gamma_s
     model = two_level_model(0.0, gamma=gamma)
     states = model_states(model, DensityMatrix.pure(2, 1).matrix, np.linspace(0.0, 1.0 / gamma, 5))
@@ -532,7 +536,103 @@ def test_block_propagation_with_self_jumps_and_cross_coherence(lam, table, fig3_
         assert np.abs(got - want).max() < 1e-12
 
 
-def test_steady_state_two_level_formula():
+# ------------------------------------------------------------ real basis
+
+def paper_models(lam, full_scheme, table, env, fig3_config):
+    """fig2a's, fig3d's and figS3's models, each with the times it is
+    stepped over from `up`: five probe detunings of fig2a's 10 mW
+    Autler-Townes column as one stack, fig3d's eliminated qubit and figS3's
+    single drive on the full scheme."""
+    rabi_s, probe = TWO_PI * 19.3e6 * math.sqrt(10.0), TWO_PI * 1e6
+    dets = np.linspace(-1.6 * rabi_s, 1.6 * rabi_s, 5)
+    fig2a = driven.build_lambda_model(driven.raman_config(lam, probe, rabi_s, dets, dets),
+                                      lam, table, mode="lossy")
+    field = driven.DriveField((full_scheme.up, full_scheme.s), TWO_PI * 36e6, -TWO_PI * 6e9)
+    return {
+        "fig2a": (fig2a, np.linspace(0.0, table.gamma_s / probe**2, 5)),
+        "fig3d": (driven.build_effective_qubit_model(fig3_config, table),
+                  np.linspace(0.0, 0.5e-3, 11)),
+        "figS3": (driven.build_single_drive_model(field, full_scheme, table, env),
+                  STEP_GRIDS["figS3"]),
+    }
+
+
+def swapped(dim):
+    """The vec position of (b, a) for each position of (a, b)."""
+    a, b = np.divmod(np.arange(dim * dim), dim)
+    return b * dim + a
+
+
+def test_liouvillian_is_conjugate_symmetric_under_the_pair_swap(lam, full_scheme, table, env,
+                                                                fig3_config):
+    """L maps (b, a) as it maps (a, b), conjugated, value for value (the
+    sign of a zero aside), so the generator in the real basis, read off one
+    pair of each, loses nothing."""
+    for name, (model, _) in paper_models(lam, full_scheme, table, env, fig3_config).items():
+        lv, swap = lindblad.liouvillian(model), swapped(model.dim)
+        assert np.array_equal(lv[..., swap, :][..., swap], lv.conj()), name
+
+
+def test_block_generator_is_the_real_basis_transform(lam, full_scheme, table, env, fig3_config):
+    """The block generator is T^-1 L T, with T's columns the unit vector of a
+    population, e_ab + e_ba for Re rho_ab and i (e_ab - e_ba) for Im rho_ab;
+    the matmuls round, so they agree to a few ulps of L's largest entry."""
+    for name, (model, _) in paper_models(lam, full_scheme, table, env, fig3_config).items():
+        rho0 = DensityMatrix.pure(model.dim, model.index("up")).matrix
+        index, generator, vec0 = lindblad.model_block(model, rho0)
+        assert generator.dtype == vec0.dtype == np.float64, name
+        t = lindblad.complex_entries(np.eye(len(index)), index, model.dim).T
+        a, b = np.divmod(index, model.dim)
+        t_inv = t.conj().T / np.where(a == b, 1.0, 2.0)[:, None]
+        assert np.array_equal(t_inv @ t, np.eye(len(index))), name
+        lv = lindblad.liouvillian(model, index)
+        want = t_inv @ lv @ t
+        scale = np.abs(lv).max()
+        assert np.abs(want.imag).max() <= 4 * np.finfo(float).eps * scale, name
+        assert np.abs(generator - want.real).max() <= 4 * np.finfo(float).eps * scale, name
+        assert np.array_equal(lindblad.complex_entries(vec0, index, model.dim),
+                              np.broadcast_to(rho0.reshape(-1)[index], vec0.shape)), name
+
+
+# rtol against the whole generator's exponential, which at figS3's 10 ms
+# carries about 1.5e-9 of rounding of its own
+ORACLE_RTOL = {"fig2a": 1e-12, "fig3d": 1e-10, "figS3": 1e-8}
+
+
+def test_model_steps_match_expm_of_the_whole_liouvillian(lam, full_scheme, table, env,
+                                                        fig3_config):
+    """Oracle: scipy's expm of the whole d^2 x d^2 complex Liouvillian times
+    each time, applied to `up`, member by member."""
+    for name, (model, times) in paper_models(lam, full_scheme, table, env, fig3_config).items():
+        rho0 = DensityMatrix.pure(model.dim, model.index("up")).matrix
+        got = np.array(list(lindblad.model_steps(model, rho0, times)))
+        lv = lindblad.liouvillian(model)
+        want = np.array([expm(lv * t) @ rho0.reshape(-1) for t in times])
+        assert got.shape == want.shape, name
+        assert np.abs(got - want).max() <= ORACLE_RTOL[name] * np.abs(want).max(), name
+
+
+def test_propagated_states_are_exactly_hermitian(lam, full_scheme, table, env, fig3_config):
+    cases = [(model, DensityMatrix.pure(model.dim, model.index("up")).matrix, times)
+             for model, times in paper_models(lam, full_scheme, table, env, fig3_config).values()]
+    lossy = lossy_lambda(lam, table, 5.0, 7.0, -3.0, 0.4)
+    cases.append((lossy, random_state([0.3, 0.5, 0.1, 0.2, 0.2, -0.1, 0.4, 0.1]).matrix,
+                  GRIDS["uniform"]))
+    for model, rho0, times in cases:
+        for vec in lindblad.model_steps(model, rho0, times):
+            for member in vec.reshape(-1, model.dim, model.dim):
+                assert DensityMatrix(member).hermiticity_defect() == 0.0
+
+
+def test_model_block_rejects_a_non_hermitian_state(fig3_config, table):
+    model = driven.build_effective_qubit_model(fig3_config, table)
+    rho0 = DensityMatrix.pure(3, 0).matrix.copy()
+    rho0[0, 1] = 0.1
+    with pytest.raises(lindblad.StateError, match="not Hermitian"):
+        lindblad.model_block(model, rho0)
+
+
+def test_steady_state_two_level_formula(two_level_model):
     rabi, det, gamma = TWO_PI * 2e6, TWO_PI * 1e6, TWO_PI * 1.5e6
     model = two_level_model(rabi, detuning=det, gamma=gamma)
     rho = steady_state(model)
@@ -541,7 +641,7 @@ def test_steady_state_two_level_formula():
     assert rho.population(1) == pytest.approx(expected, rel=1e-9)
 
 
-def test_steady_state_no_drive_is_ground():
+def test_steady_state_no_drive_is_ground(two_level_model):
     model = two_level_model(0.0, gamma=1e6)
     rho = steady_state(model)
     assert rho.population(0) == pytest.approx(1.0, abs=1e-12)
@@ -575,14 +675,14 @@ def test_stacked_steady_state_bit_equal_to_member_solves(lam, table):
         assert np.array_equal(got.populations()[m], want.populations())
 
 
-def test_stacked_steady_state_names_a_degenerate_member():
+def test_stacked_steady_state_names_a_degenerate_member(two_level_model):
     damped = two_level_model(TWO_PI * 2e6, gamma=TWO_PI * 1e6)
     undriven = driven.RotatingFrameModel(np.zeros((2, 2)), (), damped.labels)
     with pytest.raises(lindblad.DegenerateSteadyStateError, match="^member 1: .*degenerate"):
         steady_state(stack_models([damped, undriven, damped]))
 
 
-def test_steady_state_matches_long_time_evolution(trace_distance, model_states):
+def test_steady_state_matches_long_time_evolution(trace_distance, model_states, two_level_model):
     rabi, gamma = TWO_PI * 2e6, TWO_PI * 1e6
     model = two_level_model(rabi, detuning=TWO_PI * 0.3e6, gamma=gamma)
     rho_ss = steady_state(model)

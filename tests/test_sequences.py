@@ -979,6 +979,24 @@ def test_fig3e_steps_its_scan_in_one_ensemble_call_and_one_expm(tmp_path, monkey
     assert calls == {"run_rabi_ensemble": 1, "expm": 1}
 
 
+def test_presets_exponentiate_only_real_slices(tmp_path, monkeypatch):
+    """Every slice `lindblad.expm` gets in fig2a's, fig3d's, fig4c's and
+    figS3's runs is real: the Lindblad block generators in the real basis
+    and figS3's rate matrices."""
+    dtypes = []
+    expm_of_lindblad = lindblad.expm
+
+    def recording_expm(a):
+        dtypes.append(np.asarray(a).dtype)
+        return expm_of_lindblad(a)
+
+    monkeypatch.setattr(lindblad, "expm", recording_expm)
+    monkeypatch.setattr(sequences, "expm", recording_expm)
+    for fig in ("fig2a", "fig3d", "fig4c", "figS3"):
+        assert presets.reproduce(fig, tmp_path / fig)
+    assert dtypes and set(dtypes) == {np.dtype(np.float64)}
+
+
 def test_stacked_rabi_ensemble_memory_is_its_buffer_and_propagators(lam, table):
     """The bound is counted, not measured: the real population buffer of
     rows x members x `_RABI_CHUNK` x levels doubles, plus eight stacks of
