@@ -11,7 +11,10 @@ odd ones, with seed S = --seed + pair.  The output keeps every run as
 `repeat.py --out` writes it, per side and workload, with a summary of the
 same layout over all of a side's runs and, per end-to-end metric, the
 number of pairs the change won (lower is better; ties count for neither,
-and a pair counts only when both of its runs passed).  A `repeat.py` run that
+and a pair counts only when both of its runs passed): `change_wins` on the
+scaled metrics, `change_wins_unscaled` on the times before `bench/run.py`
+scaled them by its reference kernel, whose own noise can flip a pair
+(`peak_rss_mb` is never scaled, so its two counts agree).  A `repeat.py` run that
 exits non-zero, such as one whose preset check failed, is kept with its exit
 code under `exit`, counted per side in `failed`, and the pairs go on.
 It also records each tree's `src.lines`, the wall time of its Tier-1 suite
@@ -251,14 +254,20 @@ def main(argv=None) -> int:
             results = [r["result"] for r in side_runs if r["result"]]
             summary[side] = {name: summarize([r["metrics"][name]["value"] for r in results])
                              for name in (results[0]["metrics"] if results else ())}
-        passed = [(p["result"], c["result"]) for p, c in zip(runs["parent"], runs["change"])
+        passed = [(p, c) for p, c in zip(runs["parent"], runs["change"])
                   if p["result"] and c["result"]]
-        wins = {name: sum(c["metrics"][name]["value"] < p["metrics"][name]["value"]
-                          for p, c in passed)
-                for name in end_to_end}
+
+        def wins(scaled: bool) -> dict:
+            def value(run, name):
+                metric = run["result"]["metrics"][name]["value"]
+                return metric if scaled else run["unscaled"].get(name, metric)
+            return {name: sum(value(c, name) < value(p, name) for p, c in passed)
+                    for name in end_to_end}
+
         failed = {side: sum(r["exit"] != 0 for r in side_runs) for side, side_runs in runs.items()}
-        record["workloads"][workload] = {"pairs": int(n), "change_wins": wins, "failed": failed,
-                                         "summary": summary, "runs": runs}
+        record["workloads"][workload] = {"pairs": int(n), "change_wins": wins(True),
+                                         "change_wins_unscaled": wins(False),
+                                         "failed": failed, "summary": summary, "runs": runs}
 
     record["tier1"] = {side: tier1(tree) for side, tree in trees.items()}
     machines = {side: json.loads((tree / "bench" / "_work" / workload / "result-trace0.json")

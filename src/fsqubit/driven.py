@@ -349,7 +349,12 @@ def _signed_eff_coupling(config: RamanConfig) -> float:
     return config.up.rabi * config.down.rabi / (2.0 * config.delta_one)
 
 
+def elimination_margin(config: RamanConfig, table: DecayTable) -> float:
+    """|Delta| over the largest of the two Rabi frequencies and the linewidth."""
+    return abs(config.delta_one) / max(config.up.rabi, config.down.rabi, table.gamma_s)
+
+
 def elimination_applies(config: RamanConfig, table: DecayTable) -> bool:
-    """Whether |Delta| is large enough to eliminate the intermediate state."""
-    scales = (config.up.rabi, config.down.rabi, table.gamma_s)
-    return abs(config.delta_one) > ELIMINATION_FACTOR * max(scales)
+    """Whether |Delta| is large enough to eliminate the intermediate state:
+    its margin exceeds `ELIMINATION_FACTOR`."""
+    return elimination_margin(config, table) > ELIMINATION_FACTOR

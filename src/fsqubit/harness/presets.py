@@ -339,15 +339,20 @@ def run_lightshift(sc: Scenario, w: RunWriter) -> None:
 def run_fidelity(sc: Scenario, w: RunWriter) -> None:
     """Two pi times of the `[drive]` pulse from `up`, on the eliminated qubit
     model in the far-detuned regime and on the Lambda model with its loss
-    state otherwise, read out through drifting references."""
+    state otherwise, read out through drifting references.  The summary
+    records the model and its margin against `driven.ELIMINATION_FACTOR`."""
     scheme = atom.lambda_scheme()
     table = atom.default_decay_table()
     cfg = _drive_config(sc, scheme)
     t_pi = sequences.pulse_duration(cfg, "pi")
     if driven.elimination_applies(cfg, table):
         model = driven.build_effective_qubit_model(cfg, table)
+        w.info["model"] = "eliminated"
     else:
         model = driven.build_lambda_model(cfg, scheme, table, mode="lossy")
+        w.info["model"] = "lossy"
+    w.info["elimination_margin"] = driven.elimination_margin(cfg, table)
+    w.info["elimination_factor"] = driven.ELIMINATION_FACTOR
     times = np.linspace(0.0, 2.0 * t_pi, 161)
     rho0 = lindblad.DensityMatrix.pure(model.dim, model.index("up")).matrix
     vecs = np.array(list(lindblad.model_steps(model, rho0, times)))

@@ -103,8 +103,8 @@ def evolve_rates(model: RateModel, times) -> np.ndarray:
 def _populations(matrix: np.ndarray, p0: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Populations at increasing times >= 0, starting from `p0` at t = 0."""
     if times[0] > 0:
-        return np.array(list(steps(matrix, p0, np.concatenate(([0.0], times)))))[1:]
-    return np.array(list(steps(matrix, p0, times)))
+        return np.concatenate(list(steps(matrix, p0, np.concatenate(([0.0], times)))))[1:]
+    return np.concatenate(list(steps(matrix, p0, times)))
 
 
 def survival(model: RateModel, times) -> np.ndarray:

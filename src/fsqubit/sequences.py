@@ -86,11 +86,11 @@ class OUNoise:
             raise ValueError("need sigma >= 0 and tau_c > 0")
 
 
-def member_average(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Weighted mean over the leading (member) axis, as np.average computes it."""
+def member_average(values: np.ndarray, weights: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Weighted mean over the member axis `axis`, as np.average computes it."""
     values = np.asarray(values)
-    w = weights.reshape(-1, *(1,) * (values.ndim - 1))
-    return (values * w).sum(axis=0) / weights.sum()
+    w = weights.reshape(-1, *(1,) * (values.ndim - 1 - axis))
+    return (values * w).sum(axis=axis) / weights.sum()
 
 
 def _draws_and_weights(spec: EnsembleSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -547,12 +547,6 @@ def scattering_decay(
 
 # ------------------------------------------------------- ensemble wrapper
 
-# samples per averaging call of `run_rabi_ensemble`; its buffer holds rows x
-# members x chunk x levels doubles (37 KB for fig3d's 12 nodes of the 3-level
-# qubit, 221 KB for fig3e's 6 detunings of 12 nodes)
-_RABI_CHUNK = 128
-
-
 def run_rabi_ensemble(
     config: RamanConfig,
     table: DecayTable,
@@ -564,9 +558,10 @@ def run_rabi_ensemble(
 
     Every member steps together on the invariant block that holds the `up`
     state (`lindblad.model_block`).  The members' populations are read off
-    the block's states into a buffer of `_RABI_CHUNK` samples, and each full
-    buffer is averaged in one `member_average` call, bit-equal to averaging
-    sample by sample; only the mean populations are kept.
+    each block of consecutive samples that `lindblad.steps` yields, and the
+    block's rows are averaged over their members in one `member_average`
+    call, bit-equal to averaging each row's members sample by sample; only
+    the mean populations are kept.
 
     A scan is one stack: drive parameters (a detuning scan's detunings) with
     a leading (D,) row axis, and `duration` a scalar or (D,), give D rows of
@@ -575,9 +570,8 @@ def run_rabi_ensemble(
     its own duration, so its generator is scaled by its own sample gap and
     the whole stack steps the unit grid 0, 1, ..., n - 1 (x * 1.0 is exact,
     so every propagator is the one the row's own grid gives).  Each row's
-    members are averaged over their own contiguous slice of the buffer, in
-    the member order of the scalar call.  Every duration must be positive
-    and `n_samples` >= 1."""
+    members are averaged in the member order of the scalar call.  Every
+    duration must be positive and `n_samples` >= 1."""
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     rows = _drive_rows(config)
@@ -598,15 +592,15 @@ def run_rabi_ensemble(
     # each population's position among the block's entries
     populations = block.searchsorted(np.arange(model.dim) * (model.dim + 1))
     mean = np.empty((len(times), n_samples, model.dim))
-    # member-major, so each sample's sum over a row's members runs in member
-    # order, as it does for one sample's (members, levels) array
-    chunk = np.empty((len(lv), _RABI_CHUNK, model.dim))
-    for k, vec in enumerate(steps(lv, vec0, np.arange(n_samples, dtype=float))):
-        c = k % _RABI_CHUNK
-        chunk[:, c] = vec[:, populations]
-        if c == _RABI_CHUNK - 1 or k == n_samples - 1:
-            for row, members in enumerate(np.split(chunk, len(times))):
-                mean[row, k - c:k + 1] = member_average(members[:, :c + 1], weights)
+    k = 0
+    for states in steps(lv, vec0, np.arange(n_samples, dtype=float)):
+        # C-ordered (rows, members, samples, levels), so each sample's sum
+        # over a row's members runs in member order, as it does for one
+        # sample's (members, levels) array; `states[..., populations]` is not
+        # C-ordered, and its sums round differently
+        pops = states.take(populations, -1).reshape(len(times), len(draws), -1, model.dim)
+        mean[:, k:k + pops.shape[2]] = member_average(pops, weights, axis=1)
+        k += pops.shape[2]
     trajectories = [Trajectory(times=t, populations=dict(zip(model.labels, m.T)))
                     for t, m in zip(times, mean)]
     return trajectories if rows else trajectories[0]

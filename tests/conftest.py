@@ -72,6 +72,17 @@ def rk45():
 
 
 @pytest.fixture(scope="session")
+def stepped():
+    """Every state `lindblad.steps` yields, (len(times), *vec0.shape): its
+    blocks (..., b, n) joined along their time axis, which then leads."""
+    def states(generator, vec0, times):
+        blocks = list(lindblad.steps(generator, vec0, times))
+        return np.moveaxis(np.concatenate(blocks, axis=-2), -2, 0)
+
+    return states
+
+
+@pytest.fixture(scope="session")
 def model_states():
     """The density matrices (len(times), d, d) of a model started in the
     matrix `rho0` at `times[0]`, stepped by `lindblad.model_steps`."""

@@ -362,6 +362,24 @@ def test_runwriter_summary_and_manifest(tmp_path):
 
 
 
+# the 36 MHz Rabi frequencies are the largest of the margin's three scales
+@pytest.mark.parametrize("detuning, model, margin", [
+    pytest.param("-6 GHz", "eliminated", 6e9 / 36e6, id="eliminated"),
+    pytest.param("-60 MHz", "lossy", 60e6 / 36e6, id="lossy"),
+])
+def test_fidelity_run_records_its_model_and_elimination_margin(tmp_path, detuning, model,
+                                                               margin):
+    """figS1 as packaged, and at a detuning of 60 MHz, where it steps the
+    lossy Lambda model: the summary names the model and its margin
+    |Delta| / max(Omega_up, Omega_down, Gamma) beside the threshold."""
+    text = _packaged_text("figS1").replace("detuning = -6 GHz", f"detuning = {detuning}")
+    presets.run_scenario(parse_scenario(text), tmp_path / "run")
+    info = json.loads((tmp_path / "run" / "summary.json").read_text())["info"]
+    assert info["model"] == model
+    assert info["elimination_margin"] == pytest.approx(margin, rel=1e-12)
+    assert info["elimination_factor"] == 100.0
+
+
 def _strict_json(text: str):
     """`text` parsed as RFC 8259 JSON, which has no Infinity or NaN."""
     def reject(constant):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 from scipy.linalg._matfuncs_expm import pick_pade_structure
 
-from fsqubit import driven, lindblad
+from fsqubit import driven, lindblad, sequences
 from fsqubit.lindblad import DensityMatrix, steady_state
 from fsqubit.units import TWO_PI
 
@@ -88,11 +88,6 @@ def test_expm_matches_rk(fig3_config, table, rk45, model_states):
 
 # ----------------------------------------------------------------- steps
 
-def propagate(generator, vec0, times) -> np.ndarray:
-    """Every state `lindblad.steps` yields, (len(times), *vec0.shape)."""
-    return np.array(list(lindblad.steps(generator, vec0, times)))
-
-
 MHZ = st.floats(min_value=0.5, max_value=20.0)
 
 
@@ -113,18 +108,18 @@ AMPLITUDES = st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8)
 
 @settings(max_examples=10, deadline=None)
 @given(LAMBDA_MODELS, AMPLITUDES)
-def test_propagate_matches_rk_on_lossy_lambda(lam, table, rk45, params, amplitudes):
+def test_propagate_matches_rk_on_lossy_lambda(lam, table, rk45, stepped, params, amplitudes):
     lv = lindblad.liouvillian(lossy_lambda(lam, table, *params))
     vec0 = random_state(amplitudes).matrix.reshape(-1)
     times = np.linspace(0.0, 0.5e-6, 11)
-    got = propagate(lv, vec0, times)
+    got = stepped(lv, vec0, times)
     want = rk45(lv, vec0, times, rtol=1e-10, atol=1e-12)
     assert np.abs(got - want).max() < 1e-9
 
 
 @settings(max_examples=10, deadline=None)
 @given(LAMBDA_MODELS, AMPLITUDES, st.integers(min_value=3, max_value=30))
-def test_propagate_irregular_grid_equals_per_gap_expm(lam, table, params, amplitudes, n):
+def test_propagate_irregular_grid_equals_per_gap_expm(lam, table, stepped, params, amplitudes, n):
     lv = lindblad.liouvillian(lossy_lambda(lam, table, *params))
     times = np.concatenate([[0.0], np.geomspace(1e-9, 2e-6, n)])
     vec = random_state(amplitudes).matrix.reshape(-1)
@@ -132,29 +127,29 @@ def test_propagate_irregular_grid_equals_per_gap_expm(lam, table, params, amplit
     for gap in np.diff(times):
         vec = expm(lv * gap) @ vec
         want.append(vec)
-    got = propagate(lv, want[0], times)
+    got = stepped(lv, want[0], times)
     assert np.abs(got - np.array(want)).max() < 1e-12
 
 
 @settings(max_examples=10, deadline=None)
 @given(LAMBDA_MODELS, AMPLITUDES)
-def test_propagated_states_are_physical(lam, table, params, amplitudes):
+def test_propagated_states_are_physical(lam, table, stepped, params, amplitudes):
     model = lossy_lambda(lam, table, *params)
     rho0 = random_state(amplitudes)
     times = np.linspace(0.0, 2e-6, 41)
-    vecs = propagate(lindblad.liouvillian(model), rho0.matrix.reshape(-1), times)
+    vecs = stepped(lindblad.liouvillian(model), rho0.matrix.reshape(-1), times)
     for vec in vecs:
         DensityMatrix(vec.reshape(4, 4)).validate()
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.lists(st.floats(min_value=0.0, max_value=1e3), min_size=20, max_size=20))
-def test_propagate_rate_matrix_conserves_population(rates):
+def test_propagate_rate_matrix_conserves_population(stepped, rates):
     m = np.zeros((5, 5))
     m[~np.eye(5, dtype=bool)] = rates
     m -= np.diag(m.sum(axis=0))
     p0 = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
-    pops = propagate(m, p0, np.linspace(0.0, 1e-2, 51))
+    pops = stepped(m, p0, np.linspace(0.0, 1e-2, 51))
     assert pops.dtype == np.float64
     assert np.abs(pops.sum(axis=1) - 1.0).max() < 1e-12
     assert pops.min() > -1e-12
@@ -176,20 +171,20 @@ def stacked_members(lam, table, members):
 @pytest.mark.parametrize("grid", sorted(GRIDS))
 @settings(max_examples=10, deadline=None)
 @given(MEMBERS)
-def test_stacked_propagate_equals_per_member(lam, table, grid, members):
+def test_stacked_propagate_equals_per_member(lam, table, stepped, grid, members):
     lv, vec0 = stacked_members(lam, table, members)
-    got = propagate(lv, vec0, GRIDS[grid])
+    got = stepped(lv, vec0, GRIDS[grid])
     assert got.shape == (len(GRIDS[grid]), len(members), 16)
     for m in range(len(members)):
-        want = propagate(lv[m], vec0[m], GRIDS[grid])
+        want = stepped(lv[m], vec0[m], GRIDS[grid])
         assert np.abs(got[:, m] - want).max() < 1e-12
 
 
 @settings(max_examples=10, deadline=None)
 @given(MEMBERS)
-def test_stacked_states_are_physical(lam, table, members):
+def test_stacked_states_are_physical(lam, table, stepped, members):
     lv, vec0 = stacked_members(lam, table, members)
-    for vecs in lindblad.steps(lv, vec0, GRIDS["uniform"]):
+    for vecs in stepped(lv, vec0, GRIDS["uniform"]):
         for vec in vecs:
             DensityMatrix(vec.reshape(4, 4)).validate()
 
@@ -309,21 +304,122 @@ def step_generators(kind, lam, full_scheme, table, env):
     return m, np.broadcast_to(np.eye(5)[0], (2, 5))
 
 
+def steps_in_blocks(generator, vec0, times, block):
+    """Oracle: the per-gap loop's propagators, with each run of r >= 2 gaps
+    that share one stepped in blocks of up to `block` states: the powers P,
+    ..., P^min(r, block) by successive products P^k = P^(k-1) @ P, then one
+    (b n, n) product of the first b powers with the state before the block;
+    a gap whose propagator serves no other gap steps as in the loop."""
+    times = np.asarray(times, dtype=float)
+    vec = np.asarray(vec0)
+    yield vec[..., None, :]
+    runs = []  # [first gap, count]
+    for gap in np.diff(times):
+        if runs and abs(gap - runs[-1][0]) <= 1e-9 * runs[-1][0]:
+            runs[-1][1] += 1
+        else:
+            runs.append([gap, 1])
+    n = vec.shape[-1]
+    for gap, count in runs:
+        step = expm(generator * gap)
+        if count == 1:
+            vec = (step @ vec[..., None])[..., 0]
+            yield vec[..., None, :]
+            continue
+        powers = [step]
+        while len(powers) < min(count, block):
+            powers.append(powers[-1] @ step)
+        powers = np.stack(powers, axis=-3)
+        for at in range(0, count, block):
+            b = min(block, count - at)
+            stack = powers[..., :b, :, :].reshape(*step.shape[:-2], b * n, n)
+            states = (stack @ vec[..., None]).reshape(*vec.shape[:-1], b, n)
+            vec = states[..., -1, :]
+            yield states
+
+
 @pytest.mark.parametrize("step_bytes", [None, 1])
 @pytest.mark.parametrize("kind", ["figS3", "stack", "rates"])
 @pytest.mark.parametrize("grid", sorted(STEP_GRIDS))
-def test_steps_bit_equal_to_per_gap_loop(lam, full_scheme, table, env, monkeypatch,
+def test_steps_bit_equal_to_per_gap_loop(lam, full_scheme, table, env, monkeypatch, stepped,
                                          grid, kind, step_bytes):
     """Every state is bit-equal to the per-gap loop's, with the propagators
-    built in one chunk or one per chunk."""
+    built in one chunk or one per chunk, when every block holds one state:
+    always on "figS3" and "single", which have no run of equal gaps, and on
+    the other grids with `_STEP_BLOCK` at 1."""
+    monkeypatch.setattr(lindblad, "_STEP_BLOCK", 1)
     if step_bytes is not None:
         monkeypatch.setattr(lindblad, "_STEP_BYTES", step_bytes)
     generator, vec0 = step_generators(kind, lam, full_scheme, table, env)
     times = STEP_GRIDS[grid]
-    got = np.array(list(lindblad.steps(generator, vec0, times)))
+    got = stepped(generator, vec0, times)
     want = np.array(list(steps_per_gap(generator, vec0, times)))
     assert got.shape == (len(times), *np.shape(vec0))
     assert_bit_equal(got, want)
+
+
+@pytest.mark.parametrize("step_bytes", [None, 1])
+@pytest.mark.parametrize("kind", ["figS3", "stack", "rates"])
+@pytest.mark.parametrize("grid", ["uniform", "runs", "near_gap"])
+def test_steps_bit_equal_to_block_oracle(lam, full_scheme, table, env, monkeypatch,
+                                         grid, kind, step_bytes):
+    """On grids with runs of equal gaps (one run of 40; runs of 4, 6, 3 and 3;
+    a run of 3 within the 1e-9 match), every block is bit-equal to
+    `steps_in_blocks`' and C-contiguous: of up to 16 states, or of one state
+    when a 1-byte budget leaves room for no more than one power."""
+    if step_bytes is not None:
+        monkeypatch.setattr(lindblad, "_STEP_BYTES", step_bytes)
+    block = lindblad._STEP_BLOCK if step_bytes is None else 1
+    generator, vec0 = step_generators(kind, lam, full_scheme, table, env)
+    times = STEP_GRIDS[grid]
+    got = list(lindblad.steps(generator, vec0, times))
+    want = list(steps_in_blocks(generator, vec0, times, block))
+    assert [g.shape for g in got] == [w.shape for w in want]
+    assert max(g.shape[-2] for g in got) == min(block, {"uniform": 40, "runs": 6, "near_gap": 3}[grid])
+    for g, w in zip(got, want):
+        assert g.flags.c_contiguous
+        assert_bit_equal(g, w)
+
+
+@pytest.mark.parametrize("kind", ["figS3", "stack"])
+def test_steps_do_not_depend_on_memory_order(lam, full_scheme, table, env, stepped, kind):
+    """A Fortran-ordered copy of the generator gives bit-equal states: a
+    matmul rounds by memory layout, so `steps` steps it C-ordered.  Stepped
+    in its own order, the copy of figS3's 19 x 19 block generator gives
+    states up to 7.8e-16 relative apart on the "figS3" grid."""
+    generator, vec0 = step_generators(kind, lam, full_scheme, table, env)
+    for times in STEP_GRIDS.values():
+        want = stepped(generator, vec0, times)
+        got = stepped(np.asfortranarray(generator), np.asfortranarray(vec0), times)
+        assert_bit_equal(got, want)
+
+
+def test_steps_match_a_40_digit_product(fig3_config, table, stepped):
+    """fig3d's stack (12 Gauss-Hermite members, 1111 samples on the unit grid
+    `run_rabi_ensemble` steps) against the exact powers of each member's
+    unit-gap propagator, expm(G) of the float generator G to 40 digits: the
+    blocks of powers and the per-gap loop both stay within 1e-13 of every
+    entry (measured 3.6e-14 and 2.8e-14, each set by the float propagator)."""
+    import mpmath
+
+    spec = sequences.EnsembleSpec(rabi_spread=0.004, samples=12)
+    draws, _ = sequences._draws_and_weights(spec)
+    model, _ = sequences._member_models(fig3_config, table, draws)
+    _, lv, vec0 = lindblad.model_block(model, DensityMatrix.pure(3, 0).matrix)
+    generator = lv * np.linspace(0.0, 0.5e-3, 1111)[1]
+    times = np.arange(1111, dtype=float)
+    blocks = stepped(generator, vec0, times)
+    loop = np.array(list(steps_per_gap(generator, vec0, times)))
+    exact = np.empty_like(blocks)
+    with mpmath.workdps(40):
+        for m in range(len(generator)):
+            step = mpmath.expm(mpmath.matrix(generator[m].tolist()))
+            vec = mpmath.matrix(vec0[m].tolist())
+            for k in range(len(times)):
+                exact[k, m] = [float(x) for x in vec]
+                vec = step * vec
+    assert np.abs(blocks - exact).max() < 1e-13
+    assert np.abs(loop - exact).max() < 1e-13
 
 
 def test_steps_holds_a_bounded_set_of_propagators():
@@ -501,7 +597,7 @@ def test_stacked_liouvillian_bit_equal_to_member_builds(case):
 
 @settings(max_examples=60, deadline=None)
 @given(stacks_and_states(), st.sampled_from(sorted(GRIDS)))
-def test_block_propagation_equals_full_propagation(case, grid):
+def test_block_propagation_equals_full_propagation(stepped, case, grid):
     models, rho0 = case
     times = GRIDS[grid] * 1e6  # the sparse models' rates are of order 1
     stack = stack_models(models)
@@ -509,14 +605,14 @@ def test_block_propagation_equals_full_propagation(case, grid):
     outside = np.setdiff1d(np.arange(rho0.size), index)
     stacked = np.array(list(lindblad.model_steps(stack, rho0, times)))
     for m, model in enumerate(models):
-        want = propagate(lindblad.liouvillian(model), rho0.reshape(-1), times)
+        want = stepped(lindblad.liouvillian(model), rho0.reshape(-1), times)
         alone = np.array(list(lindblad.model_steps(model, rho0, times)))
         assert np.abs(alone - want).max() < 1e-12
         assert np.abs(stacked[:, m] - want).max() < 1e-12
         assert np.count_nonzero(alone[:, outside]) == 0
 
 
-def test_block_propagation_with_self_jumps_and_cross_coherence(lam, table, fig3_config):
+def test_block_propagation_with_self_jumps_and_cross_coherence(lam, table, fig3_config, stepped):
     """The eliminated model scatters each qubit state back into itself; a
     dark segment (no drive: every level its own component) carries an
     up/down coherence across components."""
@@ -531,7 +627,7 @@ def test_block_propagation_with_self_jumps_and_cross_coherence(lam, table, fig3_
         index = lindblad.invariant_block(model, rho0)
         assert len(index) < model.dim ** 2
         times = np.linspace(0.0, 2e-6, 21)
-        want = propagate(lindblad.liouvillian(model), rho0.reshape(-1), times)
+        want = stepped(lindblad.liouvillian(model), rho0.reshape(-1), times)
         got = np.array(list(lindblad.model_steps(model, rho0, times)))
         assert np.abs(got - want).max() < 1e-12
 

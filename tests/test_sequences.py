@@ -710,7 +710,7 @@ def test_member_model_stack_bit_equal_to_scaled_member_builds(fig3_config, table
                 assert np.array_equal(got[m].view(np.int64), want.view(np.int64))
 
 
-def reference_rabi_ensemble(config, table, duration, n_samples, spec):
+def reference_rabi_ensemble(stepped, config, table, duration, n_samples, spec):
     """Mean populations with every member propagated on its own."""
     times = np.linspace(0.0, duration, n_samples)
     draws, weights = sequences._draws_and_weights(spec)
@@ -719,7 +719,7 @@ def reference_rabi_ensemble(config, table, duration, n_samples, spec):
         model = driven.build_effective_qubit_model(scaled_config(config, scale, offset),
                                                    table)
         vec0 = DensityMatrix.pure(3, 0).matrix.reshape(-1)
-        vecs = np.array(list(lindblad.steps(lindblad.liouvillian(model), vec0, times)))
+        vecs = stepped(lindblad.liouvillian(model), vec0, times)
         members.append(vecs[:, ::4].real)
     return np.average(members, axis=0, weights=weights)
 
@@ -782,10 +782,10 @@ def reference_two_pulse(dark_time, phases, config, table, spec, ou, echo):
     pytest.param(0.0, 5, id="0.0-hermite"),
     pytest.param(0.004, 5, id="0.004-hermite"),
 ])
-def test_streamed_rabi_ensemble_matches_member_loop(fig3_config, table, spread, samples):
+def test_streamed_rabi_ensemble_matches_member_loop(fig3_config, table, stepped, spread, samples):
     spec = sequences.EnsembleSpec(rabi_spread=spread, delta_sigma=50.0, samples=samples)
     traj = sequences.run_rabi_ensemble(fig3_config, table, 60e-6, 301, spec)
-    want = reference_rabi_ensemble(fig3_config, table, 60e-6, 301, spec)
+    want = reference_rabi_ensemble(stepped, fig3_config, table, 60e-6, 301, spec)
     for i, label in enumerate(("up", "down", "lost")):
         assert np.abs(traj.populations[label] - want[:, i]).max() < 1e-12
 
@@ -820,15 +820,19 @@ def test_hermite_rabi_ensemble_matches_monte_carlo(fig3_config, lam, table):
     vec0 = np.broadcast_to(DensityMatrix.pure(3, 0).matrix.reshape(-1), (len(root), 9))
     mean = np.empty((3, len(times)))
     sem = np.empty((3, len(times)))
-    for k, vec in enumerate(lindblad.steps(generator, vec0, times)):
-        pops = vec[:, ::4].real
-        mean[:, k] = pops.mean(axis=0)
-        sem[:, k] = pops.std(axis=0, ddof=1) / math.sqrt(len(root))
+    k = 0
+    # each block's (members, samples, levels) populations, reduced over the members
+    for block in lindblad.steps(generator, vec0, times):
+        pops = block[..., ::4].real
+        mean[:, k:k + pops.shape[1]] = pops.mean(axis=0).T
+        sem[:, k:k + pops.shape[1]] = pops.std(axis=0, ddof=1).T / math.sqrt(len(root))
+        k += pops.shape[1]
     want = hermite_rabi_trace(fig3_config, table, 12, 60e-6, 301)
     assert np.all(np.abs(mean - want) <= 5.0 * sem + 1e-12)
 
 
-def test_rabi_ensemble_with_and_without_scattering_matches_member_loop(fig3_config, table):
+def test_rabi_ensemble_with_and_without_scattering_matches_member_loop(fig3_config, table,
+                                                                       stepped):
     """A member whose Rabi scale clips to 0 has amplitude 0 on all 6 jump
     slots of the stack, so a wide spread stacks members without jumps beside
     members with 6: 40 nodes at a spread of 1.5 reach below a scale of 0."""
@@ -839,7 +843,7 @@ def test_rabi_ensemble_with_and_without_scattering_matches_member_loop(fig3_conf
     assert amps.shape == (6, spec.samples)
     assert set(np.count_nonzero(amps, axis=0)) == {0, 6}
     traj = sequences.run_rabi_ensemble(fig3_config, table, 60e-6, 301, spec)
-    want = reference_rabi_ensemble(fig3_config, table, 60e-6, 301, spec)
+    want = reference_rabi_ensemble(stepped, fig3_config, table, 60e-6, 301, spec)
     for i, label in enumerate(("up", "down", "lost")):
         assert np.abs(traj.populations[label] - want[:, i]).max() < 1e-12
 
@@ -998,28 +1002,31 @@ def test_presets_exponentiate_only_real_slices(tmp_path, monkeypatch):
 
 
 def test_stacked_rabi_ensemble_memory_is_its_buffer_and_propagators(lam, table):
-    """The bound is counted, not measured: the real population buffer of
-    rows x members x `_RABI_CHUNK` x levels doubles, plus eight stacks of
-    every member's complex (5, 5) block matrix.  Six of them live at once
-    while the propagators are built: the generator scaled by each row's
-    gap, `steps`' copy scaled by the unit gap, and `expm`'s output, Pade
-    results, their sorted copy and a squaring's product.  Two more cover the
-    model's Hamiltonians and the per-step states.  Holding one chunk of
-    complex block states, (chunk, members, 5), would need 3.3 times the
-    buffer and breaks the bound."""
+    """The bound is counted, not measured, per member of a row: the 16 powers
+    of its real (5, 5) block propagator that `lindblad.steps` holds for a run
+    of equal gaps (3200 bytes), and 3072 bytes for the rest.  The rest
+    counts three more real (5, 5) stacks (the generator scaled by each row's
+    gap, `steps`' copy scaled by the unit gap and `expm`'s output), two
+    blocks of 16 real 5-entry states (the one stepped and the one it starts
+    from), a block's populations and their weighted copy, and the model's
+    complex (3, 3) Hamiltonians: 2792 bytes, with room for the draws,
+    weights and jump amplitudes.  The per-sample buffer that blocks replaced
+    had the same bound: 128 samples of 3 levels (3072 bytes) and eight
+    stacks of complex (5, 5) matrices (3200 bytes).  Holding the (members,
+    samples, 5) block states of the whole trace would need 12 000 bytes and
+    breaks the bound."""
     rows, members, n_samples = len(DETUNING_ROWS), 150, 300
     spec = sequences.EnsembleSpec(rabi_spread=0.004, samples=members)
     rabi = TWO_PI * 36e6
     cfg = driven.raman_config(lam, rabi, rabi, DETUNING_ROWS)
-    buffer = rows * members * sequences._RABI_CHUNK * 3 * 8
-    propagators = rows * members * 5 * 5 * 16
+    powers = 16 * 5 * 5 * 8
     tracemalloc.start()
     try:
         sequences.run_rabi_ensemble(cfg, table, 60e-6, n_samples, spec)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < buffer + 8 * propagators
+    assert peak < rows * members * (powers + 3072)
 
 
 def test_rabi_ensemble_memory_stays_streamed(fig3_config, table):
