@@ -7,9 +7,9 @@ grid step is computed once and applied repeatedly, which is exact up to
 roundoff and untroubled by GHz-scale rotating-frame diagonals.  `steps`
 yields the states in blocks of consecutive times: a run of equal gaps
 applies the powers of its propagator, built once by successive products,
-a block of up to 16 states in one matmul, and any other gap is one matmul
-for one state.  A stack of generators steps every ensemble member at
-once.  A stack of models is one RotatingFrameModel with a leading member
+a block of up to 16 states in one matmul, so a gap whose propagator serves
+no other gap is one matmul for one state.  A stack of generators steps
+every ensemble member at once.  A stack of models is one RotatingFrameModel with a leading member
 axis (see `driven`); a jump amplitude of 0 means that member has no such
 jump.  Every function here that takes a model takes a stack too, and
 treats it in one broadcast pass, each member bit-equal to its own model.
@@ -260,7 +260,9 @@ def invariant_block(model: RotatingFrameModel, rho0) -> np.ndarray:
 # bytes of propagators `steps` builds in one `expm` call, and the most bytes
 # of the powers it holds for one run of equal gaps
 _STEP_BYTES = 4 << 20
-# the most states of one block of a run of equal gaps
+# the most states of one block of a run of equal gaps: past 16 the Rabi
+# presets run no faster, and each further power grows the memory that
+# `run_rabi_ensemble` holds per member
 _STEP_BLOCK = 16
 
 
@@ -276,17 +278,18 @@ def steps(generator: np.ndarray, vec0: np.ndarray, times):
     them, so a long non-uniform grid over a large stack holds a bounded
     amount; each is bit-equal to scipy's expm of its own generator * gap.
 
-    A gap whose propagator serves no other gap is its own block,
-    (P @ v[..., None])[..., 0], so a grid without a run of equal gaps steps
-    one matmul per time.  A run of r >= 2 equal gaps builds the powers P,
-    P^2, ..., P^B once by successive products, P^k = P^(k-1) @ P, with
-    B = min(r, `_STEP_BLOCK`) and fewer if the powers would pass
-    `_STEP_BYTES`; each block of up to B states is then one product of the
-    (b n, n) stack of powers with the state before it, and the block's last
-    state carries into the next.  The powers of one matrix are exact up to
-    rounding (Moler and Van Loan, SIAM Rev. 45, 3 (2003)): on fig3d's stack
-    the blocks and the per-gap loop both stay within 1e-13 of a 40-digit
-    product (`test_steps_match_a_40_digit_product`).
+    A run of r equal gaps builds the powers P, P^2, ..., P^B once by
+    successive products, P^k = P^(k-1) @ P, with B = min(r, `_STEP_BLOCK`)
+    and fewer if the powers would pass `_STEP_BYTES`; each block of up to B
+    states is then one product of the (b n, n) stack of powers with the
+    state before it, and the block's last state carries into the next.  A
+    gap whose propagator serves no other gap is a block of one state, the
+    same matmul P @ v as a per-gap loop, so a grid without a run of equal
+    gaps steps one matmul per time and bit-equal to that loop.  The powers
+    of one matrix are exact up to rounding (Moler and Van Loan, SIAM Rev.
+    45, 3 (2003)): on fig3d's stack the blocks and the per-gap loop both
+    stay within 1e-13 of a 40-digit product
+    (`test_steps_match_a_40_digit_product`).
 
     A stacked generator (..., n, n) steps states (..., n) of every member at
     once, each member bit-equal to stepping it alone.  The generator and the
@@ -307,32 +310,29 @@ def steps(generator: np.ndarray, vec0: np.ndarray, times):
             built_for = gap
     ends = built[1:] + [len(gaps)]
     chunk = max(1, _STEP_BYTES // max(generator.nbytes, 1))
+    most = min(chunk, _STEP_BLOCK)
     n = vec.shape[-1]
     for first in range(0, len(built), chunk):
         starts = built[first:first + chunk]
         scaled = generator * gaps[starts].reshape(-1, *(1,) * generator.ndim)
         for step, start, stop in zip(expm(scaled), starts, ends[first:first + chunk]):
-            if stop - start == 1:
-                vec = (step @ vec[..., None])[..., 0]
-                yield vec[..., None, :]
-                continue
-            powers = _powers(step, min(stop - start, _STEP_BLOCK,
-                                       max(1, _STEP_BYTES // max(step.nbytes, 1))))
-            for at in range(start, stop, powers.shape[-3]):
-                b = min(powers.shape[-3], stop - at)
-                stack = powers[..., :b, :, :].reshape(*step.shape[:-2], b * n, n)
-                block = (stack @ vec[..., None]).reshape(*vec.shape[:-1], b, n)
+            count = min(stop - start, most)
+            powers = _powers(step, count)
+            for at in range(start, stop, count):
+                b = min(count, stop - at)
+                block = (powers[..., :b * n, :] @ vec[..., None]).reshape(*vec.shape[:-1], b, n)
                 vec = block[..., -1, :]
                 yield block
 
 
 def _powers(step: np.ndarray, count: int) -> np.ndarray:
-    """P, P^2, ..., P^count of every (n, n) slice of `step`, (..., count, n, n),
-    by successive products P^k = P^(k-1) @ P."""
-    powers = np.empty((*step.shape[:-2], count, *step.shape[-2:]), dtype=step.dtype)
-    powers[..., 0, :, :] = step
-    for k in range(1, count):
-        powers[..., k, :, :] = powers[..., k - 1, :, :] @ step
+    """P, P^2, ..., P^count of every (n, n) slice of `step`, stacked by rows
+    as (..., count n, n), by successive products P^k = P^(k-1) @ P."""
+    n = step.shape[-1]
+    powers = np.empty((*step.shape[:-2], count * n, n), dtype=step.dtype)
+    powers[..., :n, :] = step
+    for k in range(n, count * n, n):
+        powers[..., k:k + n, :] = powers[..., k - n:k, :] @ step
     return powers
 
 
