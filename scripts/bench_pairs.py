@@ -26,7 +26,7 @@ tree, alternated and on one BLAS thread: the 11 presets as `fsqubit
 reproduce FIG`, `ramsey_default` and `echo_default` as `fsqubit simulate
 ramsey|echo`.  `cold_s` holds each side's process wall times per scenario.
 `outputs` compares the last run directories file by file: "identical" when
-the bytes match; for a CSV (read through `config.parse_csv`) or a JSON file,
+the bytes match; for a CSV (read through `config.read_csv`) or a JSON file,
 each moved column or numeric leaf with its largest absolute and relative
 change; "differs" for any other file.  The manifest is compared without
 its timestamp, so its digests show which files moved.  `dry_run` runs the
@@ -60,7 +60,7 @@ sys.path.insert(0, str(ROOT / "bench"))
 sys.path.insert(0, str(ROOT / "src"))
 from repeat import summarize  # noqa: E402
 
-from fsqubit.config import parse_csv  # noqa: E402
+from fsqubit.config import read_csv  # noqa: E402
 from fsqubit.harness.presets import FIGURE_PRESETS  # noqa: E402
 
 # one BLAS thread, as CI and bench/run.py use, so both sides' times and digits compare
@@ -167,7 +167,7 @@ def compare_file(old: Path, new: Path):
     if old.read_bytes() == new.read_bytes():
         return "identical"
     if old.suffix == ".csv":
-        (h_old, d_old), (h_new, d_new) = (parse_csv(p.read_text(), str(p)) for p in (old, new))
+        (h_old, d_old), (h_new, d_new) = (read_csv(p) for p in (old, new))
         if h_old != h_new:
             return {"header": [h_old, h_new]}
         changes = {name: moved(d_old[:, i], d_new[:, i]) for i, name in enumerate(h_old)}

@@ -5,17 +5,18 @@ token on every numeric value; dimensionless quantities use an empty-unit
 declaration on the consumer side.  Parsing is strict: unknown
 keys, missing units, and malformed lines raise ConfigError with the
 offending line number.  Numeric CSV is written repr-exact by `format_csv`
-and read back bit-exact by `parse_csv`.  Plain numeric text, which is what
-`format_csv` writes, is read by numpy's C tokenizer (`np.loadtxt`); text
-with comments, unusual line ends or any error goes to a line-by-line parser.
-That parser stays: it skips comments anywhere, and it alone names the line
-of an error and the column of a non-finite value.
+and read back bit-exact.  `read_csv` reads a file: a plain one, which is
+what `format_csv` writes, goes whole to numpy's chunked C reader
+(`np.loadtxt` on the path); a file with comments, unusual line ends or any
+error goes to the line-by-line parser `parse_csv`, which also reads text.
+That parser skips comments anywhere, and it alone names the line of an
+error and the column of a non-finite value.
 """
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -160,44 +161,40 @@ def format_csv(columns: dict[str, np.ndarray]) -> str:
     return ",".join(names) + "\n" + row * len(data) % tuple(data.ravel().tolist())
 
 
-def parse_csv(text: str, source: str = "<csv>") -> tuple[list[str], np.ndarray]:
-    """Parse numeric CSV text into (header, data of shape (rows, width)).
+def read_csv(path, source: str | None = None) -> tuple[list[str], np.ndarray]:
+    """`parse_csv` of the file at `path`, bit for bit and with the same
+    errors, which name `source` (the path by default).
 
-    Blank lines and `#` comments are skipped.  The first remaining line is
-    the header when it starts with a letter and not with a number such as
-    `nan` or `inf`; otherwise the header is empty.  A ragged row, a field
-    that is not a number and a non-finite value raise ValueError naming
-    `source` and the physical (1-based) line.
-
-    Plain text is read by one `np.loadtxt` call, numpy's C tokenizer: ASCII
-    without `#`, whose only line ends are LF and CR LF, with at least one
-    data row as wide as the header and every value finite.  Every other text
-    (comments, a malformed or non-finite field, a ragged or header-only
-    body) goes to the line parser.  It returns the same header and data bit
-    for bit, and it is the one that names the line of an error, so the
-    messages do not depend on the path.
+    A plain file goes to one `np.loadtxt` call on the path, numpy's chunked
+    C reader: ASCII without `#` and without the line breaks of
+    `str.splitlines` that numpy reads as whitespace, starting with no
+    whitespace so that a header is physical line 1, with no lone CR in that
+    line, with at least one data row as wide as the header and every value
+    finite.  Every other file (comments, a malformed or non-finite field, a
+    ragged or header-only body) goes to `parse_csv` on its UTF-8 text, the
+    parser that names the line of an error.
     """
-    return _parse_plain(text) or _parse_lines(text, source)
+    raw = Path(path).read_bytes()
+    return _read_plain(path, raw) or parse_csv(raw.decode("utf-8"), source or str(path))
 
 
-# Line breaks of str.splitlines that numpy's tokenizer reads as whitespace.
-_SPLITLINES_BREAKS = "\x0b\x0c\x1c\x1d\x1e"
+# `#` and the line breaks of str.splitlines that numpy's reader takes as whitespace.
+_NOT_PLAIN = (b"#", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
 
 
-def _parse_plain(text: str) -> tuple[list[str], np.ndarray] | None:
-    """`parse_csv` of plain text through `np.loadtxt`, or None for any other text."""
-    if not text.isascii() or "#" in text or any(c in text for c in _SPLITLINES_BREAKS):
+def _read_plain(path, raw: bytes) -> tuple[list[str], np.ndarray] | None:
+    """`read_csv` of a plain file through `np.loadtxt`, or None for any other file."""
+    if not raw[:1].strip() or not raw.isascii() or any(c in raw for c in _NOT_PLAIN):
         return None
-    first, _, rest = text.lstrip().partition("\n")
-    first = first.strip()
-    if "\r" in first:  # a lone CR ends a line for the line parser
+    first, _, rest = raw.partition(b"\n")
+    first = first.rstrip()
+    if b"\r" in first:  # a lone CR ends a line for the line parser
         return None
-    header = _header(first)
-    body = rest if header else text
-    if not body or body.isspace():
+    header = _header(first.decode())
+    if header and (not rest or rest.isspace()):
         return None
     try:
-        data = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2)
+        data = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=1 if header else 0)
     except ValueError:
         return None
     if header and data.shape[1] != len(header) or not np.isfinite(data).all():
@@ -215,8 +212,16 @@ def _header(line: str) -> list[str]:
     return []
 
 
-def _parse_lines(text: str, source: str) -> tuple[list[str], np.ndarray]:
-    """`parse_csv` line by line: every text, and the error message naming the line."""
+def parse_csv(text: str, source: str = "<csv>") -> tuple[list[str], np.ndarray]:
+    """Parse numeric CSV text line by line into (header, data of shape
+    (rows, width)).
+
+    Blank lines and `#` comments are skipped.  The first remaining line is
+    the header when it starts with a letter and not with a number such as
+    `nan` or `inf`; otherwise the header is empty.  A ragged row, a field
+    that is not a number and a non-finite value raise ValueError naming
+    `source` and the physical (1-based) line.
+    """
     numbered = [(n, s) for n, raw in enumerate(text.splitlines(), start=1)
                 if (s := raw.strip()) and s[0] != "#"]
     header = _header(numbered[0][1]) if numbered else []

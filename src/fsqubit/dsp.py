@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import formulas
-from .config import parse_csv
+from .config import read_csv
 
 
 # share of samples at each record edge left out of fits after a filter step
@@ -109,12 +109,12 @@ class Trace:
         return cls(dt=dt, samples=np.asarray(y, dtype=float))
 
     @classmethod
-    def from_csv(cls, text: str, source: str = "<csv>") -> "Trace":
-        """A trace from numeric CSV text: times in the first column, samples in
-        the second."""
-        _, data = parse_csv(text, source)
+    def from_csv(cls, path) -> "Trace":
+        """A trace from the numeric CSV file at `path` (see `config.read_csv`):
+        times in the first column, samples in the second."""
+        _, data = read_csv(path)
         if data.shape[1] < 2:
-            raise ValueError(f"{source}: need a time and a sample column")
+            raise ValueError(f"{path}: need a time and a sample column")
         return cls.from_xy(data[:, 0], data[:, 1])
 
 
@@ -139,7 +139,8 @@ class FitResult:
         return self.value(name)
 
 
-def _numeric_jacobian(fn, x, params, f0):
+def _numeric_jacobian(fn, x, params, f0, w):
+    """Forward-difference Jacobian of `fn` at `params`, rows times `w` if given."""
     p = np.asarray(params, dtype=float)
     jac = np.empty((len(f0), len(p)))
     root_eps = math.sqrt(np.finfo(float).eps)
@@ -149,7 +150,9 @@ def _numeric_jacobian(fn, x, params, f0):
         h = root_eps * (abs(p[j]) + 1.0)
         stepped = p.copy()
         stepped[j] += h
-        jac[:, j] = (fn(x, *stepped) - f0) / h
+        np.divide(np.subtract(fn(x, *stepped), f0), h, out=jac[:, j])
+    if w is not None:
+        jac *= w[:, None]
     return jac
 
 
@@ -186,19 +189,20 @@ def nlls(
     if names is None:
         sig_params = list(inspect.signature(model_fn).parameters)[1:]
         names = tuple(sig_params[: len(p)])
-    w = np.ones_like(y) if sigma is None else 1.0 / np.asarray(sigma, dtype=float)
+    # an unweighted fit skips the unit weights: x * 1.0 is x, bit for bit
+    w = None if sigma is None else 1.0 / np.asarray(sigma, dtype=float)
 
     # each parameter vector is evaluated once: f0 is the model at p, kept
     # from the accepted trial, and jac is taken at p_jac
     f0 = model_fn(x, *p)
-    r = (y - f0) * w
+    r = y - f0 if w is None else (y - f0) * w
     cost = float(r @ r)
     lam = 1e-3
     iterations = 0
     converged = False
     p_jac = None
     for iterations in range(1, 201):
-        jac = _numeric_jacobian(model_fn, x, p, f0) * w[:, None]
+        jac = _numeric_jacobian(model_fn, x, p, f0, w)
         p_jac = p
         jtj = jac.T @ jac
         grad = jac.T @ r
@@ -217,7 +221,7 @@ def nlls(
                 continue
             trial = p + step
             f_trial = model_fn(x, *trial)
-            r_trial = (y - f_trial) * w
+            r_trial = y - f_trial if w is None else (y - f_trial) * w
             cost_trial = float(r_trial @ r_trial)
             if np.isfinite(cost_trial) and cost_trial <= cost:
                 rel_drop = (cost - cost_trial) / max(cost, 1e-300)
@@ -236,7 +240,7 @@ def nlls(
             break
 
     if p is not p_jac:
-        jac = _numeric_jacobian(model_fn, x, p, f0) * w[:, None]
+        jac = _numeric_jacobian(model_fn, x, p, f0, w)
         jtj = jac.T @ jac
     cov = _covariance(jtj, names)
     if sigma is None:

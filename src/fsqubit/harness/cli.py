@@ -145,7 +145,7 @@ def _cmd_analyze(args) -> int:
     if args.dry_run:
         print(f"analyze {args.what}: input={args.input}")
         return 0
-    trace = dsp.Trace.from_csv(args.input.read_text(), source=str(args.input))
+    trace = dsp.Trace.from_csv(args.input)
     if args.what == "rabi":
         res = dsp.extract_rabi(trace)
         out = {

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..config import format_csv, parse_csv
+from ..config import format_csv, read_csv
 from .scenario import Scenario
 
 ARTIFACT_VERSION = "0.1.0"
@@ -94,7 +94,7 @@ class RunWriter:
 
     def read_csv(self, name: str) -> dict[str, np.ndarray]:
         """Read back one of this run's CSVs; summary checks run on these."""
-        header, data = parse_csv(self.path(name).read_text(encoding="utf-8"), source=name)
+        header, data = read_csv(self.path(name), source=name)
         return {h: data[:, i] for i, h in enumerate(header)}
 
     def finish(self) -> bool:

@@ -327,7 +327,10 @@ def steps(generator: np.ndarray, vec0: np.ndarray, times):
 
 def _powers(step: np.ndarray, count: int) -> np.ndarray:
     """P, P^2, ..., P^count of every (n, n) slice of `step`, stacked by rows
-    as (..., count n, n), by successive products P^k = P^(k-1) @ P."""
+    as (..., count n, n), by successive products P^k = P^(k-1) @ P; `step`
+    itself when count is 1."""
+    if count == 1:
+        return step
     n = step.shape[-1]
     powers = np.empty((*step.shape[:-2], count * n, n), dtype=step.dtype)
     powers[..., :n, :] = step

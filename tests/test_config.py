@@ -1,10 +1,13 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fsqubit.config import (ConfigError, _parse_lines, convert, format_csv, parse_config,
-                            parse_csv)
+from fsqubit.config import (ConfigError, convert, format_csv, parse_config, parse_csv,
+                            read_csv)
 from fsqubit.units import TWO_PI
 
 
@@ -85,7 +88,8 @@ _EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e3
                   elements=st.floats(allow_nan=False, allow_infinity=False) | _EDGE_FLOATS))
 def test_csv_roundtrip_is_bit_exact(data):
     names = [f"c{k}" for k in range(data.shape[1])]
-    header, back = parse_csv(format_csv({n: data[:, k] for k, n in enumerate(names)}))
+    text = format_csv({n: data[:, k] for k, n in enumerate(names)})
+    header, back = _read_csv_bytes(text.encode())
     assert header == names
     assert back.shape == data.shape
     assert np.array_equal(back.view(np.int64), data.view(np.int64))
@@ -132,9 +136,20 @@ def test_parse_csv_header_after_data_is_an_error():
         parse_csv("t,y\n0,1\nt,y\n1,2\n")
 
 
-# Texts near the plain-CSV path and across its gate: numbers, junk pieces (letters, `_`,
-# `#`, `nan`, `inf`, an Arabic-Indic digit, whitespace) and every kind of line end, where
-# `\x0c` and `\x85` end a line for the line parser but are whitespace to numpy.
+def _read_csv_bytes(raw: bytes, source: str | None = None):
+    """`read_csv` of a temporary file holding `raw`.  The file is made here,
+    not by a fixture, because hypothesis runs a test many times per fixture."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.csv")
+        with open(path, "wb") as f:
+            f.write(raw)
+        return read_csv(path, source)
+
+
+# Texts whose UTF-8 files land near read_csv's plain path and across its gate: numbers,
+# junk pieces (letters, `_`, `#`, `nan`, `inf`, an Arabic-Indic digit, whitespace) and every
+# kind of line end, where `\x0c` and `\x85` end a line for the line parser but are
+# whitespace to numpy.
 _PIECES = [*"0123456789+-.e,_tx \t\r\n\x0c\x85#", "nan", "inf", "\u0663"]
 _JUNK = st.lists(st.sampled_from(_PIECES), max_size=8).map("".join)
 _PAD = st.sampled_from(["", " ", "\t", "\r", "\x0c", "\x85"])
@@ -168,13 +183,18 @@ def _csv_texts(draw):
 @example("t,y\n0,1\n1,2,3\n")  # ragged
 @example("t,y\n0\n1\n")  # narrower than the header
 @example("t,y\n0,nan\n")  # non-finite
+@example("\nt,y\n0,1\n")  # a leading blank line
+@example(" t,y\n0,1\n")  # a leading space
+@example("t,y\n0,1\n1,2")  # no trailing newline
+@example("t,y\r\n0,1\r\n1,2\r\n")  # a CR LF file
+@example("\ufefft,y\n0,1\n")  # a UTF-8 byte order mark
 def test_parse_csv_agrees_with_line_parser(text):
-    def outcome(parse):
+    def outcome(parse, arg):
         try:
-            return parse(text, "t.csv")
+            return parse(arg, "t.csv")
         except ValueError as err:
             return str(err)
-    got, want = outcome(parse_csv), outcome(_parse_lines)
+    got, want = outcome(_read_csv_bytes, text.encode()), outcome(parse_csv, text)
     if isinstance(want, str):
         assert got == want
         return

@@ -85,6 +85,23 @@ def test_nlls_evaluates_each_parameter_vector_once(case):
     assert len(seen) == len(set(seen))
 
 
+@pytest.mark.parametrize("case", ["lorentzian", "exponential"])
+def test_nlls_unit_sigma_is_bit_equal_to_unweighted(case):
+    # an unweighted fit skips the unit weights; x * 1.0 is exact, so the path matches
+    x = np.linspace(-1.0, 1.0, 81)
+    noise = np.random.default_rng(7).normal(0.0, 0.01, x.size)
+    if case == "lorentzian":
+        model, y, p0 = dsp._lorentzian, dsp._lorentzian(x, 0.1, 0.5, 1.0, 0.2) + noise, [0.0, 0.4, 0.8, 0.1]
+    else:
+        x = x + 1.0
+        model, y, p0 = dsp._exp_rate, dsp._exp_rate(x, 2.0, 3.0) + noise, [1.5, 2.0]
+    plain = dsp.nlls(model, (x, y), p0)
+    unit = dsp.nlls(model, (x, y), p0, sigma=np.ones(x.size))
+    assert plain.iterations == unit.iterations > 0
+    assert plain.rss.hex() == unit.rss.hex()
+    assert np.array_equal(plain.params.view(np.int64), unit.params.view(np.int64))
+
+
 def test_nlls_degenerate_pair_named():
     def model(x, a, b, c):
         return (a + b) * x + c  # a and b are perfectly degenerate
@@ -611,19 +628,24 @@ def test_detection_fidelity_domain():
 
 # ----------------------------------------------------------------- trace IO
 
-def test_trace_csv_roundtrip():
+def test_trace_csv_roundtrip(tmp_path):
     trace = dsp.Trace(dt=2e-6, samples=np.array([0.1, 0.5, 0.9, 0.4]))
-    back = dsp.Trace.from_csv(format_csv({"t_s": trace.times, "value": trace.samples}))
+    path = tmp_path / "trace.csv"
+    path.write_text(format_csv({"t_s": trace.times, "value": trace.samples}))
+    back = dsp.Trace.from_csv(path)
     assert back.dt == pytest.approx(trace.dt)
     np.testing.assert_allclose(back.samples, trace.samples)
 
 
-def test_trace_csv_rejects_non_finite_row():
+def test_trace_csv_rejects_non_finite_row(tmp_path):
     text = "t_s,value\n0,0.1\n2e-06,nan\n4e-06,0.3\n6e-06,0.2\n"
-    with pytest.raises(ValueError, match=r"non-finite 'value' on line 3"):
-        dsp.Trace.from_csv(text)
-    with pytest.raises(ValueError, match=r"non-finite 't_s' on line 4"):
-        dsp.Trace.from_csv(text.replace("2e-06,nan", "2e-06,0.2").replace("4e-06", "nan"))
+    path = tmp_path / "trace.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=r"trace.csv: non-finite 'value' on line 3"):
+        dsp.Trace.from_csv(path)
+    path.write_text(text.replace("2e-06,nan", "2e-06,0.2").replace("4e-06", "nan"))
+    with pytest.raises(ValueError, match=r"trace.csv: non-finite 't_s' on line 4"):
+        dsp.Trace.from_csv(path)
 
 
 def test_trace_rejects_non_finite_samples_and_sigma():
