@@ -112,10 +112,6 @@ class LevelScheme:
     def s(self) -> int:
         return self.index("3S1", 0)
 
-    @property
-    def g(self) -> int:
-        return self.index("1S0", 0)
-
     def label(self, i: int) -> str:
         """Short state label used in trajectory columns."""
         lvl = self.levels[i]

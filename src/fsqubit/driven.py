@@ -279,8 +279,8 @@ def _full_model(
 def build_single_drive_model(
     field_: DriveField,
     scheme: LevelScheme,
-    table: DecayTable | None = None,
-    env: MagneticEnvironment | None = None,
+    table: DecayTable | None,
+    env: MagneticEnvironment,
 ) -> RotatingFrameModel:
     """Model with one laser on: the scattering-decay and state-prep settings.
 
@@ -294,7 +294,6 @@ def build_single_drive_model(
     low_lvl, high_lvl, lines = pi_lines(field_, scheme)
     n = scheme.n
     entries: dict[tuple[int, int], complex] = {}
-    env = env or MagneticEnvironment(b_gauss=0.0)
     z_ref_low = zeeman_shift(low_lvl, env)
     z_ref_high = zeeman_shift(high_lvl, env)
     # levels the field does not address keep 0 on the diagonal

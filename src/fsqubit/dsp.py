@@ -16,7 +16,6 @@ is imported inside `_loss_window`, the only function that uses it.
 
 from __future__ import annotations
 
-import inspect
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -70,13 +69,12 @@ def _require_finite(values: np.ndarray, what: str) -> None:
 class Trace:
     """Uniformly sampled real signal.
 
-    `sigma` holds optional per-sample uncertainties, `valid` an optional
-    mask excluding edge-distorted samples from later fits.
+    `valid` is an optional mask of the samples an envelope fit may use; the
+    Hilbert envelope sets it to exclude its edge-distorted samples.
     """
 
     dt: float
     samples: np.ndarray
-    sigma: np.ndarray | None = None
     valid: np.ndarray | None = None
 
     def __post_init__(self):
@@ -86,8 +84,6 @@ class Trace:
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"sample interval dt must be positive and finite, got {self.dt!r}")
         _require_finite(y, "samples")
-        if self.sigma is not None:
-            _require_finite(np.asarray(self.sigma, dtype=float), "sigma")
 
     @property
     def n(self) -> int:
@@ -135,12 +131,9 @@ class FitResult:
     def sigma(self, name: str) -> float:
         return float(self.uncertainties[self.names.index(name)])
 
-    def __getitem__(self, name: str) -> float:
-        return self.value(name)
 
-
-def _numeric_jacobian(fn, x, params, f0, w):
-    """Forward-difference Jacobian of `fn` at `params`, rows times `w` if given."""
+def _numeric_jacobian(fn, x, params, f0):
+    """Forward-difference Jacobian of `fn` at `params`."""
     p = np.asarray(params, dtype=float)
     jac = np.empty((len(f0), len(p)))
     root_eps = math.sqrt(np.finfo(float).eps)
@@ -151,28 +144,21 @@ def _numeric_jacobian(fn, x, params, f0, w):
         stepped = p.copy()
         stepped[j] += h
         np.divide(np.subtract(fn(x, *stepped), f0), h, out=jac[:, j])
-    if w is not None:
-        jac *= w[:, None]
     return jac
 
 
-def nlls(
-    model_fn: Callable,
-    data,
-    p0,
-    names: tuple[str, ...] | None = None,
-    sigma=None,
-) -> FitResult:
-    """Damped (Levenberg-Marquardt) least squares with numeric Jacobian.
+def nlls(model_fn: Callable, data, p0, names: tuple[str, ...]) -> FitResult:
+    """Unweighted damped (Levenberg-Marquardt) least squares with numeric Jacobian.
 
     Parameters
     ----------
     model_fn : callable(x, *params) -> y
     data : (x, y) pair
     p0 : initial parameter vector (finite)
-    names : parameter names; taken from the model signature if omitted
-    sigma : per-point uncertainties; when given, the covariance is absolute,
-        otherwise it is scaled by the reduced chi-square estimate.
+    names : parameter names, one per entry of p0
+
+    The covariance is (J^T J)^-1 scaled by the reduced chi-square estimate
+    rss / (n - p), so the uncertainties come from the residual scatter.
 
     Converged when the relative cost change drops below 1e-10 or the
     gradient infinity-norm below 1e-12; an exit after 200 iterations returns
@@ -186,23 +172,18 @@ def nlls(
         raise FitError("initial parameters must be finite")
     if len(y) < len(p) + 1:
         raise FitError(f"need at least {len(p) + 1} points to fit {len(p)} parameters")
-    if names is None:
-        sig_params = list(inspect.signature(model_fn).parameters)[1:]
-        names = tuple(sig_params[: len(p)])
-    # an unweighted fit skips the unit weights: x * 1.0 is x, bit for bit
-    w = None if sigma is None else 1.0 / np.asarray(sigma, dtype=float)
 
     # each parameter vector is evaluated once: f0 is the model at p, kept
     # from the accepted trial, and jac is taken at p_jac
     f0 = model_fn(x, *p)
-    r = y - f0 if w is None else (y - f0) * w
+    r = y - f0
     cost = float(r @ r)
     lam = 1e-3
     iterations = 0
     converged = False
     p_jac = None
     for iterations in range(1, 201):
-        jac = _numeric_jacobian(model_fn, x, p, f0, w)
+        jac = _numeric_jacobian(model_fn, x, p, f0)
         p_jac = p
         jtj = jac.T @ jac
         grad = jac.T @ r
@@ -221,7 +202,7 @@ def nlls(
                 continue
             trial = p + step
             f_trial = model_fn(x, *trial)
-            r_trial = y - f_trial if w is None else (y - f_trial) * w
+            r_trial = y - f_trial
             cost_trial = float(r_trial @ r_trial)
             if np.isfinite(cost_trial) and cost_trial <= cost:
                 rel_drop = (cost - cost_trial) / max(cost, 1e-300)
@@ -240,13 +221,10 @@ def nlls(
             break
 
     if p is not p_jac:
-        jac = _numeric_jacobian(model_fn, x, p, f0, w)
+        jac = _numeric_jacobian(model_fn, x, p, f0)
         jtj = jac.T @ jac
-    cov = _covariance(jtj, names)
-    if sigma is None:
-        dof = len(y) - len(p)
-        scale = cost / dof if dof > 0 else 0.0
-        cov = cov * scale
+    dof = len(y) - len(p)
+    cov = _covariance(jtj, names) * (cost / dof if dof > 0 else 0.0)
     unc = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     return FitResult(
         names=names,
@@ -282,15 +260,6 @@ class Spectrum:
     magnitude: np.ndarray
     n: int
     dt: float
-
-    def sum_squares(self) -> float:
-        """Reconstruct sum((y - mean)^2) from the one-sided bins (Parseval)."""
-        mags = self.magnitude.astype(float)
-        weights = np.full_like(mags, 0.5)
-        weights[0] = 1.0
-        if self.n % 2 == 0:
-            weights[-1] = 1.0
-        return float(self.n * np.sum(weights * mags**2))
 
     def peak_frequency(self) -> float:
         i = int(np.argmax(self.magnitude[1:]) + 1)
@@ -493,8 +462,7 @@ def butterworth_bandpass(trace: Trace, f_lo: float, f_hi: float) -> Trace:
     ext = np.concatenate((2 * y[0] - y[FILTER_PAD:0:-1], y, 2 * y[-1] - y[-2:-FILTER_PAD - 2:-1]))
     forward = filt.run(ext, filt.steady * ext[0])
     backward = filt.run(forward[::-1], filt.steady * forward[-1])
-    return Trace(dt=trace.dt, samples=backward[::-1][FILTER_PAD:-FILTER_PAD],
-                 sigma=trace.sigma, valid=trace.valid)
+    return Trace(dt=trace.dt, samples=backward[::-1][FILTER_PAD:-FILTER_PAD])
 
 
 def hilbert_envelope(trace: Trace) -> Trace:
@@ -543,13 +511,7 @@ def fit_exponential(envelope: Trace) -> FitResult:
         raise FitError("not enough positive envelope samples to fit")
     slope, intercept = np.polyfit(t[pos], np.log(y[pos]), 1)
     p0 = [math.exp(intercept), max(-slope, 1e-6 / (t[-1] - t[0] + 1e-300))]
-    fit = nlls(
-        _exp_rate,
-        (t[mask], y[mask]),
-        p0,
-        names=("amplitude", "rate"),
-        sigma=None if envelope.sigma is None else envelope.sigma[mask],
-    )
+    fit = nlls(_exp_rate, (t[mask], y[mask]), p0, names=("amplitude", "rate"))
     amp, rate = fit.params
     rate_sigma = fit.uncertainties[1]
     span = float(t[mask][-1] - t[mask][0])
@@ -580,10 +542,6 @@ class RabiExtraction:
     tau_sigma: float
     cycles: float
     flags: dict
-
-    @property
-    def frequency_hz(self) -> float:
-        return self.omega / (2.0 * math.pi)
 
 
 def extract_rabi(trace: Trace) -> RabiExtraction:
@@ -643,23 +601,23 @@ def _loss_window(u, drop, rate_span, level):
         return level - drop * u * exprel(-rate_span * u) / exprel(-rate_span)
 
 
-def fit_loss(trace: Trace, carrier_hz: float) -> FitResult:
-    """Slow-loss parameters from the difference of the raw trace and its
-    band-passed version.
+def fit_loss(trace: Trace, filtered: Trace) -> FitResult:
+    """Slow-loss parameters from the difference of the raw trace and
+    `filtered`, its band-passed version (`butterworth_bandpass` at +-50%
+    around the carrier, as `extract_rabi` runs it).
 
     The band-pass keeps only the oscillation, so the difference carries the
     slow population loss, offset - loss_amp (1 - exp(-t/tau_loss)).  The
     difference is taken on the raw samples, before any envelope step.
 
     The band-pass leaves transients at the record edges, so the first and
-    last EDGE_FRACTION of samples are left out, as in `hilbert_envelope`,
-    and so are samples outside `trace.valid` when it is set; `trace.sigma`
-    is masked alike.  Over the remaining window [t0, t1] the fit is
-    parameterized by the drop across the window, the rate 1/tau_loss
-    (as rate (t1 - t0)) and the level at t0, seeded from medians of the
-    early and late tenths of the window.  A loss time far beyond the record
-    then only makes the fitted curve straight, instead of sending loss_amp
-    and tau_loss off together along amp/tau = constant.
+    last EDGE_FRACTION of samples are left out, as in `hilbert_envelope`.
+    Over the remaining window [t0, t1] the fit is parameterized by the drop
+    across the window, the rate 1/tau_loss (as rate (t1 - t0)) and the level
+    at t0, seeded from medians of the early and late tenths of the window.
+    A loss time far beyond the record then only makes the fitted curve
+    straight, instead of sending loss_amp and tau_loss off together along
+    amp/tau = constant.
 
     meta["loss_unresolved"] is set when the fitted drop is not positive (a
     rise is not a loss), the rate is not positive, its sign is not
@@ -672,13 +630,9 @@ def fit_loss(trace: Trace, carrier_hz: float) -> FitResult:
     along the fitted curve.  tau_loss is 1/rate, inf when the rate is not
     positive.  meta also carries `rate` and `rate_sigma`.
     """
-    filtered = butterworth_bandpass(trace, 0.5 * carrier_hz, 1.5 * carrier_hz)
     mask = _interior(trace.n)
-    if trace.valid is not None:
-        mask &= trace.valid
     t = trace.times[mask]
     slow = (trace.samples - filtered.samples)[mask]
-    sigma = None if trace.sigma is None else np.asarray(trace.sigma)[mask]
     if len(t) < 4:
         raise FitError("too few samples left inside the edge mask to fit the loss")
     t0, span = float(t[0]), float(t[-1] - t[0])
@@ -686,7 +640,7 @@ def fit_loss(trace: Trace, carrier_hz: float) -> FitResult:
     early, late = float(np.median(slow[:tenth])), float(np.median(slow[-tenth:]))
     try:
         fit = nlls(_loss_window, ((t - t0) / span, slow), [early - late, 1.0, early],
-                   names=("drop", "rate_span", "level"), sigma=sigma)
+                   names=("drop", "rate_span", "level"))
         drop, k, level = fit.params
         rate, rate_sigma = float(k / span), float(fit.uncertainties[1] / span)
     except DegenerateParameterError:
@@ -697,7 +651,7 @@ def fit_loss(trace: Trace, carrier_hz: float) -> FitResult:
     tau = 1.0 / rate if rate > 0 else math.inf
     tau_sigma = rate_sigma / rate**2 if rate > 0 else math.inf
     if unresolved:
-        line = fit_linear(t, slow, sigma)
+        line = fit_linear(t, slow)
         record = float(trace.times[-1])
         params = np.array([-line.value("slope") * record, tau, line.value("intercept")])
         jac = np.array([[-record, 0.0], [0.0, 0.0], [0.0, 1.0]])

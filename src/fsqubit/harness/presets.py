@@ -364,7 +364,7 @@ def run_fidelity(sc: Scenario, w: RunWriter) -> None:
     ref_interp = np.interp(times, ref_times, ref_values)
     lz_eff = sc.get("readout", "lz_efficiency")
     norm = normalize_readout(times, up * ref_interp, ref_times, ref_values,
-                             raw_down=down * ref_interp, lz_efficiency=lz_eff)
+                             down * ref_interp, lz_eff)
     w.write_csv("pulse_trace.csv", {
         "t_s": times,
         "up_normalized": norm.up,
@@ -410,7 +410,9 @@ def run_pipeline(sc: Scenario, w: RunWriter) -> None:
     w.check("omega_rel_err", abs(result.omega / omega - 1.0), 0.0, 2e-3)
     w.check("tau_rel_err", abs(result.tau / tau - 1.0), 0.0, 0.10)
     w.check("cycles", result.cycles, 65.0, 73.0)
-    loss_fit = dsp.fit_loss(trace, ordinary(result.omega))
+    f_c = ordinary(result.omega)
+    filtered = dsp.butterworth_bandpass(trace, 0.5 * f_c, 1.5 * f_c)
+    loss_fit = dsp.fit_loss(trace, filtered)
     w.info["loss_amp"] = loss_fit.value("loss_amp")
     w.info["tau_loss_ms"] = loss_fit.value("tau_loss") * 1e3
     w.info["loss_unresolved"] = loss_fit.meta["loss_unresolved"]
@@ -418,8 +420,6 @@ def run_pipeline(sc: Scenario, w: RunWriter) -> None:
             0.5 * sc.get("signal", "loss_amp"), 1.5 * sc.get("signal", "loss_amp"))
     spectrum = dsp.fft_spectrum(trace)
     w.write_csv("spectrum.csv", {"f_hz": spectrum.frequencies, "magnitude": spectrum.magnitude})
-    f_c = ordinary(result.omega)
-    filtered = dsp.butterworth_bandpass(trace, 0.5 * f_c, 1.5 * f_c)
     envelope = dsp.hilbert_envelope(
         dsp.Trace(dt=dt, samples=filtered.samples - filtered.samples.mean()))
     w.write_csv("filtered.csv", {"t_s": t, "filtered": filtered.samples,

@@ -2,7 +2,7 @@
 
 Measurements are interleaved with reference shots of the initial-state atom
 number; a linear interpolation of the references divides out slow drifts.
-Populations come out as N_up(t)/N_up(0) and N_down(t)/N_up(0), optionally
+Populations come out as N_up(t)/N_up(0) and N_down(t)/N_up(0), the latter
 corrected for the transfer-sweep efficiency of the state-selective readout.
 """
 
@@ -22,7 +22,7 @@ class ReadoutWarning(UserWarning):
 class NormalizedReadout:
     times: np.ndarray
     up: np.ndarray
-    down: np.ndarray | None
+    down: np.ndarray
 
 
 def normalize_readout(
@@ -30,16 +30,18 @@ def normalize_readout(
     raw_up,
     ref_times,
     ref_values,
-    raw_down=None,
-    lz_efficiency: float | None = None,
+    raw_down,
+    lz_efficiency: float,
 ) -> NormalizedReadout:
     """Divide raw atom numbers by linearly interpolated references.
 
-    `lz_efficiency` (when given) corrects the down-state numbers for the
-    finite transfer-sweep efficiency of the readout.  Measurement times
-    outside the reference bracket trigger a warning, since the linear
-    interpolation then extrapolates.
+    The down-state numbers are read through the transfer sweep, so they are
+    divided by its efficiency `lz_efficiency`, which must lie in (0, 1].
+    Measurement times outside the reference bracket trigger a warning, since
+    the linear interpolation then extrapolates.
     """
+    if not 0.0 < lz_efficiency <= 1.0:
+        raise ValueError("transfer efficiency must be in (0, 1]")
     times = np.asarray(times, dtype=float)
     raw_up = np.asarray(raw_up, dtype=float)
     ref_times = np.asarray(ref_times, dtype=float)
@@ -53,12 +55,5 @@ def normalize_readout(
             stacklevel=2,
         )
     ref = np.interp(times, ref_times, ref_values)
-    up = raw_up / ref
-    down = None
-    if raw_down is not None:
-        down = np.asarray(raw_down, dtype=float) / ref
-        if lz_efficiency is not None:
-            if not 0.0 < lz_efficiency <= 1.0:
-                raise ValueError("transfer efficiency must be in (0, 1]")
-            down = down / lz_efficiency
-    return NormalizedReadout(times=times, up=up, down=down)
+    down = np.asarray(raw_down, dtype=float) / ref / lz_efficiency
+    return NormalizedReadout(times=times, up=raw_up / ref, down=down)

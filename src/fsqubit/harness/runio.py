@@ -62,9 +62,9 @@ class Check:
 class RunWriter:
     outdir: Path
     scenario: Scenario
-    outputs: list[str] = field(default_factory=list)
-    checks: list[Check] = field(default_factory=list)
-    info: dict = field(default_factory=dict)
+    outputs: list[str] = field(default_factory=list, init=False)
+    checks: list[Check] = field(default_factory=list, init=False)
+    info: dict = field(default_factory=dict, init=False)
 
     def __post_init__(self):
         self.outdir = Path(self.outdir)

@@ -71,7 +71,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from typing import Sequence
 
 import numpy as np
 
@@ -102,19 +101,6 @@ class DensityMatrix:
         m = np.zeros((dim, dim), dtype=complex)
         m[index, index] = 1.0
         return cls(m)
-
-    @classmethod
-    def from_state(cls, psi: Sequence[complex]) -> "DensityMatrix":
-        v = np.asarray(psi, dtype=complex)
-        v = v / np.linalg.norm(v)
-        return cls(np.outer(v, v.conj()))
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[-1]
-
-    def population(self, index: int) -> float:
-        return float(self.matrix[index, index].real)
 
     def populations(self) -> np.ndarray:
         """The diagonal, (d,), or (M, d) for the steady states of a stack."""

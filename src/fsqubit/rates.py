@@ -74,10 +74,9 @@ def build_rate_model(
     field: DriveField,
     scheme: LevelScheme,
     table: DecayTable,
-    env: MagneticEnvironment | None = None,
+    env: MagneticEnvironment,
 ) -> RateModel:
     """Rate matrix from optical pumping plus the decay table, starting in `up`."""
-    env = env or MagneticEnvironment()
     n = scheme.n
     m = np.zeros((n, n))
     for i, j, rate in pump_rates(field, scheme, table, env):
@@ -119,7 +118,7 @@ def fit_scattering_rate(
     field: DriveField,
     scheme: LevelScheme,
     table: DecayTable,
-    env: MagneticEnvironment | None = None,
+    env: MagneticEnvironment,
 ) -> dsp.FitResult:
     """Fit the rate model's scattering rate to a survival trace.
 
@@ -129,7 +128,6 @@ def fit_scattering_rate(
     trace is flagged."""
     times = np.asarray(times, dtype=float)
     data = np.asarray(data, dtype=float)
-    env = env or MagneticEnvironment()
     base = build_rate_model(field, scheme, table, env)
     rate0 = formulas.scattering_rate(field.rabi, field.detuning, table.gamma_s)
     pump = build_rate_model(field, scheme, DecayTable(gamma_s=table.gamma_s, channels=()), env)

@@ -373,15 +373,10 @@ def _two_pulse_scan(dark_time, phases, config, table, ensemble, ou, echo: bool) 
     return member_average((rot[:, row] * pulsed).real, weights)
 
 
-def ramsey_time_scan(
-    dark_times,
-    config: RamanConfig,
-    table: DecayTable,
-    ensemble: EnsembleSpec | None = None,
-) -> np.ndarray:
-    """Fixed-phase Ramsey fringe vs dark time; oscillates at the two-photon
-    detuning (plus any light-shift offsets)."""
-    return _two_pulse_scan(dark_times, [0.0], config, table, ensemble, None, echo=False)[..., 0]
+def ramsey_time_scan(dark_times, config: RamanConfig, table: DecayTable) -> np.ndarray:
+    """Fixed-phase Ramsey fringe vs dark time of one atom; oscillates at the
+    two-photon detuning (plus any light-shift offsets)."""
+    return _two_pulse_scan(dark_times, [0.0], config, table, None, None, echo=False)[..., 0]
 
 
 def ramsey_contrast(populations: np.ndarray, phases) -> float:
@@ -426,17 +421,18 @@ def autler_townes_scan(
     calibration: float,
     scheme: LevelScheme,
     table: DecayTable,
-    probe_rabi: float = TWO_PI * 1.0e6,
-    strong: str = "down",
+    probe_rabi: float,
+    strong: str,
 ) -> ATScanResult:
     """Probe spectra against a strong resonant dressing field.
 
     `calibration` maps laser power to the dressing Rabi frequency,
-    rad/s per sqrt(mW).  The probe is weak, and the signal is the
-    population that decayed out of the Lambda system (the atoms detected
-    in the ground state).  Each power column spans 161 detunings over
-    +-1.6 max(dressing Rabi, linewidth), and its models are built and
-    stepped as one stack.  Per power column the two dressed resonances are
+    rad/s per sqrt(mW), and `strong` names the dressed leg, "up" or
+    "down".  The probe, of Rabi frequency `probe_rabi`, is weak, and the
+    signal is the population that decayed out of the Lambda system (the
+    atoms detected in the ground state).  Each power column spans 161
+    detunings over +-1.6 max(dressing Rabi, linewidth), and its models are
+    built and stepped as one stack.  Per power column the two dressed resonances are
     fitted and their separation reported; below the natural linewidth the
     doublet is unresolved and the splitting is None.
     """
@@ -528,7 +524,7 @@ def scattering_decay(
     times,
     scheme: LevelScheme,
     table: DecayTable,
-    env: MagneticEnvironment | None = None,
+    env: MagneticEnvironment,
 ) -> np.ndarray:
     """Survival N_up(t)/N_up(0) under a single drive on the full scheme.
 
@@ -537,7 +533,6 @@ def scattering_decay(
     times = np.asarray(times, dtype=float)
     if times.size == 0 or times[0] != 0.0 or np.any(np.diff(times) <= 0):
         raise ValueError("times must be non-empty, start at 0 and increase")
-    env = env or MagneticEnvironment()
     model = build_single_drive_model(field, scheme, table, env)
     i_up = model.index("up")
     rho0 = DensityMatrix.pure(model.dim, i_up).matrix

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .units import ATOMIC_MASS_KG, H_PLANCK, K_BOLTZMANN, SR88_MASS_U
+from .units import ATOMIC_MASS_KG, H_PLANCK, K_BOLTZMANN
 
 
 class TableError(Exception):
@@ -47,9 +47,6 @@ class PolarizabilityTable:
                 raise TableError(f"{state}: uncertainties must be >= 0")
             if state in _J0_STATES and np.any(arr[:, 3] != 0):
                 raise TableError(f"{state}: J=0 states must have zero tensor polarizability")
-
-    def states(self) -> tuple[str, ...]:
-        return tuple(self.rows)
 
     def interpolate(self, state: str, wavelength_nm: float) -> tuple[float, float, float, float]:
         """(alpha_s, sigma_s, alpha_t, sigma_t) at a wavelength inside the table."""
@@ -165,7 +162,7 @@ class RecoilEnergy:
     temperature_uk: float
 
 
-def recoil_energy(wavelength_nm: float, mass_u: float = SR88_MASS_U) -> RecoilEnergy:
+def recoil_energy(wavelength_nm: float, mass_u: float) -> RecoilEnergy:
     """Lattice photon recoil energy h / (2 m lambda^2), as Hz and uK."""
     if wavelength_nm <= 0 or mass_u <= 0:
         raise ValueError("wavelength and mass must be positive")

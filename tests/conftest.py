@@ -5,6 +5,13 @@ from fsqubit import atom, driven, lindblad
 from fsqubit.units import TWO_PI
 
 
+def from_state(psi) -> lindblad.DensityMatrix:
+    """The pure state |psi><psi| of the state vector `psi`, normalised."""
+    v = np.asarray(psi, dtype=complex)
+    v = v / np.linalg.norm(v)
+    return lindblad.DensityMatrix(np.outer(v, v.conj()))
+
+
 @pytest.fixture(scope="session")
 def full_scheme():
     return atom.sr88_scheme()
@@ -19,7 +26,8 @@ def lam():
 def two_level(full_scheme):
     """Ground state plus up, the 671-nm state-preparation transition: the
     1S0 and (3P2, 0) sublevels of the full scheme."""
-    return atom.LevelScheme((full_scheme.levels[full_scheme.g], full_scheme.levels[full_scheme.up]))
+    return atom.LevelScheme((full_scheme.levels[full_scheme.index("1S0")],
+                             full_scheme.levels[full_scheme.up]))
 
 
 @pytest.fixture(scope="session")

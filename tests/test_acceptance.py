@@ -14,7 +14,7 @@ import numpy as np
 from fsqubit import atom, driven, dsp, formulas, rates, sequences, trap
 from fsqubit.harness import presets
 from fsqubit.lindblad import DensityMatrix, steady_state
-from fsqubit.units import TWO_PI
+from fsqubit.units import SR88_MASS_U, TWO_PI
 
 
 def report(number: int, name: str, ok: bool, detail: str) -> None:
@@ -29,7 +29,8 @@ def report(number: int, name: str, ok: bool, detail: str) -> None:
 def test_criterion_01_master_equation_correctness(table, trace_distance, model_states, two_level):
     rabi = TWO_PI * 1e5
     field = driven.DriveField((0, 1), rabi, 0.0)
-    model = driven.build_single_drive_model(field, two_level, None)
+    no_field = atom.MagneticEnvironment(b_gauss=0.0)
+    model = driven.build_single_drive_model(field, two_level, None, no_field)
     times = np.linspace(0.0, 2 * math.pi / rabi, 101)
     up = model_states(model, DensityMatrix.pure(2, 0).matrix, times)[:, 1, 1].real
     worst_rabi = np.abs(up - np.sin(rabi * times / 2) ** 2).max()
@@ -42,7 +43,7 @@ def test_criterion_01_master_equation_correctness(table, trace_distance, model_s
 
     damped = driven.RotatingFrameModel(
         driven.build_single_drive_model(
-            driven.DriveField((0, 1), TWO_PI * 2e6, TWO_PI * 0.5e6), two_level, None
+            driven.DriveField((0, 1), TWO_PI * 2e6, TWO_PI * 0.5e6), two_level, None, no_field
         ).hamiltonian,
         ((1, 0, math.sqrt(TWO_PI * 1e6)),), ("g", "up"))
     rho_ss = steady_state(damped)
@@ -159,7 +160,8 @@ def test_criterion_06_autler_townes(lam, table):
     for mult in (5.0, 7.0):
         rabi = mult * table.gamma_s
         power = (rabi / (TWO_PI * 19.3e6)) ** 2
-        scan = sequences.autler_townes_scan([power], TWO_PI * 19.3e6, lam, table)
+        scan = sequences.autler_townes_scan([power], TWO_PI * 19.3e6, lam, table,
+                                            TWO_PI * 1.0e6, "down")
         worst = max(worst, abs(scan.splittings[0] / rabi - 1.0))
 
     rng = np.random.default_rng(6)
@@ -235,7 +237,7 @@ def test_criterion_10_trap_module():
     magic = trap.magic_angle(res, 914.0)
     magic_deg = math.degrees(magic.beta) if magic.beta is not None else float("nan")
     none_at_1064 = trap.magic_angle(res, 1064.0).beta is None
-    recoil = trap.recoil_energy(914.0).frequency_hz
+    recoil = trap.recoil_energy(914.0, SR88_MASS_U).frequency_hz
 
     rng = np.random.default_rng(10)
     depths = np.array([11.0, 21.0, 33.0, 52.0])

@@ -22,7 +22,7 @@ def test_lambda_scheme_is_the_restricted_triple(lam):
 
 
 def test_named_indices_distinct(full_scheme):
-    idx = {full_scheme.g, full_scheme.up, full_scheme.down, full_scheme.s}
+    idx = {full_scheme.index("1S0"), full_scheme.up, full_scheme.down, full_scheme.s}
     assert len(idx) == 4
 
 

@@ -101,9 +101,10 @@ def test_zero_linewidth_table_with_default_channels_adds_nothing(lam, table, no_
     """gamma_s = 0 with the default channels gives jumps of amplitude 0,
     whose generator equals the one built without channels."""
     silent = atom.DecayTable(gamma_s=0.0, channels=table.channels)
+    no_field = atom.MagneticEnvironment(b_gauss=0.0)
     cfg = driven.raman_config(lam, TWO_PI * 1e6, TWO_PI * 2e6, -TWO_PI * 3e6, TWO_PI * 1e5)
     for build in (lambda t: driven.build_lambda_model(cfg, lam, t, mode="lossy"),
-                  lambda t: driven.build_single_drive_model(cfg.up, lam, t)):
+                  lambda t: driven.build_single_drive_model(cfg.up, lam, t, no_field)):
         model = build(silent)
         assert model.jumps and all(amp == 0.0 for *_, amp in model.jumps)
         assert np.array_equal(lindblad.liouvillian(model), lindblad.liouvillian(build(no_decay)))
@@ -120,14 +121,16 @@ def test_closed_model_names_a_missing_decay_branch(lam, no_decay):
 
 def test_forbidden_transition_rejected(full_scheme, table):
     # 1S0 - 3P0 is J=0 to J=0
-    field = driven.DriveField((full_scheme.g, full_scheme.down), 1.0, 0.0)
+    field = driven.DriveField((full_scheme.index("1S0"), full_scheme.down), 1.0, 0.0)
     with pytest.raises(driven.ModelError):
-        driven.build_single_drive_model(field, full_scheme, table)
+        driven.build_single_drive_model(field, full_scheme, table,
+                                        atom.MagneticEnvironment(b_gauss=0.0))
 
 
 def test_quadrupole_pair_allowed_for_state_prep(table, two_level):
     field = driven.DriveField((0, 1), TWO_PI * 173.0, 0.0)
-    m = driven.build_single_drive_model(field, two_level, None)
+    m = driven.build_single_drive_model(field, two_level, None,
+                                        atom.MagneticEnvironment(b_gauss=0.0))
     assert m.dim == 2
     assert m.hamiltonian[0, 1] == pytest.approx(TWO_PI * 173.0 / 2)
 

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from fsqubit import dsp, formulas, sequences
 from fsqubit.config import format_csv
+from fsqubit.harness import presets
 from fsqubit.units import TWO_PI
 
 
@@ -26,7 +27,7 @@ def test_nlls_converges_at_truth_immediately():
 
     x = np.linspace(0, 1, 50)
     y = model(x, 2.0, 3.0)
-    fit = dsp.nlls(model, (x, y), [2.0, 3.0])
+    fit = dsp.nlls(model, (x, y), [2.0, 3.0], names=("a", "b"))
     assert fit.converged
     assert fit.iterations <= 2
     np.testing.assert_allclose(fit.params, [2.0, 3.0], rtol=1e-10)
@@ -36,7 +37,8 @@ def test_nlls_linear_through_points():
     def line(x, slope, intercept):
         return slope * x + intercept
 
-    fit = dsp.nlls(line, (np.array([0.0, 1.0, 2.0]), np.array([0.0, 2.0, 4.0])), [1.0, 0.5])
+    fit = dsp.nlls(line, (np.array([0.0, 1.0, 2.0]), np.array([0.0, 2.0, 4.0])), [1.0, 0.5],
+                   names=("slope", "intercept"))
     assert fit.value("slope") == pytest.approx(2.0, abs=1e-9)
     assert fit.value("intercept") == pytest.approx(0.0, abs=1e-9)
     assert fit.rss < 1e-18
@@ -44,12 +46,13 @@ def test_nlls_linear_through_points():
 
 def test_nlls_requires_enough_points():
     with pytest.raises(dsp.FitError):
-        dsp.nlls(lambda x, a, b: a * x + b, (np.array([0.0, 1.0]), np.array([0.0, 1.0])), [1.0, 0.0])
+        dsp.nlls(lambda x, a, b: a * x + b, (np.array([0.0, 1.0]), np.array([0.0, 1.0])),
+                 [1.0, 0.0], names=("a", "b"))
 
 
 def test_nlls_rejects_nonfinite_start():
     with pytest.raises(dsp.FitError):
-        dsp.nlls(lambda x, a: a * x, (np.arange(3.0), np.arange(3.0)), [np.nan])
+        dsp.nlls(lambda x, a: a * x, (np.arange(3.0), np.arange(3.0)), [np.nan], names=("a",))
 
 
 def recording(fn):
@@ -67,9 +70,11 @@ def recording(fn):
 def test_nlls_evaluates_each_parameter_vector_once(case):
     x = np.linspace(-1.0, 1.0, 81)
     noise = np.random.default_rng(5).normal(0.0, 0.01, x.size)
+    names = ("amplitude", "rate")
     if case == "lorentzian":
         model, seen = recording(dsp._lorentzian)
         y, p0 = dsp._lorentzian(x, 0.1, 0.5, 1.0, 0.2) + noise, [0.0, 0.4, 0.8, 0.1]
+        names = ("center", "fwhm", "amplitude", "offset")
     elif case == "exponential":
         model, seen = recording(dsp._exp_rate)
         y, p0 = dsp._exp_rate(x + 1.0, 2.0, 3.0) + noise, [1.5, 2.0]
@@ -78,28 +83,11 @@ def test_nlls_evaluates_each_parameter_vector_once(case):
         # noise-free data at the start: the first gradient test ends the fit
         model, seen = recording(dsp._exp_rate)
         y, p0 = dsp._exp_rate(x, 2.0, 3.0), [2.0, 3.0]
-    fit = dsp.nlls(model, (x, y), p0)
+    fit = dsp.nlls(model, (x, y), p0, names=names)
     assert fit.converged
     if case == "gradient exit":
         assert fit.iterations == 0
     assert len(seen) == len(set(seen))
-
-
-@pytest.mark.parametrize("case", ["lorentzian", "exponential"])
-def test_nlls_unit_sigma_is_bit_equal_to_unweighted(case):
-    # an unweighted fit skips the unit weights; x * 1.0 is exact, so the path matches
-    x = np.linspace(-1.0, 1.0, 81)
-    noise = np.random.default_rng(7).normal(0.0, 0.01, x.size)
-    if case == "lorentzian":
-        model, y, p0 = dsp._lorentzian, dsp._lorentzian(x, 0.1, 0.5, 1.0, 0.2) + noise, [0.0, 0.4, 0.8, 0.1]
-    else:
-        x = x + 1.0
-        model, y, p0 = dsp._exp_rate, dsp._exp_rate(x, 2.0, 3.0) + noise, [1.5, 2.0]
-    plain = dsp.nlls(model, (x, y), p0)
-    unit = dsp.nlls(model, (x, y), p0, sigma=np.ones(x.size))
-    assert plain.iterations == unit.iterations > 0
-    assert plain.rss.hex() == unit.rss.hex()
-    assert np.array_equal(plain.params.view(np.int64), unit.params.view(np.int64))
 
 
 def test_nlls_degenerate_pair_named():
@@ -109,11 +97,13 @@ def test_nlls_degenerate_pair_named():
     x = np.linspace(0, 1, 20)
     y = 2 * x + 1
     with pytest.raises(dsp.DegenerateParameterError) as err:
-        dsp.nlls(model, (x, y), [1.0, 1.0, 1.0])
+        dsp.nlls(model, (x, y), [1.0, 1.0, 1.0], names=("a", "b", "c"))
     assert set(err.value.pair) == {"a", "b"}
 
 
 def test_nlls_covariance_matches_monte_carlo():
+    """The uncertainties that the reduced chi-square scaling predicts, as the
+    RMS over 1000 noisy fits, match the scatter of the fitted parameters."""
     rng = np.random.default_rng(12)
 
     def model(x, amp, rate):
@@ -122,15 +112,14 @@ def test_nlls_covariance_matches_monte_carlo():
     x = np.linspace(0, 2.0, 40)
     truth = (1.5, 1.7)
     sigma = 0.03
-    fits = []
-    predicted = None
+    fits, predicted = [], []
     for _ in range(1000):
         y = model(x, *truth) + rng.normal(0, sigma, len(x))
-        fit = dsp.nlls(model, (x, y), [1.4, 1.5], sigma=np.full(len(x), sigma))
+        fit = dsp.nlls(model, (x, y), [1.4, 1.5], names=("amp", "rate"))
         fits.append(fit.params)
-        predicted = fit.uncertainties
+        predicted.append(fit.uncertainties)
     scatter = np.std(np.array(fits), axis=0)
-    ratio = predicted / scatter
+    ratio = np.sqrt(np.mean(np.square(predicted), axis=0)) / scatter
     assert np.all(ratio > 0.9) and np.all(ratio < 1.1)
 
 
@@ -140,7 +129,7 @@ def test_nlls_converges_from_distant_start():
 
     x = np.linspace(0, 3.0, 60)
     y = model(x, 2.5, 0.8)
-    fit = dsp.nlls(model, (x, y), [0.5, 3.0])
+    fit = dsp.nlls(model, (x, y), [0.5, 3.0], names=("amp", "rate"))
     assert fit.converged
     np.testing.assert_allclose(fit.params, [2.5, 0.8], rtol=1e-7)
 
@@ -168,13 +157,19 @@ def test_fft_needs_eight_samples():
 
 
 def test_fft_parseval():
+    """sum((y - mean)^2) from the one-sided bins: weight 1 on the DC bin (and
+    on the Nyquist bin when n is even) and 1/2 on every other bin."""
     rng = np.random.default_rng(3)
     for n in (64, 65):
         y = rng.normal(size=n)
         trace = dsp.Trace(dt=1e-6, samples=y)
         spec = dsp.fft_spectrum(trace)
+        weights = np.full(len(spec.magnitude), 0.5)
+        weights[0] = 1.0
+        if n % 2 == 0:
+            weights[-1] = 1.0
         direct = float(np.sum((y - y.mean()) ** 2))
-        assert spec.sum_squares() == pytest.approx(direct, rel=1e-9)
+        assert n * np.sum(weights * spec.magnitude**2) == pytest.approx(direct, rel=1e-9)
 
 
 def test_fft_damped_signal_peak_near_carrier():
@@ -463,13 +458,19 @@ def test_loss_window_finite_at_steep_decay():
     np.testing.assert_allclose(got, 0.5 - 0.2 * (1 - np.exp(-800.0 * u)), rtol=1e-15)
 
 
+def fit_loss(trace, carrier_hz=100.94e3):
+    """`dsp.fit_loss` against the band-pass at +-50% around `carrier_hz`, the
+    band that `extract_rabi` and the figS2 pipeline use."""
+    return dsp.fit_loss(trace, dsp.butterworth_bandpass(trace, 0.5 * carrier_hz, 1.5 * carrier_hz))
+
+
 def test_fit_loss_from_raw_minus_filtered():
     omega, tau = TWO_PI * 100.94e3, 684e-6
     loss_amp, tau_loss = 0.17, 1.15e-3
     trace, _ = make_trace(
         lambda t: formulas.damped_model(t, omega, 0.0, tau, loss_amp, tau_loss),
         duration=2.048e-3, n=5120)
-    fit = dsp.fit_loss(trace, 100.94e3)
+    fit = fit_loss(trace)
     assert fit.value("loss_amp") == pytest.approx(loss_amp, rel=0.05)
     assert fit.value("tau_loss") == pytest.approx(tau_loss, rel=0.25)
 
@@ -479,7 +480,7 @@ def test_fit_loss_flat_without_loss():
     trace, _ = make_trace(
         lambda t: formulas.damped_model(t, omega, 0.0, tau, 0.0, 1.0),
         duration=2.048e-3, n=5120)
-    fit = dsp.fit_loss(trace, 100.94e3)
+    fit = fit_loss(trace)
     assert abs(fit.value("loss_amp")) < 0.02
 
 
@@ -492,7 +493,7 @@ def test_fit_loss_flags_unresolved_loss(noise):
         trace, _ = make_trace(
             lambda t: formulas.damped_model(t, omega, 0.0, tau, 0.0, 1.0),
             duration=2.048e-3, n=5120, noise=noise, seed=3)
-    fit = dsp.fit_loss(trace, 100.94e3)
+    fit = fit_loss(trace)
     assert fit.meta["loss_unresolved"]
     assert abs(fit.value("loss_amp")) < 0.02
     assert math.isfinite(fit.value("loss_amp")) and math.isfinite(fit.value("offset"))
@@ -507,23 +508,23 @@ def test_fit_loss_never_resolves_a_negative_loss():
         trace, _ = make_trace(
             lambda t: formulas.damped_model(t, omega, 0.0, tau, 0.0, 1.0),
             duration=2.048e-3, n=5120, noise=0.05, seed=seed)
-        fit = dsp.fit_loss(trace, 100.94e3)
+        fit = fit_loss(trace)
         assert fit.meta["loss_unresolved"] or fit.value("loss_amp") >= 0.0, seed
 
 
-def test_fit_loss_masks_sigma_with_samples():
-    omega, tau = TWO_PI * 100.94e3, 684e-6
-    n = 5120
-    clean, _ = make_trace(
-        lambda t: formulas.damped_model(t, omega, 0.0, tau, 0.17, 1.15e-3),
-        duration=2.048e-3, n=n)
-    valid = np.arange(n) < 4000
-    trace = dsp.Trace(dt=clean.dt, samples=clean.samples, sigma=np.full(n, 0.05), valid=valid)
-    fit = dsp.fit_loss(trace, 100.94e3)
-    assert not fit.meta["loss_unresolved"]
-    assert fit.value("loss_amp") == pytest.approx(0.17, rel=0.01)
-    # absolute sigma: the amplitude error reflects the stated noise, not the zero residual
-    assert 1e-3 < fit.sigma("loss_amp") < 0.05
+def test_figS2_band_passes_its_trace_once_outside_extract_rabi(tmp_path, monkeypatch):
+    """The loss fit and filtered.csv share the pipeline's one band-pass;
+    `extract_rabi` runs the other."""
+    calls = []
+    bandpass = dsp.butterworth_bandpass
+
+    def counting(*args):
+        calls.append(args[1:])
+        return bandpass(*args)
+
+    monkeypatch.setattr(dsp, "butterworth_bandpass", counting)
+    assert presets.reproduce("figS2", tmp_path)
+    assert len(calls) == 2 and calls[1] == pytest.approx(calls[0], rel=1e-12)
 
 
 # ------------------------------------------------------------- sinusoid
@@ -648,11 +649,9 @@ def test_trace_csv_rejects_non_finite_row(tmp_path):
         dsp.Trace.from_csv(path)
 
 
-def test_trace_rejects_non_finite_samples_and_sigma():
+def test_trace_rejects_non_finite_samples():
     with pytest.raises(ValueError, match=r"non-finite trace samples at index 2"):
         dsp.Trace(dt=1e-6, samples=np.array([0.1, 0.2, np.inf, np.nan]))
-    with pytest.raises(ValueError, match=r"non-finite trace sigma at index 1"):
-        dsp.Trace(dt=1e-6, samples=np.zeros(3), sigma=np.array([0.1, np.nan, 0.1]))
 
 
 @pytest.mark.parametrize("dt", [float("nan"), float("inf"), -float("inf"), 0.0, -1e-6])

@@ -268,8 +268,10 @@ def test_normalize_constant_references():
     truth = np.linspace(1.0, 0.2, 9)
     refs_t = np.array([-1e-4, 1.1e-3])
     refs_v = np.array([500.0, 500.0])
-    out = readout.normalize_readout(times, truth * 500.0, refs_t, refs_v)
+    out = readout.normalize_readout(times, truth * 500.0, refs_t, refs_v,
+                                    (1.0 - truth) * 500.0 * 0.975, 0.975)
     np.testing.assert_allclose(out.up, truth, rtol=1e-12)
+    np.testing.assert_allclose(out.down, 1.0 - truth, rtol=1e-12)
 
 
 def test_normalize_drifting_references_flat_signal():
@@ -278,14 +280,24 @@ def test_normalize_drifting_references_flat_signal():
     refs_v = 800.0 * (1.0 + 0.1 * refs_t / 1e-3)  # 10% linear drift
     ref_at = np.interp(times, refs_t, refs_v)
     raw = 0.75 * ref_at
-    out = readout.normalize_readout(times, raw, refs_t, refs_v)
+    out = readout.normalize_readout(times, raw, refs_t, refs_v, 0.25 * ref_at, 1.0)
     np.testing.assert_allclose(out.up, 0.75, rtol=1e-12)
+    np.testing.assert_allclose(out.down, 0.25, rtol=1e-12)
 
 
 def test_normalize_extrapolation_warns():
     with pytest.warns(readout.ReadoutWarning):
         readout.normalize_readout(np.array([0.0, 2.0]), np.array([1.0, 1.0]),
-                                  np.array([0.5, 1.0]), np.array([1.0, 1.0]))
+                                  np.array([0.5, 1.0]), np.array([1.0, 1.0]),
+                                  np.array([0.0, 0.0]), 0.975)
+
+
+@pytest.mark.parametrize("efficiency", [0.0, 1.5])
+def test_normalize_rejects_a_transfer_efficiency_outside_0_1(efficiency):
+    with pytest.raises(ValueError, match=r"transfer efficiency must be in \(0, 1\]"):
+        readout.normalize_readout(np.array([0.0, 1.0]), np.array([100.0, 50.0]),
+                                  np.array([-0.5, 1.5]), np.array([100.0, 100.0]),
+                                  np.array([0.0, 50.0]), efficiency)
 
 
 def test_down_correction_and_fidelity_chain():

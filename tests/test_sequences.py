@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
+from conftest import from_state
 from fsqubit import driven, dsp, formulas, lindblad, sequences
 from fsqubit.config import parse_csv
 from fsqubit.harness import presets
@@ -60,7 +61,7 @@ def test_rotation_unrotation_composition(fig3_config, no_decay, model_states):
     pulses = [(driven.build_effective_qubit_model(cfg, no_decay), t_half)
               for cfg in (fig3_config, _phased(fig3_config, math.pi))]
     final = _final_state(pulses, DensityMatrix.pure(3, 0).matrix, model_states)
-    assert abs(DensityMatrix(final).population(0) - 1.0) < 1e-6
+    assert abs(final[0, 0].real - 1.0) < 1e-6
 
 
 def test_concatenation_associativity(fig3_config, table, model_states):
@@ -82,8 +83,8 @@ def test_readout_invariant_under_global_phase(fig3_config, table, model_states):
     t_half = sequences.pulse_duration(fig3_config, "pi/2")
     model = driven.build_effective_qubit_model(fig3_config, table)
     times = np.linspace(0.0, t_half, 11)
-    base = DensityMatrix.from_state([1.0, 0.0, 0.0])
-    phased = DensityMatrix.from_state([np.exp(1j * 0.83), 0.0, 0.0])
+    base = from_state([1.0, 0.0, 0.0])
+    phased = from_state([np.exp(1j * 0.83), 0.0, 0.0])
     a = model_states(model, base.matrix, times)
     b = model_states(model, phased.matrix, times)
     for k in ("up", "down"):
@@ -120,10 +121,10 @@ def test_run_and_evolve_reject_invalid_initial_state(matrix, message, fig3_confi
     model = driven.build_effective_qubit_model(fig3_config, table)
     rho_up = DensityMatrix.pure(model.dim, model.index("up")).matrix
     handed_on = DensityMatrix(_final_state([(model, 1e-6)], rho_up, model_states))
-    assert handed_on.dim == len(model.labels) == 3
+    assert handed_on.matrix.shape == (3, 3) and len(model.labels) == 3
     handed_on.validate()
     rho0 = DensityMatrix(np.array(matrix))
-    assert rho0.dim == len(model.labels)
+    assert rho0.matrix.shape[-1] == len(model.labels)
     with pytest.raises(lindblad.StateError, match=message):
         rho0.validate()
 
@@ -472,7 +473,7 @@ def test_at_dressed_state_oracle(lam, table):
     # just below the natural linewidth the splitting is reported absent even
     # though the two maxima are visible
     scan = sequences.autler_townes_scan(
-        [1.0], TWO_PI * 10e6, lam, table, probe_rabi=TWO_PI * 0.5e6)
+        [1.0], TWO_PI * 10e6, lam, table, probe_rabi=TWO_PI * 0.5e6, strong="down")
     assert scan.splittings[0] is None  # 10 MHz dressing < the 11 MHz linewidth
     spectrum = scan.spectra[0]
     dets = scan.detunings[0]
@@ -483,13 +484,13 @@ def test_at_dressed_state_oracle(lam, table):
 
 
 def test_at_paper_calibration_point(lam, table):
-    scan = sequences.autler_townes_scan([3.6], TWO_PI * 19.3e6, lam, table)
+    scan = sequences.autler_townes_scan([3.6], TWO_PI * 19.3e6, lam, table, TWO_PI * 1.0e6, "down")
     assert scan.dressing_rabis[0] == pytest.approx(TWO_PI * 36.62e6, rel=1e-3)
     assert scan.splittings[0] == pytest.approx(scan.dressing_rabis[0], rel=0.03)
 
 
 def test_at_zero_power_single_line(lam, table):
-    scan = sequences.autler_townes_scan([0.0], TWO_PI * 19.3e6, lam, table)
+    scan = sequences.autler_townes_scan([0.0], TWO_PI * 19.3e6, lam, table, TWO_PI * 1.0e6, "down")
     assert scan.splittings[0] is None
     spectrum = scan.spectra[0]
     fit = dsp.fit_lorentzian((scan.detunings[0], spectrum))
@@ -501,7 +502,8 @@ def test_at_zero_power_single_line(lam, table):
 def test_at_each_power_on_its_own_axis(lam, table):
     # every power column spans its own detuning range, so each doublet must
     # sit at +- half its own dressing Rabi rate on that row's axis
-    scan = sequences.autler_townes_scan([1.0, 10.0], TWO_PI * 19.3e6, lam, table)
+    scan = sequences.autler_townes_scan([1.0, 10.0], TWO_PI * 19.3e6, lam, table, TWO_PI * 1.0e6,
+                                        "down")
     assert scan.detunings.shape == scan.spectra.shape == (2, 161)
     for dets, spectrum, rabi in zip(scan.detunings, scan.spectra, scan.dressing_rabis):
         half = len(dets) // 2
@@ -514,7 +516,7 @@ def test_at_each_power_on_its_own_axis(lam, table):
 @pytest.mark.parametrize("strong", ["down", "up"])
 def test_stacked_at_scan_matches_point_loop(lam, table, strong):
     probe, rabi_s = TWO_PI * 1.0e6, TWO_PI * 19.3e6 * math.sqrt(2.0)
-    scan = sequences.autler_townes_scan([2.0], TWO_PI * 19.3e6, lam, table, strong=strong)
+    scan = sequences.autler_townes_scan([2.0], TWO_PI * 19.3e6, lam, table, probe, strong)
     t_probe = table.gamma_s / probe**2
     want = []
     # every fourth of the 161 points, both ends included
@@ -534,7 +536,8 @@ def test_at_splitting_accuracy_above_five_linewidths(lam, table):
     for mult in (5.0, 8.0):
         rabi = mult * table.gamma_s
         power = (rabi / (TWO_PI * 19.3e6)) ** 2
-        scan = sequences.autler_townes_scan([power], TWO_PI * 19.3e6, lam, table)
+        scan = sequences.autler_townes_scan([power], TWO_PI * 19.3e6, lam, table, TWO_PI * 1.0e6,
+                                            "down")
         assert scan.splittings[0] == pytest.approx(rabi, rel=0.02)
 
 
@@ -556,7 +559,8 @@ def test_stacked_cpt_scan_matches_point_loop(lam, table):
     for delta in grid:
         cfg = driven.raman_config(lam, TWO_PI * 76.8e3, TWO_PI * 61e3, 0.0, delta)
         model = driven.build_lambda_model(cfg, lam, table, mode="closed")
-        want.append(lindblad.steady_state(model).population(model.index("s")))
+        i = model.index("s")
+        want.append(lindblad.steady_state(model).matrix[i, i].real)
     assert np.array_equal(exc.view(np.int64), np.array(want).view(np.int64))
 
 
@@ -870,7 +874,7 @@ def test_batched_coherence_scans_match_member_loop(fig3_config, table, echo, wit
 def test_coherence_scans_exponentiate_only_block_stacks(fig3_config, table, monkeypatch):
     """Every pulse propagator of the coherence scans is built on the 5-entry
     invariant block of the eliminated qubit from `up`: one (members, 5, 5)
-    stack per scan."""
+    stack per scan, and one (1, 5, 5) for the single atom of the time scan."""
     shapes = []
 
     def recording_expm(a):
@@ -883,18 +887,19 @@ def test_coherence_scans_exponentiate_only_block_stacks(fig3_config, table, monk
     dark = np.array([0.0, 1e-3, 4e-3])
     sequences.ramsey_phase_scan(dark, PHASES, fig3_config, table, ensemble=spec)
     sequences.spin_echo_scan(dark, PHASES, fig3_config, table, ensemble=spec, ou=ou)
-    sequences.ramsey_time_scan(dark, fig3_config, table, ensemble=spec)
+    sequences.ramsey_time_scan(dark, fig3_config, table)
     # the product grid of 9 nodes on each spread axis
-    assert shapes == [(spec.samples ** 2, 5, 5)] * 3
+    assert shapes == [(spec.samples ** 2, 5, 5)] * 2 + [(1, 5, 5)]
 
 
 def test_batched_ramsey_time_scan_matches_member_loop(fig3_config, lam, table):
     cfg = driven.raman_config(lam, fig3_config.up.rabi, fig3_config.down.rabi,
                               fig3_config.delta_one, TWO_PI * 10e3)
-    spec = sequences.EnsembleSpec(delta_sigma=300.0, samples=7)
+    one_atom = sequences.EnsembleSpec()
     dark = np.linspace(0.0, 0.6e-3, 25)
-    got = sequences.ramsey_time_scan(dark, cfg, table, ensemble=spec)
-    want = [reference_two_pulse(t, [0.0], cfg, table, spec, None, echo=False)[0] for t in dark]
+    got = sequences.ramsey_time_scan(dark, cfg, table)
+    want = [reference_two_pulse(t, [0.0], cfg, table, one_atom, None, echo=False)[0]
+            for t in dark]
     assert np.abs(got - np.array(want)).max() < 1e-12
 
 

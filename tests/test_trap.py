@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fsqubit import trap
+from fsqubit.units import SR88_MASS_U
 
 
 MAGIC_DEG = 54.735610317245346  # 3 cos^2(beta) = 1
@@ -128,13 +129,13 @@ def test_degenerate_table_flagged():
 
 
 def test_recoil_energy_914_and_1064():
-    assert trap.recoil_energy(914.0).frequency_hz == pytest.approx(2716.9, rel=5e-3)
-    assert trap.recoil_energy(1064.0).frequency_hz == pytest.approx(2005.0, rel=5e-3)
+    assert trap.recoil_energy(914.0, SR88_MASS_U).frequency_hz == pytest.approx(2716.9, rel=5e-3)
+    assert trap.recoil_energy(1064.0, SR88_MASS_U).frequency_hz == pytest.approx(2005.0, rel=5e-3)
 
 
 def test_recoil_scaling_with_wavelength():
-    one = trap.recoil_energy(600.0).frequency_hz
-    two = trap.recoil_energy(1200.0).frequency_hz
+    one = trap.recoil_energy(600.0, SR88_MASS_U).frequency_hz
+    two = trap.recoil_energy(1200.0, SR88_MASS_U).frequency_hz
     assert one / two == pytest.approx(4.0, rel=1e-12)
 
 
